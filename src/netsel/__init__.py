@@ -22,10 +22,12 @@ from .chain import (
     StationaryDistribution,
     TransitionKernel,
     absorption_analysis,
+    absorption_table,
     build_kernel,
     classify,
     detailed_balance_residual,
     distribution_mode,
+    long_run,
     stationary_eigen,
     stationary_noise_free,
     stationary_product,
@@ -62,7 +64,6 @@ from .protocols import (
     PairwiseProportional,
     beta_reference,
     fermi_from_ratio,
-    imitation_probability,
 )
 from .replicator import (
     IntegrationResult,
@@ -93,7 +94,6 @@ __all__ = [
     "PairwiseProportional",
     "Fermi",
     "CustomRule",
-    "imitation_probability",
     "beta_reference",
     "fermi_from_ratio",
     # chain
@@ -109,6 +109,8 @@ __all__ = [
     "stationary_product",
     "stationary_eigen",
     "absorption_analysis",
+    "absorption_table",
+    "long_run",
     "distribution_mode",
     "total_variation",
     "detailed_balance_residual",

@@ -39,6 +39,8 @@ __all__ = [
     "stationary_product",
     "stationary_eigen",
     "absorption_analysis",
+    "absorption_table",
+    "long_run",
     "distribution_mode",
     "total_variation",
     "detailed_balance_residual",
@@ -251,13 +253,9 @@ def classify(kernel: TransitionKernel) -> ChainClass:
     if not up_pos[0] and not down_pos[n]:
         # State k reaches n iff every up move from k onwards is possible,
         # and reaches 0 iff every down move below it is.
-        suffix_up = np.ones(n + 1, dtype=bool)
-        for k in range(n - 1, -1, -1):
-            suffix_up[k] = suffix_up[k + 1] and up_pos[k]
-        prefix_down = np.ones(n + 1, dtype=bool)
-        for k in range(1, n + 1):
-            prefix_down[k] = prefix_down[k - 1] and down_pos[k]
-        if all(suffix_up[k] or prefix_down[k] for k in range(1, n)):
+        suffix_up = np.logical_and.accumulate(up_pos[n - 1 : 0 : -1])[::-1]
+        prefix_down = np.logical_and.accumulate(down_pos[1:n])
+        if (suffix_up | prefix_down).all():
             return ChainClass(
                 kind="absorbing",
                 absorbing_states=(0, n),
@@ -289,29 +287,35 @@ def stationary_noise_free(
     equilibrium share falls exactly on the lattice point k*/n the chain
     freezes at k* and the formula degenerates gracefully to a point
     mass there.  Requires an interior critical state (1 <= k* <= n-1)
-    and a rule whose kernel shows the one-way zero pattern; ValueError
-    otherwise.
+    and a rule whose kernel shows the one-way zero pattern;
+    ChainStructureError (a ValueError) otherwise.
     """
     if rule is None:
         rule = PairwiseProportional()
-    n = population.n
+    return _two_point(build_kernel(params, population, rule), params)
+
+
+def _two_point(kernel: TransitionKernel, params: NetworkParams) -> StationaryDistribution:
+    """The two-point law of :func:`stationary_noise_free` on a built kernel."""
+    n = kernel.n
     k_star = model.critical_state(params, n)
     if not 1 <= k_star <= n - 1:
-        raise ValueError(
+        raise ChainStructureError(
             f"critical state k*={k_star} sits on the boundary of 0..{n}; "
             "the two-point law needs an interior critical state"
         )
-    kernel = build_kernel(params, population, rule)
     below = kernel.down[1:k_star]
     above = kernel.up[k_star:]
     if (below.size and below.max() > 0.0) or (above.size and above.max() > 0.0):
-        raise ValueError(
+        raise ChainStructureError(
             "rule is not noise-free: the kernel allows moves away from the critical pair"
         )
     t_up = float(kernel.up[k_star - 1])
     t_down = float(kernel.down[k_star])
     if t_up + t_down == 0.0:
-        raise ValueError("chain is frozen around the critical state; two-point law undefined")
+        raise ChainStructureError(
+            "chain is frozen around the critical state; two-point law undefined"
+        )
     psi = np.zeros(n + 1)
     psi[k_star - 1] = t_down / (t_up + t_down)
     psi[k_star] = 1.0 - psi[k_star - 1]
@@ -337,6 +341,10 @@ def stationary_product(kernel: TransitionKernel) -> StationaryDistribution:
         raise ChainStructureError(
             f"product form needs an irreducible kernel, got {structure.kind} ({structure.detail})"
         )
+    return _product_form(kernel)
+
+
+def _product_form(kernel: TransitionKernel) -> StationaryDistribution:
     log_psi = _log_profile(kernel)
     log_psi -= log_psi.max()
     psi = np.exp(log_psi)
@@ -353,13 +361,9 @@ def _solve_balance_block(
     size = hi - lo + 1
     ab = np.zeros((3, size))
     rhs = np.zeros(size)
-    for s in range(lo, hi + 1):
-        r = s - lo
-        ab[1, r] = -(up[s] + down[s])
-        if r + 1 < size:
-            ab[0, r + 1] = down[s + 1]
-        if r - 1 >= 0:
-            ab[2, r - 1] = up[s - 1]
+    ab[0, 1:] = down[lo + 1 : hi + 1]
+    ab[1] = -(up[lo : hi + 1] + down[lo : hi + 1])
+    ab[2, :-1] = up[lo:hi]
     if anchor_above:
         rhs[size - 1] = -down[hi + 1]
     else:
@@ -428,49 +432,81 @@ def stationary_eigen(
     return StationaryDistribution(psi=psi, kind="eigenvector")
 
 
-def absorption_analysis(kernel: TransitionKernel, initial: int) -> AbsorptionResult:
-    """Exact absorption split and mean hitting time from one start state.
-
-    The first-step equations on the interior states form one tridiagonal
-    system with three right-hand sides (hit 0, hit n, accumulate time),
-    solved by a banded LU.  The two hitting probabilities are computed
-    independently, so their sum is a genuine consistency diagnostic for
-    the caller — it should be 1 up to solver round-off.
-    """
+def _require_absorbing(kernel: TransitionKernel) -> None:
     structure = classify(kernel)
     if structure.kind != "absorbing":
         raise ChainStructureError(
             f"absorption analysis needs an absorbing kernel, got {structure.kind} "
             f"({structure.detail})"
         )
+
+
+def _absorption_solve(kernel: TransitionKernel) -> np.ndarray:
+    """Rows (P_0, P_n, expected steps) for every start state k0 = 0..n.
+
+    The first-step equations on the interior states form one tridiagonal
+    system with three right-hand sides (hit 0, hit n, accumulate time),
+    solved by a banded LU; the boundary rows are exact.
+    """
+    n = kernel.n
+    up, down = kernel.up, kernel.down
+    ab = np.zeros((3, n - 1))
+    ab[0, 1:] = -up[1 : n - 1]
+    ab[1] = up[1:n] + down[1:n]
+    ab[2, :-1] = -down[2:n]
+    rhs = np.zeros((n - 1, 3))
+    rhs[:, 2] = 1.0
+    rhs[0, 0] = down[1]
+    rhs[-1, 1] = up[n - 1]
+    table = np.zeros((n + 1, 3))
+    table[0, 0] = table[n, 1] = 1.0
+    table[1:n] = solve_banded((1, 1), ab, rhs)
+    return table
+
+
+def absorption_analysis(kernel: TransitionKernel, initial: int) -> AbsorptionResult:
+    """Exact absorption split and mean hitting time from one start state.
+
+    The two hitting probabilities are solved for independently, so their
+    sum is a genuine consistency diagnostic for the caller — it should
+    be 1 up to solver round-off.  For every start state at once, use
+    :func:`absorption_table`, which runs the same solve once.
+    """
+    _require_absorbing(kernel)
     n = kernel.n
     if not 0 <= initial <= n:
         raise ValueError(f"initial state must lie in 0..{n}, got {initial}")
-    if initial == 0:
-        return AbsorptionResult(1.0, 0.0, 0.0)
-    if initial == n:
-        return AbsorptionResult(0.0, 1.0, 0.0)
-    up, down = kernel.up, kernel.down
-    size = n - 1
-    ab = np.zeros((3, size))
-    rhs = np.zeros((size, 3))
-    for j in range(1, n):
-        r = j - 1
-        ab[1, r] = up[j] + down[j]
-        if r + 1 < size:
-            ab[0, r + 1] = -up[j]
-        if r - 1 >= 0:
-            ab[2, r - 1] = -down[j]
-        rhs[r, 2] = 1.0
-    rhs[0, 0] = down[1]
-    rhs[size - 1, 1] = up[n - 1]
-    solution = solve_banded((1, 1), ab, rhs)
-    row = solution[initial - 1]
-    return AbsorptionResult(
-        prob_absorb_at_0=float(row[0]),
-        prob_absorb_at_n=float(row[1]),
-        expected_steps=float(row[2]),
-    )
+    if initial in (0, n):
+        return AbsorptionResult(float(initial == 0), float(initial == n), 0.0)
+    return AbsorptionResult(*_absorption_solve(kernel)[initial].tolist())
+
+
+def absorption_table(kernel: TransitionKernel) -> list[AbsorptionResult]:
+    """:func:`absorption_analysis` for every start state k0 = 0..n, from one solve."""
+    _require_absorbing(kernel)
+    return [AbsorptionResult(*row) for row in _absorption_solve(kernel).tolist()]
+
+
+def long_run(kernel: TransitionKernel) -> tuple[ChainClass, StationaryDistribution | None]:
+    """Classify a kernel once and return its long-run law by the route its class dictates.
+
+    An irreducible chain gets the product form; an absorbing chain has no
+    stationary law and gets None (see :func:`absorption_table`); any
+    other chain gets the two-point law of :func:`stationary_noise_free`,
+    built from this kernel and its ``params``.  A chain with none of the
+    three raises ChainStructureError.
+    """
+    structure = classify(kernel)
+    if structure.kind == "irreducible":
+        return structure, _product_form(kernel)
+    if structure.kind == "absorbing":
+        return structure, None
+    if kernel.params is None:
+        raise ChainStructureError(
+            f"chain is neither irreducible nor absorbing ({structure.detail}) and the kernel "
+            "records no network parameters for the two-point law"
+        )
+    return structure, _two_point(kernel, kernel.params)
 
 
 def distribution_mode(distribution, rel_tol: float = 1e-12) -> tuple[int, ...]:

@@ -24,10 +24,10 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from . import __version__, chain, model, montecarlo, replicator
-from .chain import ChainStructureError, PopulationConfig, StationaryDistribution
+from .chain import PopulationConfig
 from .config import ConfigError, ExperimentConfig, parse_config
 from .model import NetworkParams
-from .protocols import Fermi, beta_reference, fermi_from_ratio
+from .protocols import PairwiseProportional, beta_reference, fermi_from_ratio
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -143,26 +143,15 @@ def cmd_equilibrium(config: ExperimentConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _analytic_stationary(
-    config: ExperimentConfig,
-    params: NetworkParams,
-    population: PopulationConfig,
-) -> tuple[StationaryDistribution | None, chain.ChainClass, chain.TransitionKernel]:
-    """Stationary law by the route the chain's structure dictates.
-
-    Irreducible chains use the product form; one-way (noise-free) chains
-    use the two-point law; absorbing chains have no stationary law and
-    return None so callers can fall back to an absorption report.
-    """
-    rule = config.rule(params, population.n)
-    kernel = chain.build_kernel(params, population, rule)
-    structure = chain.classify(kernel)
-    if structure.kind == "irreducible":
-        return chain.stationary_product(kernel), structure, kernel
-    if structure.kind == "absorbing":
-        return None, structure, kernel
-    distribution = chain.stationary_noise_free(params, population, rule)
-    return distribution, structure, kernel
+def _write_absorption(
+    path: Path, kernel: chain.TransitionKernel, meta: dict[str, Any], quiet: bool
+) -> None:
+    rows = [
+        (k0, r.prob_absorb_at_0, r.prob_absorb_at_n, r.expected_steps)
+        for k0, r in enumerate(chain.absorption_table(kernel))
+    ]
+    header = ("k0", "prob_absorb_at_0", "prob_absorb_at_n", "expected_steps")
+    _write_csv(path, header, rows, meta, quiet)
 
 
 def cmd_stationary(config: ExperimentConfig, args: argparse.Namespace) -> int:
@@ -170,16 +159,13 @@ def cmd_stationary(config: ExperimentConfig, args: argparse.Namespace) -> int:
     population = config.population()
     quiet = args.quiet
     out_dir = _resolve_out_dir(args, config)
-    try:
-        distribution, structure, kernel = _analytic_stationary(config, params, population)
-    except (ChainStructureError, ValueError) as exc:
-        print(f"analysis error: {exc}", file=sys.stderr)
-        return EXIT_ANALYSIS
+    kernel = chain.build_kernel(params, population, config.rule(params, population.n))
+    structure, distribution = chain.long_run(kernel)
     base_meta = {
         "command": "stationary",
         "network": _params_meta(params),
         "population": _population_meta(population),
-        "rule": repr(config.rule(params, population.n)),
+        "rule": repr(kernel.rule),
         "chain_class": structure.kind,
         "config": config.as_dict(),
     }
@@ -189,20 +175,8 @@ def cmd_stationary(config: ExperimentConfig, args: argparse.Namespace) -> int:
             quiet,
             "chain is absorbing: no stationary law exists; writing absorption report instead",
         )
-        rows = []
-        for k0 in range(population.n + 1):
-            result = chain.absorption_analysis(kernel, k0)
-            rows.append(
-                (k0, result.prob_absorb_at_0, result.prob_absorb_at_n, result.expected_steps)
-            )
         meta = {**base_meta, "note": "absorbing chain; rows give exact absorption from each start"}
-        _write_csv(
-            out_dir / "absorption.csv",
-            ("k0", "prob_absorb_at_0", "prob_absorb_at_n", "expected_steps"),
-            rows,
-            meta,
-            quiet,
-        )
+        _write_absorption(out_dir / "absorption.csv", kernel, meta, quiet)
         return EXIT_OK
     mode = chain.distribution_mode(distribution)
     poa_e = model.expected_poa(params, distribution)
@@ -224,27 +198,12 @@ def _sweep_point(
     config: ExperimentConfig, variable: str, value: float
 ) -> tuple[str, float]:
     """Evaluate one sweep point; returns (metric name, metric value)."""
-    if variable == "lambda":
-        params = config.network_params(arrival=value)
-        population = config.population()
-    elif variable == "n":
-        params = config.network_params()
-        population = config.population(n=int(value))
-    else:
-        params = config.network_params()
-        population = config.population()
-    if variable == "beta_ratio":
-        rule = config.rule(params, population.n, beta_ratio=value)
-    else:
-        rule = config.rule(params, population.n)
-    kernel = chain.build_kernel(params, population, rule)
-    structure = chain.classify(kernel)
-    if structure.kind == "irreducible":
-        distribution = chain.stationary_product(kernel)
-        return "poa_expected", model.expected_poa(params, distribution)
-    if structure.kind == "absorbing":
+    params = config.network_params(arrival=value if variable == "lambda" else None)
+    population = config.population(n=int(value) if variable == "n" else None)
+    rule = config.rule(params, population.n, beta_ratio=value if variable == "beta_ratio" else None)
+    _, distribution = chain.long_run(chain.build_kernel(params, population, rule))
+    if distribution is None:
         return "poa_absorbing", model.poa_absorbing(params)
-    distribution = chain.stationary_noise_free(params, population, rule)
     return "poa_expected", model.expected_poa(params, distribution)
 
 
@@ -261,7 +220,7 @@ def cmd_sweep(config: ExperimentConfig, args: argparse.Namespace) -> int:
             metric, result = _sweep_point(config, sweep.variable, value)
             rows.append((value, metric, result))
             successes += 1
-        except (ChainStructureError, ConfigError, ValueError) as exc:
+        except (ConfigError, ValueError) as exc:
             rows.append((value, "error", str(exc)))
     meta = {
         "command": "sweep",
@@ -286,13 +245,13 @@ def cmd_simulate(config: ExperimentConfig, args: argparse.Namespace) -> int:
     quiet = args.quiet
     out_dir = _resolve_out_dir(args, config)
     kernel = chain.build_kernel(params, population, rule)
-    structure = chain.classify(kernel)
     result = montecarlo.run(spec, kernel, trajectory_decimation=decimation)
-    analytic: StationaryDistribution | None
     try:
-        analytic, _, _ = _analytic_stationary(config, params, population)
-    except (ChainStructureError, ValueError):
-        analytic = None
+        structure, analytic = chain.long_run(kernel)
+        chain_class = structure.kind
+    except ValueError:
+        # long_run refuses only chains that are neither irreducible nor absorbing.
+        chain_class, analytic = "other", None
     tv: float | None = None
     if analytic is not None:
         tv = chain.total_variation(result.histogram.to_distribution(), analytic)
@@ -304,7 +263,7 @@ def cmd_simulate(config: ExperimentConfig, args: argparse.Namespace) -> int:
         "network": _params_meta(params),
         "population": _population_meta(population),
         "rule": repr(rule),
-        "chain_class": structure.kind,
+        "chain_class": chain_class,
         "seed": spec.seed,
         "steps": spec.steps,
         "burn_in": spec.resolve_burn_in(population.n),
@@ -371,6 +330,7 @@ _FIG_CAPACITY = 100.0
 _FIG_ARRIVAL = 30.0
 _FIG_DELAY_WEIGHT = 1.0
 _FIG_TARGET_SHARE = 0.68
+_NOISE_FREE = PairwiseProportional()
 
 
 def _figure_params(arrival: float = _FIG_ARRIVAL) -> NetworkParams:
@@ -400,7 +360,7 @@ def _fig1a(out_dir: Path, quiet: bool) -> None:
     """Two-point noise-free law over 10 users, with the equilibrium marker."""
     params = _figure_params()
     population = PopulationConfig(n=10)
-    distribution = chain.stationary_noise_free(params, population)
+    _, distribution = chain.long_run(chain.build_kernel(params, population, _NOISE_FREE))
     k_star = model.critical_state(params, population.n)
     rows = [(k, float(p)) for k, p in enumerate(distribution.psi)]
     meta = _figure_meta(
@@ -424,7 +384,8 @@ def _fig1b(out_dir: Path, quiet: bool) -> None:
     for arrival in np.arange(5.0, 96.0, 5.0):
         params = _figure_params(arrival=float(arrival))
         for n in (10, 100):
-            distribution = chain.stationary_noise_free(params, PopulationConfig(n=n))
+            kernel = chain.build_kernel(params, PopulationConfig(n=n), _NOISE_FREE)
+            _, distribution = chain.long_run(kernel)
             poa_e = model.expected_poa(params, distribution)
             rows.append((float(arrival), f"poa_expected_n{n}", poa_e))
         rows.append((float(arrival), "poa_nash", model.poa_at(params, _FIG_TARGET_SHARE)))
@@ -446,12 +407,6 @@ def _fig2a(out_dir: Path, quiet: bool) -> None:
     ratio = 1.0
     rule = fermi_from_ratio(params, population.n, ratio)
     kernel = chain.build_kernel(params, population, rule)
-    absorb_rows = []
-    for k0 in range(population.n + 1):
-        result = chain.absorption_analysis(kernel, k0)
-        absorb_rows.append(
-            (k0, result.prob_absorb_at_0, result.prob_absorb_at_n, result.expected_steps)
-        )
     meta = _figure_meta(
         params,
         figure="fig2a",
@@ -460,13 +415,7 @@ def _fig2a(out_dir: Path, quiet: bool) -> None:
         beta_ratio=ratio,
         note_rule="noise intensity ratio 1.0 chosen for the illustration and recorded here",
     )
-    _write_csv(
-        out_dir / "fig2a_absorption.csv",
-        ("k0", "prob_absorb_at_0", "prob_absorb_at_n", "expected_steps"),
-        absorb_rows,
-        meta,
-        quiet,
-    )
+    _write_absorption(out_dir / "fig2a_absorption.csv", kernel, meta, quiet)
     # The illustrated long-run outcome: everyone on the primary network.
     point_mass = [(k, 1.0 if k == population.n else 0.0) for k in range(population.n + 1)]
     _write_csv(out_dir / "fig2a_distribution.csv", ("k", "psi"), point_mass, meta, quiet)
@@ -491,8 +440,7 @@ def _fig3a(out_dir: Path, quiet: bool) -> None:
     summary_rows = []
     for ratio in ratios:
         rule = fermi_from_ratio(params, population.n, ratio)
-        kernel = chain.build_kernel(params, population, rule)
-        distribution = chain.stationary_product(kernel)
+        _, distribution = chain.long_run(chain.build_kernel(params, population, rule))
         for k, p in enumerate(distribution.psi):
             dist_rows.append((ratio, k, float(p)))
         poa_e = model.expected_poa(params, distribution)
@@ -522,8 +470,7 @@ def _fig3b(out_dir: Path, quiet: bool) -> None:
         params = _figure_params()
         population = PopulationConfig(n=n, anchored_primary=1, anchored_secondary=1)
         rule = fermi_from_ratio(params, n, ratio)
-        kernel = chain.build_kernel(params, population, rule)
-        distribution = chain.stationary_product(kernel)
+        _, distribution = chain.long_run(chain.build_kernel(params, population, rule))
         states = np.arange(n + 1)
         mean = float(np.dot(states, distribution.psi))
         var = float(np.dot((states - mean) ** 2, distribution.psi))
@@ -556,22 +503,14 @@ def _fig3b(out_dir: Path, quiet: bool) -> None:
     _write_csv(out_dir / "fig3b_summary.csv", ("sweep_value", "metric", "value"), summary_rows, meta, quiet)
 
 
+# name -> (dataset builder, gnuplot stub)
 _FIGURES = {
-    "fig1a": _fig1a,
-    "fig1b": _fig1b,
-    "fig2a": _fig2a,
-    "fig2b": _fig2b,
-    "fig3a": _fig3a,
-    "fig3b": _fig3b,
-}
-
-_GNUPLOT_STUBS = {
-    "fig1a": 'set datafile separator ","\nset xlabel "k"\nset ylabel "psi"\nplot "fig1a.csv" skip 1 using 1:2 with boxes title "stationary law"\n',
-    "fig1b": 'set datafile separator ","\nset xlabel "arrival"\nset ylabel "expected PoA"\nplot "fig1b.csv" skip 1 using 1:3 with points title "sweep"\n',
-    "fig2a": 'set datafile separator ","\nset xlabel "k"\nset ylabel "psi"\nplot "fig2a_distribution.csv" skip 1 using 1:2 with boxes title "absorbed outcome"\n',
-    "fig2b": 'set datafile separator ","\nset xlabel "arrival"\nset ylabel "PoA"\nplot "fig2b.csv" skip 1 using 1:3 with lines title "absorbing PoA"\n',
-    "fig3a": 'set datafile separator ","\nset xlabel "k"\nset ylabel "psi"\nplot "fig3a_distributions.csv" skip 1 using 2:3 with points title "stationary laws"\n',
-    "fig3b": 'set datafile separator ","\nset xlabel "k"\nset ylabel "psi"\nplot "fig3b_distributions.csv" skip 1 using 2:3 with points title "laws", "" skip 1 using 2:($4/$1) with lines title "gaussian"\n',
+    "fig1a": (_fig1a, 'set datafile separator ","\nset xlabel "k"\nset ylabel "psi"\nplot "fig1a.csv" skip 1 using 1:2 with boxes title "stationary law"\n'),
+    "fig1b": (_fig1b, 'set datafile separator ","\nset xlabel "arrival"\nset ylabel "expected PoA"\nplot "fig1b.csv" skip 1 using 1:3 with points title "sweep"\n'),
+    "fig2a": (_fig2a, 'set datafile separator ","\nset xlabel "k"\nset ylabel "psi"\nplot "fig2a_distribution.csv" skip 1 using 1:2 with boxes title "absorbed outcome"\n'),
+    "fig2b": (_fig2b, 'set datafile separator ","\nset xlabel "arrival"\nset ylabel "PoA"\nplot "fig2b.csv" skip 1 using 1:3 with lines title "absorbing PoA"\n'),
+    "fig3a": (_fig3a, 'set datafile separator ","\nset xlabel "k"\nset ylabel "psi"\nplot "fig3a_distributions.csv" skip 1 using 2:3 with points title "stationary laws"\n'),
+    "fig3b": (_fig3b, 'set datafile separator ","\nset xlabel "k"\nset ylabel "psi"\nplot "fig3b_distributions.csv" skip 1 using 2:3 with points title "laws", "" skip 1 using 2:($4/$1) with lines title "gaussian"\n'),
 }
 
 
@@ -582,10 +521,11 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         figures = [args.figure]
     out_dir = _resolve_out_dir(args, None)
     for figure in figures:
-        _FIGURES[figure](out_dir, args.quiet)
+        build, stub = _FIGURES[figure]
+        build(out_dir, args.quiet)
         if args.gnuplot:
             stub_path = out_dir / f"{figure}.gp"
-            stub_path.write_text(_GNUPLOT_STUBS[figure], encoding="utf-8")
+            stub_path.write_text(stub, encoding="utf-8")
             if not args.quiet:
                 print(f"wrote {stub_path}")
     return EXIT_OK
@@ -642,14 +582,18 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "reproduce":
-        return cmd_reproduce(args)
     try:
+        if args.command == "reproduce":
+            return cmd_reproduce(args)
         config = parse_config(args.config)
         return _COMMANDS[args.command](config, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ValueError as exc:
+        # Domain errors of the analysis, ChainStructureError among them.
+        print(f"analysis error: {exc}", file=sys.stderr)
+        return EXIT_ANALYSIS
 
 
 def entry() -> None:

@@ -247,9 +247,6 @@ class ExperimentConfig:
                 raise ConfigError(f"[rule]: {exc}") from None
         raise ConfigError(f"[rule] unknown type {kind!r}; use 'proportional' or 'fermi'")
 
-    def rule_is_swept_fermi(self) -> bool:
-        return self._section("rule").get("type") == "fermi"
-
     # -- sweep -------------------------------------------------------------
 
     def sweep(self) -> SweepSpec | None:

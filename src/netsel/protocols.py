@@ -25,7 +25,6 @@ __all__ = [
     "PairwiseProportional",
     "Fermi",
     "CustomRule",
-    "imitation_probability",
     "beta_reference",
     "fermi_from_ratio",
 ]
@@ -118,11 +117,6 @@ class CustomRule(ImitationRule):
 
     def probability(self, payoff_diff: float) -> float:
         return float(self.fn(payoff_diff))
-
-
-def imitation_probability(rule: ImitationRule, payoff_diff: float) -> float:
-    """Evaluate a rule at one payoff difference."""
-    return rule.probability(float(payoff_diff))
 
 
 def beta_reference(params: NetworkParams, n: int) -> float:

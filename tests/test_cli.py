@@ -257,6 +257,14 @@ def test_stationary_analysis_failure_exits_three(tmp_path, capsys):
     assert "analysis error" in capsys.readouterr().err
 
 
+def test_degenerate_prices_exit_three(tmp_path, capsys):
+    # delay_weight == (capacity - arrival) * price gap: 1 == 70 / 70.
+    config = BASE.replace("target_share = 0.68", "price_primary = 0.014285714285714285")
+    path = write_config(tmp_path, config)
+    assert main(["equilibrium", "--config", path, "--quiet"]) == EXIT_ANALYSIS
+    assert "analysis error: degenerate prices" in capsys.readouterr().err
+
+
 # -- sweep --------------------------------------------------------------------------
 
 
@@ -371,6 +379,24 @@ def test_seed_flag_overrides_the_config(tmp_path):
     )
     assert (base_dir / "histogram.csv").read_bytes() != (seeded_dir / "histogram.csv").read_bytes()
     assert read_meta(seeded_dir / "histogram.csv")["seed"] == 10
+
+
+def test_simulate_start_beyond_the_population_exits_three(tmp_path, capsys):
+    path = write_config(tmp_path, SIM.replace("initial_state = 5", "initial_state = 50"))
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "res")]) == EXIT_ANALYSIS
+    assert "analysis error: initial_state 50 exceeds" in capsys.readouterr().err
+
+
+def test_simulate_builds_the_kernel_once(tmp_path, monkeypatch):
+    import netsel.chain
+
+    calls = []
+    real = netsel.chain.build_kernel
+    monkeypatch.setattr(netsel.chain, "build_kernel", lambda *a: calls.append(a) or real(*a))
+    path = write_config(tmp_path, SIM)
+    out_dir = tmp_path / "res"
+    assert main(["simulate", "--config", path, "--out", str(out_dir), "--quiet"]) == EXIT_OK
+    assert len(calls) == 1
 
 
 # -- replicator ---------------------------------------------------------------------

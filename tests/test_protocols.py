@@ -12,7 +12,6 @@ from netsel.protocols import (
     PairwiseProportional,
     beta_reference,
     fermi_from_ratio,
-    imitation_probability,
 )
 
 
@@ -98,7 +97,7 @@ def test_fermi_rejects_negative_beta():
 def test_custom_rule_wraps_callable():
     rule = CustomRule(fn=lambda z: 0.5 + 0.4 * math.tanh(z))
     assert rule.probability(0.0) == pytest.approx(0.5)
-    assert imitation_probability(rule, 1.0) == pytest.approx(0.5 + 0.4 * math.tanh(1.0))
+    assert rule.probability(1.0) == pytest.approx(0.5 + 0.4 * math.tanh(1.0))
 
 
 def test_custom_rule_rejects_decreasing_map():
