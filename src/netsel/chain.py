@@ -476,7 +476,7 @@ def absorption_analysis(kernel: TransitionKernel, initial: int) -> AbsorptionRes
     n = kernel.n
     if not 0 <= initial <= n:
         raise ValueError(f"initial state must lie in 0..{n}, got {initial}")
-    if initial in (0, n):
+    if initial in (0, n):  # absorbed at once, even when the interior solve would fail
         return AbsorptionResult(float(initial == 0), float(initial == n), 0.0)
     return AbsorptionResult(*_absorption_solve(kernel)[initial].tolist())
 

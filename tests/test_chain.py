@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from netsel.chain import (
     ChainStructureError,
@@ -577,3 +578,88 @@ def test_distribution_validation():
         StationaryDistribution(psi=np.array([0.6, 0.5, -0.1]), kind="empirical")
     with pytest.raises(ValueError, match="kind"):
         StationaryDistribution(psi=np.full(4, 0.25), kind="guesswork")
+
+
+# -- loop references for the sliced array code ------------------------------------------
+#
+# classify's drain scans and the banded assemblies are built with slices;
+# these element-wise loops are the reference they must match bit for bit.
+
+
+def loop_drains(up, down):
+    n = up.size - 1
+    suffix_up = np.ones(n + 1, dtype=bool)
+    for k in range(n - 1, -1, -1):
+        suffix_up[k] = suffix_up[k + 1] and up[k] > 0.0
+    prefix_down = np.ones(n + 1, dtype=bool)
+    for k in range(1, n + 1):
+        prefix_down[k] = prefix_down[k - 1] and down[k] > 0.0
+    return all(suffix_up[k] or prefix_down[k] for k in range(1, n))
+
+
+def loop_balance_block(kernel, lo, hi, anchor_above):
+    up, down = kernel.up, kernel.down
+    size = hi - lo + 1
+    ab = np.zeros((3, size))
+    rhs = np.zeros(size)
+    for s in range(lo, hi + 1):
+        r = s - lo
+        ab[1, r] = -(up[s] + down[s])
+        if r + 1 < size:
+            ab[0, r + 1] = down[s + 1]
+        if r - 1 >= 0:
+            ab[2, r - 1] = up[s - 1]
+    if anchor_above:
+        rhs[size - 1] = -down[hi + 1]
+    else:
+        rhs[0] = -up[lo - 1]
+    return solve_banded((1, 1), ab, rhs)
+
+
+def loop_absorption_interior(kernel):
+    up, down, n = kernel.up, kernel.down, kernel.n
+    size = n - 1
+    ab = np.zeros((3, size))
+    rhs = np.zeros((size, 3))
+    for j in range(1, n):
+        r = j - 1
+        ab[1, r] = up[j] + down[j]
+        if r + 1 < size:
+            ab[0, r + 1] = -up[j]
+        if r - 1 >= 0:
+            ab[2, r - 1] = -down[j]
+        rhs[r, 2] = 1.0
+    rhs[0, 0] = down[1]
+    rhs[size - 1, 1] = up[n - 1]
+    return solve_banded((1, 1), ab, rhs)
+
+
+def test_classify_drain_scan_matches_the_loop():
+    rng = np.random.default_rng(11)
+    seen = set()
+    for _ in range(400):
+        n = int(rng.integers(2, 9))
+        up = np.where(rng.random(n + 1) < 0.7, 0.2, 0.0)
+        down = np.where(rng.random(n + 1) < 0.7, 0.3, 0.0)
+        up[0] = up[n] = down[0] = down[n] = 0.0
+        kernel = TransitionKernel(up=up, down=down, stay=1.0 - up - down)
+        expected = "absorbing" if loop_drains(up, down) else "other"
+        assert classify(kernel).kind == expected
+        seen.add(expected)
+    assert seen == {"absorbing", "other"}
+
+
+def test_sliced_banded_assembly_matches_the_loop():
+    from netsel.chain import _absorption_solve, _solve_balance_block
+
+    rng = np.random.default_rng(12)
+    for n in (2, 3, 7, 40):
+        kernel = random_irreducible_kernel(rng, n)
+        for lo, hi, anchor_above in ((0, n - 1, True), (1, n, False), (0, n // 2, True)):
+            got = _solve_balance_block(kernel, lo, hi, anchor_above)
+            assert got.tobytes() == loop_balance_block(kernel, lo, hi, anchor_above).tobytes()
+        params = calibrated_params()
+        absorbing = build_kernel(params, PopulationConfig(n=n), fermi_from_ratio(params, n, 1.0))
+        table = _absorption_solve(absorbing)
+        assert table[1:n].tobytes() == loop_absorption_interior(absorbing).tobytes()
+        assert table[0].tolist() == [1.0, 0.0, 0.0] and table[n].tolist() == [0.0, 1.0, 0.0]
