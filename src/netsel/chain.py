@@ -204,9 +204,12 @@ def build_kernel(
         up[k]   = (n-k)/n * (k + a_p) / (n - 1 + a_p + a_s) * q(pi_p(k) - pi_s)
         down[k] = k/n * (n-k + a_s) / (n - 1 + a_p + a_s) * q(pi_s - pi_p(k))
 
-    The counting numerators are multiplied in integer arithmetic before
-    the single division, so symmetric weights cancel exactly (a fair-coin
-    rule on an anchored chain gives a *bitwise* uniform stationary law).
+    All states are built in one array pass, one ``rule.probabilities``
+    call per direction.  The counting numerators are multiplied in int64
+    before the single division, so symmetric weights cancel exactly (a
+    fair-coin rule on an anchored chain gives a *bitwise* uniform law).
+    The counts must convert to float exactly: ValueError when
+    n * (n - 1 + a_p + a_s) exceeds 2**53.
     Payoff differences within a few ulps of zero are snapped to an exact
     tie: when the equilibrium share falls exactly on a lattice point k/n,
     the difference there is zero in exact arithmetic, and propagating its
@@ -214,20 +217,19 @@ def build_kernel(
     of magnitude ~1e-19.
     """
     n = population.n
-    a_p = population.anchored_primary
-    a_s = population.anchored_secondary
+    a_p = int(population.anchored_primary)
+    a_s = int(population.anchored_secondary)
     denom = n * (n - 1 + a_p + a_s)
+    if denom > 2**53:
+        raise ValueError(f"n*(n-1+a_p+a_s) = {denom} exceeds 2**53, the limit of exact weights")
+    k = np.arange(n + 1)
+    pi_p = model.utility_primary_at_share(params, k / n)
     pi_s = model.utility_secondary(params)
+    gain = pi_p - pi_s
     tie_snap = 32.0 * np.finfo(float).eps
-    up = np.zeros(n + 1)
-    down = np.zeros(n + 1)
-    for k in range(n + 1):
-        pi_p = model.utility_primary(params, k, n)
-        gain = pi_p - pi_s
-        if abs(gain) <= tie_snap * max(abs(pi_p), abs(pi_s)):
-            gain = 0.0
-        up[k] = ((n - k) * (k + a_p)) / denom * rule.probability(gain)
-        down[k] = (k * (n - k + a_s)) / denom * rule.probability(-gain)
+    gain = np.where(np.abs(gain) <= tie_snap * np.maximum(np.abs(pi_p), abs(pi_s)), 0.0, gain)
+    up = ((n - k) * (k + a_p)) / denom * rule.probabilities(gain)
+    down = (k * (n - k + a_s)) / denom * rule.probabilities(-gain)
     stay = 1.0 - up - down
     return TransitionKernel(
         up=up, down=down, stay=stay, params=params, population=population, rule=rule

@@ -95,11 +95,11 @@ class EquilibriumInfo:
     boundary: bool
 
 
-def utility_primary_at_share(params: NetworkParams, share: float) -> float:
+def utility_primary_at_share(params: NetworkParams, share: float | np.ndarray) -> float | np.ndarray:
     """Primary-user utility when a fraction ``share`` of the traffic is primary.
 
     Equals -(delay_weight / (capacity - arrival * share) + price_primary);
-    continuous counterpart of :func:`utility_primary`.
+    continuous counterpart of :func:`utility_primary`.  Accepts arrays.
     """
     load = params.arrival * share
     return -(params.delay_weight / (params.capacity - load) + params.price_primary)
@@ -208,14 +208,15 @@ def calibrate_price_gap(
     )
 
 
-def social_welfare(params: NetworkParams, share_primary: float) -> float:
+def social_welfare(params: NetworkParams, share_primary: float | np.ndarray) -> float | np.ndarray:
     """Population-total delay at a given split (lower is better).
 
     S(x) = arrival * (x / (capacity - arrival*x) + (1-x) / (capacity - arrival)).
     The two boundary splits cost the same: S(0) = S(1) = arrival / (capacity - arrival).
+    Accepts an array of splits; every one must lie in [0, 1].
     """
     x = share_primary
-    if not 0.0 <= x <= 1.0:
+    if not (np.min(x) >= 0.0 and np.max(x) <= 1.0):
         raise ValueError(f"share must lie in [0, 1], got {x}")
     cap, lam = params.capacity, params.arrival
     return lam * (x / (cap - lam * x) + (1.0 - x) / (cap - lam))
@@ -263,7 +264,8 @@ def expected_poa(params: NetworkParams, distribution) -> float:
     k = 0..n (anything exposing a ``psi`` attribute, or an array-like of
     length n + 1).  Returns sum_k S(k/n) * psi_k / S_min, which is >= 1
     for every distribution because S >= S_min pointwise.  Rejects vectors
-    that fail to sum to 1 within 1e-9 or carry negative mass.
+    that fail to sum to 1 within 1e-9 or carry negative mass.  S comes
+    from one array call of :func:`social_welfare`, bitwise the scalar values.
     """
     psi = np.asarray(getattr(distribution, "psi", distribution), dtype=float)
     if psi.ndim != 1 or psi.size < 2:
@@ -274,6 +276,6 @@ def expected_poa(params: NetworkParams, distribution) -> float:
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"distribution is not normalised: entries sum to {total!r}")
     n = psi.size - 1
-    welfare = np.array([social_welfare(params, k / n) for k in range(n + 1)])
+    welfare = social_welfare(params, np.arange(n + 1) / n)
     _, s_min = social_optimum(params)
     return float(np.dot(welfare, psi)) / s_min

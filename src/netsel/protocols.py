@@ -31,11 +31,19 @@ __all__ = [
 
 
 class ImitationRule(abc.ABC):
-    """Nondecreasing map from a payoff difference to a switch probability."""
+    """Nondecreasing map from a payoff difference to a switch probability.
+
+    Subclasses define :meth:`probability` on one float; :meth:`probabilities`
+    maps it over a vector and may be overridden by bitwise-equal array code.
+    """
 
     @abc.abstractmethod
     def probability(self, payoff_diff: float) -> float:
         """Probability of copying the opponent given the payoff difference."""
+
+    def probabilities(self, payoff_diffs: np.ndarray) -> np.ndarray:
+        """:meth:`probability` of each element of a vector, passed as a Python float."""
+        return np.fromiter(map(self.probability, np.asarray(payoff_diffs, float).tolist()), float)
 
 
 @dataclass(frozen=True)
@@ -59,6 +67,10 @@ class PairwiseProportional(ImitationRule):
             return 0.0
         return min(1.0, self.scale * payoff_diff)
 
+    def probabilities(self, payoff_diffs: np.ndarray) -> np.ndarray:
+        z = np.asarray(payoff_diffs, dtype=float)
+        return np.where(z <= 0.0, 0.0, np.minimum(1.0, self.scale * z))
+
 
 @dataclass(frozen=True)
 class Fermi(ImitationRule):
@@ -68,6 +80,9 @@ class Fermi(ImitationRule):
     beta = 0 is a fair coin regardless of payoffs; large beta approaches
     the noise-free step function.  q is strictly positive everywhere and
     satisfies q(z) + q(-z) = 1.
+
+    :meth:`probabilities` takes each exponential from ``math.exp`` too:
+    numpy's vectorised ``exp`` may differ from libm in the last ulp.
     """
 
     beta: float
@@ -84,6 +99,11 @@ class Fermi(ImitationRule):
             return 1.0 / (1.0 + math.exp(-z))
         e = math.exp(z)
         return e / (1.0 + e)
+
+    def probabilities(self, payoff_diffs: np.ndarray) -> np.ndarray:
+        z = self.beta * np.asarray(payoff_diffs, dtype=float)
+        e = np.fromiter(map(math.exp, (-np.abs(z)).tolist()), float, z.size)
+        return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)
@@ -124,11 +144,12 @@ def beta_reference(params: NetworkParams, n: int) -> float:
 
     This is the payoff scale of a population of n users and the natural
     unit for quoting Fermi intensities; see :func:`fermi_from_ratio`.
+    Each operation of :func:`model.utility_primary` is a monotone rounding,
+    so the computed difference is monotone in k and the scan maximum sits
+    at k = 0 or k = n: two evaluations give it bit for bit.
     """
     pi_s = model.utility_secondary(params)
-    return max(
-        abs(model.utility_primary(params, k, n) - pi_s) for k in range(n + 1)
-    )
+    return max(abs(model.utility_primary(params, k, n) - pi_s) for k in (0, n))
 
 
 def fermi_from_ratio(params: NetworkParams, n: int, ratio: float) -> Fermi:

@@ -1,7 +1,11 @@
 """Kernel construction, chain classification, stationary laws, absorption."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from netsel.chain import (
@@ -23,10 +27,13 @@ from netsel.model import (
     NetworkParams,
     calibrate_price_gap,
     critical_state,
+    expected_poa,
+    social_optimum,
+    social_welfare,
     utility_primary,
     utility_secondary,
 )
-from netsel.protocols import Fermi, PairwiseProportional, fermi_from_ratio
+from netsel.protocols import CustomRule, Fermi, PairwiseProportional, fermi_from_ratio
 
 
 def calibrated_params(arrival=30.0, target=0.68):
@@ -663,3 +670,116 @@ def test_sliced_banded_assembly_matches_the_loop():
         table = _absorption_solve(absorbing)
         assert table[1:n].tobytes() == loop_absorption_interior(absorbing).tobytes()
         assert table[0].tolist() == [1.0, 0.0, 0.0] and table[n].tolist() == [0.0, 1.0, 0.0]
+
+
+# -- loop references for the array kernel and expected PoA -------------------------------
+#
+# build_kernel and expected_poa evaluate every state in one array pass;
+# the per-state loops they replaced are the reference, bit for bit.
+
+
+def loop_kernel(params, population, rule):
+    """The per-k kernel loop, plus the states whose payoff gap was snapped to a tie."""
+    n = population.n
+    a_p = population.anchored_primary
+    a_s = population.anchored_secondary
+    denom = n * (n - 1 + a_p + a_s)
+    pi_s = utility_secondary(params)
+    tie_snap = 32.0 * np.finfo(float).eps
+    up = np.zeros(n + 1)
+    down = np.zeros(n + 1)
+    snapped = []
+    for k in range(n + 1):
+        pi_p = utility_primary(params, k, n)
+        gain = pi_p - pi_s
+        if abs(gain) <= tie_snap * max(abs(pi_p), abs(pi_s)):
+            gain = 0.0
+            snapped.append(k)
+        up[k] = ((n - k) * (k + a_p)) / denom * rule.probability(gain)
+        down[k] = (k * (n - k + a_s)) / denom * rule.probability(-gain)
+    return up, down, 1.0 - up - down, snapped
+
+
+def loop_expected_poa(params, psi):
+    n = psi.size - 1
+    welfare = np.array([social_welfare(params, k / n) for k in range(n + 1)])
+    _, s_min = social_optimum(params)
+    return float(np.dot(welfare, psi)) / s_min
+
+
+TANH_RULE = CustomRule(fn=lambda z: 0.5 + 0.5 * math.tanh(40.0 * z))
+
+array_games = st.fixed_dictionaries(
+    {
+        "arrival": st.floats(1.0, 99.0),
+        "target": st.floats(0.01, 1.0),
+        "n": st.integers(2, 300),
+        "lattice": st.booleans(),
+        "anchored_primary": st.integers(0, 3),
+        "anchored_secondary": st.integers(0, 3),
+        "rule": st.one_of(
+            st.just(0.0),
+            st.floats(0.0, 50.0),
+            st.just(2000.0),
+            st.builds(PairwiseProportional, st.floats(1e-3, 1e3)),
+            st.just(TANH_RULE),
+        ),
+        "seed": st.integers(0, 2**32 - 1),
+    }
+)
+
+
+def game_setup(game):
+    n = game["n"]
+    target = game["target"]
+    if game["lattice"]:
+        target = max(1, min(n, round(target * n))) / n  # x* = k/n exactly
+    gap = calibrate_price_gap(100.0, game["arrival"], 1.0, target)
+    params = NetworkParams(100.0, game["arrival"], 1.0, gap, 0.0)
+    population = PopulationConfig(n, game["anchored_primary"], game["anchored_secondary"])
+    rule = game["rule"]
+    if isinstance(rule, float):
+        rule = fermi_from_ratio(params, n, rule)
+    return params, population, rule
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(array_games)
+def test_array_kernel_and_poa_match_the_loops(game):
+    params, population, rule = game_setup(game)
+    kernel = build_kernel(params, population, rule)
+    up, down, stay, _ = loop_kernel(params, population, rule)
+    assert np.array_equal(kernel.up, up)
+    assert np.array_equal(kernel.down, down)
+    assert np.array_equal(kernel.stay, stay)
+    weights = np.random.default_rng(game["seed"]).random(population.n + 1)
+    for psi in (weights / weights.sum(), np.full(population.n + 1, 1.0 / (population.n + 1))):
+        assert expected_poa(params, psi) == loop_expected_poa(params, psi)
+
+
+@pytest.mark.parametrize("n, k_star", [(10, 5), (10, 7), (40, 13), (300, 204)])
+def test_array_kernel_snaps_lattice_ties_like_the_loop(n, k_star):
+    gap = calibrate_price_gap(100.0, 30.0, 1.0, k_star / n)
+    params = NetworkParams(100.0, 30.0, 1.0, gap, 0.0)
+    population = PopulationConfig(n=n, anchored_primary=1)
+    for rule in (PairwiseProportional(), fermi_from_ratio(params, n, 2000.0)):
+        kernel = build_kernel(params, population, rule)
+        up, down, stay, snapped = loop_kernel(params, population, rule)
+        assert snapped == [k_star]
+        assert (kernel.up.tobytes(), kernel.down.tobytes(), kernel.stay.tobytes()) == (
+            up.tobytes(), down.tobytes(), stay.tobytes()
+        )  # fmt: skip
+
+
+def test_kernel_refuses_counts_beyond_exact_floats():
+    params = calibrated_params()
+    rule = Fermi(beta=1.0)
+    # n * (n - 1 + a_p + a_s) = 2 * 2**52 = 2**53 is the largest exact size.
+    edge = PopulationConfig(n=2, anchored_primary=2**52 - 1)
+    kernel = build_kernel(params, edge, rule)
+    up, down, stay, _ = loop_kernel(params, edge, rule)
+    assert np.array_equal(kernel.up, up) and np.array_equal(kernel.down, down)
+    with pytest.raises(ValueError, match=r"exceeds 2\*\*53"):
+        build_kernel(params, PopulationConfig(n=2, anchored_primary=2**52), rule)
+    with pytest.raises(ValueError, match=r"exceeds 2\*\*53"):
+        build_kernel(params, PopulationConfig(n=10, anchored_secondary=10**16), rule)

@@ -257,6 +257,15 @@ def test_stationary_analysis_failure_exits_three(tmp_path, capsys):
     assert "analysis error" in capsys.readouterr().err
 
 
+def test_anchor_count_beyond_exact_weights_exits_three(tmp_path, capsys):
+    config = BASE.replace("anchored_primary = 1", "anchored_primary = 10000000000000000")
+    path = write_config(tmp_path, config)
+    assert main(["stationary", "--config", path, "--out", str(tmp_path / "res")]) == EXIT_ANALYSIS
+    err = capsys.readouterr().err
+    assert "analysis error:" in err and "exceeds 2**53" in err
+    assert not list((tmp_path / "res").glob("*.csv"))
+
+
 def test_degenerate_prices_exit_three(tmp_path, capsys):
     # delay_weight == (capacity - arrival) * price gap: 1 == 70 / 70.
     config = BASE.replace("target_share = 0.68", "price_primary = 0.014285714285714285")

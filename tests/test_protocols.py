@@ -1,14 +1,20 @@
 """Imitation rules and the noise-intensity scale."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from netsel.chain import PopulationConfig, build_kernel
 from netsel.model import NetworkParams, calibrate_price_gap, utility_primary, utility_secondary
 from netsel.protocols import (
     CustomRule,
     Fermi,
+    ImitationRule,
     PairwiseProportional,
     beta_reference,
     fermi_from_ratio,
@@ -115,15 +121,86 @@ def test_custom_rule_rejects_bad_check_range():
         CustomRule(fn=lambda z: 0.5, check_range=(1.0, -1.0))
 
 
+# -- array evaluation --------------------------------------------------------------
+
+RULES = [
+    PairwiseProportional(),
+    PairwiseProportional(scale=1e-3),
+    PairwiseProportional(scale=7.5),
+    Fermi(beta=0.0),
+    Fermi(beta=2.5),
+    Fermi(beta=1e3),
+    CustomRule(fn=lambda z: 0.5 + 0.4 * math.tanh(z)),
+]
+
+EDGE_DIFFS = [
+    0.0, -0.0, 1e6, -1e6, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+    1e-300, -1e-300, 1.0, -1.0, 0.2, -0.2, 1e300, -1e300,
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("rule", RULES, ids=repr)
+def test_rule_arrays_match_the_scalar_rule_bitwise(rule):
+    rng = np.random.default_rng(21)
+    zs = np.concatenate(
+        [EDGE_DIFFS, rng.normal(scale=1e-3, size=500), rng.normal(scale=3.0, size=500)]
+    )
+    expected = np.array([rule.probability(z) for z in zs.tolist()])
+    got = rule.probabilities(zs)
+    assert got.dtype == np.float64 and got.shape == zs.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+class Step(ImitationRule):
+    """A third-party rule that defines the scalar method only."""
+
+    def probability(self, payoff_diff):
+        return 1.0 if payoff_diff > 0.0 else 0.0
+
+
+def test_scalar_only_rule_builds_a_kernel():
+    rule = Step()
+    assert rule.probabilities(np.array([-1.0, 0.0, 2.0])).tolist() == [0.0, 0.0, 1.0]
+    kernel = build_kernel(calibrated_params(), PopulationConfig(n=10), rule)
+    # Noise-free one-way flow: climbs only below k* = 7, descends only from it.
+    assert np.flatnonzero(kernel.up).tolist() == list(range(1, 7))
+    assert np.flatnonzero(kernel.down).tolist() == list(range(7, 10))
+
+
 # -- payoff scale ------------------------------------------------------------------
 
+economies = st.builds(
+    lambda capacity, load, weight, p_primary, p_secondary: NetworkParams(
+        capacity, capacity * load, weight, p_primary, p_secondary
+    ),
+    st.floats(1.0, 1e4),
+    st.floats(1e-3, 0.999),
+    st.floats(1e-3, 1e3),
+    st.floats(-10.0, 10.0),
+    st.floats(-10.0, 10.0),
+)
 
-def test_beta_reference_is_the_scan_maximum():
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(economies, st.one_of(st.integers(2, 40), st.integers(2, 10_000)))
+def test_beta_reference_is_the_scan_maximum(params, n):
+    pi_s = utility_secondary(params)
+    brute = max(abs(utility_primary(params, k, n) - pi_s) for k in range(n + 1))
+    assert beta_reference(params, n) == brute
+
+
+def test_beta_reference_is_constant_time():
+    # A scan over 10^9 states would run for many minutes and an array of
+    # them would take 8 GB; the endpoint evaluation does neither.
     p = calibrated_params()
-    pi_s = utility_secondary(p)
-    for n in (2, 10, 137):
-        brute = max(abs(utility_primary(p, k, n) - pi_s) for k in range(n + 1))
-        assert beta_reference(p, n) == brute
+    tracemalloc.start()
+    start = time.perf_counter()
+    ref = beta_reference(p, 10**9)
+    elapsed = time.perf_counter() - start
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert elapsed < 1.0 and peak < 10_000
+    assert ref == abs(utility_primary(p, 0, 10**9) - utility_secondary(p))
 
 
 def test_beta_reference_dominates_every_state():
