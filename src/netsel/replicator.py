@@ -124,6 +124,8 @@ def integrate(
         )
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    if not (math.isfinite(rtol) and rtol > 0):
+        raise ValueError(f"rtol must be positive and finite, got {rtol}")
     if not (math.isfinite(gain) and gain > 0):
         raise ValueError(f"gain must be positive and finite, got {gain}")
     threshold = rtol * gain

@@ -429,6 +429,16 @@ def test_replicator_bad_start_is_a_config_error(tmp_path, capsys):
     assert main(["replicator", "--config", path, "--quiet"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("rtol", ["inf", "0", "-1", "nan"])
+def test_replicator_bad_tolerance_is_a_config_error(tmp_path, capsys, rtol):
+    text = BASE + f"\n[replicator]\ninitial_share = 0.2\nrtol = {rtol}\n"
+    out_dir = tmp_path / "res"
+    path = write_config(tmp_path, text)
+    assert main(["replicator", "--config", path, "--out", str(out_dir), "--quiet"]) == EXIT_CONFIG
+    assert "rtol must be positive and finite" in capsys.readouterr().err
+    assert not (out_dir / "replicator.csv").exists()
+
+
 # -- reproduce ----------------------------------------------------------------------
 
 

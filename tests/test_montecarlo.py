@@ -1,8 +1,12 @@
 """Seeded simulation: reproducibility, stream contracts, and agreement
 with the analytic chain routes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netsel.chain import (
     ChainStructureError,
@@ -14,6 +18,7 @@ from netsel.chain import (
     total_variation,
 )
 from netsel.model import NetworkParams, calibrate_price_gap
+from netsel import montecarlo
 from netsel.montecarlo import (
     INITIAL_UNIFORM,
     OccupancyHistogram,
@@ -287,6 +292,79 @@ def test_two_step_transitions_match_the_squared_kernel():
             sigma = np.sqrt(m * prob * (1.0 - prob))
             assert abs(observed - m * prob) <= 4.0 * sigma + 1.0
     assert tested >= 3
+
+
+def reference_run(spec, kernel, decimation):
+    """run() rebuilt from step(): counts, final states and replica 0's
+    (event, state) samples, one event at a time."""
+    n = kernel.n
+    burn = spec.resolve_burn_in(n)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    finals, samples = [], []
+    for r in range(spec.replicas):
+        gen = np.random.Generator(np.random.Philox(key=spec.seed).jumped(r))
+        k = int(gen.integers(1, n)) if spec.initial_state == INITIAL_UNIFORM else spec.initial_state
+        if r == 0:
+            samples.append((0, k))
+        for t in range(1, spec.steps + 1):
+            k = step(kernel, k, gen)
+            if t > burn:
+                counts[k] += 1
+            if r == 0 and decimation is not None and (t % decimation == 0 or t == spec.steps):
+                samples.append((t, k))
+        finals.append(k)
+    return counts, np.array(finals), np.array(samples, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_block_walk_matches_the_step_loop(data):
+    # A small prime block makes block edges, the burn-in edge and the
+    # sampling points cross in every arrangement.
+    block = data.draw(st.sampled_from([2, 3, 5, 7, 13]), label="block")
+    kernel = data.draw(
+        st.sampled_from([fermi_kernel(n=6), fermi_kernel(n=9, anchors=0), gambler_kernel()]),
+        label="kernel",
+    )
+    steps = data.draw(st.integers(1, 400), label="steps")
+    spec = SimulationSpec(
+        seed=data.draw(st.integers(0, 2**64 - 1), label="seed"),
+        steps=steps,
+        burn_in=data.draw(st.none() | st.integers(0, steps - 1), label="burn_in"),
+        replicas=data.draw(st.integers(1, 3), label="replicas"),
+        initial_state=data.draw(
+            st.just(INITIAL_UNIFORM) | st.integers(0, kernel.n), label="initial_state"
+        ),
+    )
+    decimation = data.draw(
+        st.sampled_from([None, 1, 2, 3]) | st.integers(steps + 1, 10**9), label="decimation"
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_BLOCK", block)
+        result = run(spec, kernel, trajectory_decimation=decimation)
+    counts, finals, samples = reference_run(spec, kernel, decimation)
+    assert np.array_equal(result.histogram.counts, counts)
+    assert np.array_equal(result.final_states, finals)
+    if decimation is None:
+        assert result.trajectory is None
+    else:
+        assert result.trajectory.dtype == np.int64
+        assert np.array_equal(result.trajectory, samples)
+
+
+def test_traced_walk_keeps_no_block_alive():
+    # Each block's states take 8 B per event; a trajectory that held views
+    # into them would keep 4 MB alive here instead of 501 rows.
+    kernel = fermi_kernel(n=1000)
+    spec = SimulationSpec(seed=3, steps=500_000, initial_state=500)
+    tracemalloc.start()
+    try:
+        result = run(spec, kernel, trajectory_decimation=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.trajectory.shape == (501, 2)
+    assert peak < 2 * 2**20
 
 
 def test_absorbing_runs_end_at_a_boundary():

@@ -147,6 +147,13 @@ def test_integration_rejects_boundary_starts():
         integrate(p, 1.0)
 
 
+@pytest.mark.parametrize("rtol", [float("inf"), 0.0, -1.0, float("nan")])
+def test_integration_rejects_a_tolerance_that_cannot_stop_it_honestly(rtol):
+    # inf would report the start as settled; 0, negatives and nan never stop.
+    with pytest.raises(ValueError, match="rtol"):
+        integrate(calibrated_params(), 0.2, rtol=rtol)
+
+
 def test_times_and_shares_views_align():
     p = calibrated_params()
     result = integrate(p, 0.4, rtol=1e-9)
