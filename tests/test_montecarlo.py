@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netsel import montecarlo
 from netsel.chain import (
     ChainStructureError,
     PopulationConfig,
@@ -18,7 +19,6 @@ from netsel.chain import (
     total_variation,
 )
 from netsel.model import NetworkParams, calibrate_price_gap
-from netsel import montecarlo
 from netsel.montecarlo import (
     INITIAL_UNIFORM,
     OccupancyHistogram,
