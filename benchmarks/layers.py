@@ -1,4 +1,4 @@
-"""Time the layers of netsel and write BENCH_4.json.
+"""Time the layers of netsel and write BENCH_5.json.
 
 Usage, from the repository root (no options):
 
@@ -14,7 +14,14 @@ The Monte Carlo rows time ``montecarlo.run`` on the same chain at
 n = 100 (one replica of 2*10^5 events, untraced and traced at three
 decimations, and 2,000 replicas of 2*10^4 events) and
 ``absorption_frequency`` over 10^4 replicas of the unanchored chain at
-n = 20, each with its events (or replicas) per second.
+n = 20, each with its events (or replicas) per second.  The engine rows
+time both engines of ``run`` at 32 to 2,000 replicas of 2*10^4 events,
+forcing each by setting ``montecarlo._LOCKSTEP``; they are what the
+threshold is chosen from.
+The launch rows time fresh interpreters as a user starts them: ``import
+netsel.cli`` alone, ``netsel reproduce --figure all`` and ``netsel
+simulate`` on the README's example config, each with the peak resident
+memory of the process.
 BLAS runs on one thread, as in ``perfbench``: on a small machine a
 threaded dot product of 10^4 elements waits milliseconds for its
 helper threads, which would hide the layer's own cost.
@@ -28,7 +35,9 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -41,12 +50,36 @@ import scipy  # noqa: E402
 
 from netsel import chain, model, montecarlo, protocols  # noqa: E402
 
-OUT = ROOT / "BENCH_4.json"
+OUT = ROOT / "BENCH_5.json"
 SIZES = (10**3, 10**4, 10**5, 10**6)
 REPEATS = 5
 WALK_EVENTS = 200_000
 REPLICAS, REPLICA_EVENTS = 2_000, 20_000
 ABSORB_REPLICAS = 10_000
+ENGINE_REPLICAS = (32, 64, 128, 256, 2_000)
+# The README's example config: what ``netsel simulate`` runs by default.
+README_CONFIG = """\
+[network]
+capacity = 100
+arrival = 30
+target_share = 0.68
+
+[population]
+n = 10
+anchored_primary = 1
+anchored_secondary = 1
+
+[rule]
+type = fermi
+beta_ratio = 1.0
+
+[simulation]
+seed = 9
+steps = 20000
+replicas = 2
+initial_state = 5
+trajectory_decimation = 500
+"""
 
 
 def median_ms(fn) -> float:
@@ -107,9 +140,74 @@ def montecarlo_rows() -> dict[str, dict[str, float]]:
     return rows
 
 
+def engine_rows() -> dict[str, dict[str, float]]:
+    """Both engines of ``run`` at each replica count, and their ratio."""
+    kernel = fermi_kernel(economy(), 100)
+    saved = montecarlo._LOCKSTEP
+    rows = {}
+    try:
+        for replicas in ENGINE_REPLICAS:
+            spec = montecarlo.SimulationSpec(seed=1, steps=REPLICA_EVENTS, replicas=replicas)
+            row = {}
+            for engine, threshold in (("walk_ms", replicas + 1), ("lockstep_ms", 1)):
+                montecarlo._LOCKSTEP = threshold
+                row[engine] = round(median_ms(lambda: montecarlo.run(spec, kernel)), 2)
+            row["speedup"] = round(row["walk_ms"] / row["lockstep_ms"], 2)
+            rows[str(replicas)] = row
+    finally:
+        montecarlo._LOCKSTEP = saved
+    return rows
+
+
+# Linux starts a child's peak RSS at its parent's RSS, so each launch goes
+# through this small interpreter instead of this script's large one.
+LAUNCHER = """
+import resource, subprocess, sys, time
+start = time.perf_counter()
+code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode
+print(time.perf_counter() - start, code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def launch(argv: list[str], cwd: str) -> tuple[float, float]:
+    """Wall seconds and peak RSS in MB of one fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, sys.executable, *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    wall, code, peak_kb = float(out[0]), int(out[1]), int(out[2])
+    if code:
+        raise RuntimeError(f"{argv} exited {code}")
+    return wall, peak_kb / 1024
+
+
+def launch_rows() -> dict[str, dict[str, float]]:
+    """Median wall time and peak RSS of each launch, after one warm-up."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "experiment.ini"
+        config.write_text(README_CONFIG, encoding="utf-8")
+        launches = {
+            "import_netsel_cli": ["-c", "import netsel.cli"],
+            "reproduce_all": ["-m", "netsel.cli", "reproduce", "--figure", "all", "--out", "figs"],
+            "simulate_readme": ["-m", "netsel.cli", "simulate", "--config", str(config), "--out", "sim"],
+        }
+        rows = {}
+        for name, argv in launches.items():
+            launch(argv, tmp)
+            runs = [launch(argv, tmp) for _ in range(REPEATS)]
+            rows[name] = {
+                "ms": round(1e3 * statistics.median(wall for wall, _ in runs), 1),
+                "peak_rss_mb": round(statistics.median(rss for _, rss in runs), 1),
+            }
+    return rows
+
+
 def main() -> None:
     by_size = {n: layers_at(n) for n in SIZES}
     mc = montecarlo_rows()
+    engines = engine_rows()
+    launches = launch_rows()
     record = {
         "environment": {
             "python": platform.python_version(),
@@ -131,12 +229,26 @@ def main() -> None:
             "rows": mc,
             "per_s": "events per second; replicas per second for absorption_frequency",
         },
+        "engines": {
+            "chain": "the same chain at n = 100; 2*10^4 events per replica, default burn-in",
+            "rows": engines,
+            "speedup": "walk_ms / lockstep_ms",
+        },
+        "launches": {
+            "what": "fresh interpreters; reproduce and simulate through python -m netsel.cli",
+            "rows": launches,
+        },
     }
     OUT.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     for layer, row in record["layers"].items():
         print(f"{layer:20s}" + "".join(f"{v:>12.3f}" for v in row.values()))
     for name, row in mc.items():
         print(f"{name:22s}{row['ms']:>12.2f} ms{row['per_s']:>14,d} /s")
+    for replicas, row in engines.items():
+        print(f"engines at {replicas:>5s}{row['walk_ms']:>12.2f} ms{row['lockstep_ms']:>12.2f} ms"
+              f"{row['speedup']:>8.2f}x")
+    for name, row in launches.items():
+        print(f"{name:22s}{row['ms']:>12.1f} ms{row['peak_rss_mb']:>10.1f} MB")
     print(f"wrote {OUT}")
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import model
 from .model import NetworkParams
@@ -359,6 +358,8 @@ def _solve_balance_block(
 ) -> np.ndarray:
     """Solve the global-balance equations for psi[lo..hi] with one
     neighbouring state pinned to weight 1 (above hi or below lo)."""
+    from scipy.linalg import solve_banded  # scipy loads only when a solve needs it
+
     up, down = kernel.up, kernel.down
     size = hi - lo + 1
     ab = np.zeros((3, size))
@@ -450,6 +451,8 @@ def _absorption_solve(kernel: TransitionKernel) -> np.ndarray:
     system with three right-hand sides (hit 0, hit n, accumulate time),
     solved by a banded LU; the boundary rows are exact.
     """
+    from scipy.linalg import solve_banded  # scipy loads only when a solve needs it
+
     n = kernel.n
     up, down = kernel.up, kernel.down
     ab = np.zeros((3, n - 1))

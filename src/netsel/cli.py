@@ -43,17 +43,15 @@ OUT_DIR_ENV = "NETSEL_OUT_DIR"
 
 def _resolve_out_dir(args: argparse.Namespace, config: ExperimentConfig | None) -> Path:
     """--out flag beats the config's [output] directory beats $NETSEL_OUT_DIR
-    beats the working directory."""
+    beats the working directory.  The directory is made by the first file
+    written into it, so a command that fails leaves none behind."""
     if getattr(args, "out", None):
-        path = Path(args.out)
-    elif config is not None and config.output_directory():
-        path = Path(config.output_directory())
-    elif os.environ.get(OUT_DIR_ENV):
-        path = Path(os.environ[OUT_DIR_ENV])
-    else:
-        path = Path.cwd()
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+        return Path(args.out)
+    if config is not None and config.output_directory():
+        return Path(config.output_directory())
+    if os.environ.get(OUT_DIR_ENV):
+        return Path(os.environ[OUT_DIR_ENV])
+    return Path.cwd()
 
 
 def _write_csv(
@@ -63,6 +61,7 @@ def _write_csv(
     meta: dict[str, Any],
     quiet: bool,
 ) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)

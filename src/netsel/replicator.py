@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import model
 from .model import NetworkParams
@@ -128,6 +127,8 @@ def integrate(
         raise ValueError(f"rtol must be positive and finite, got {rtol}")
     if not (math.isfinite(gain) and gain > 0):
         raise ValueError(f"gain must be positive and finite, got {gain}")
+    from scipy.integrate import solve_ivp  # scipy loads only when a solve needs it
+
     threshold = rtol * gain
     pi_s = model.utility_secondary(params)
 

@@ -2,11 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 
+import netsel
 from netsel.cli import EXIT_ANALYSIS, EXIT_CONFIG, EXIT_OK, main
 from netsel.config import ConfigError, parse_config
 
@@ -499,6 +503,21 @@ def test_reproduce_all_with_gnuplot_stubs(tmp_path):
 # -- output directory resolution ------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "command, text, code",
+    [
+        ("replicator", BASE + "\n[replicator]\ninitial_share = 0.2\nrtol = nan\n", EXIT_CONFIG),
+        ("simulate", SIM.replace("initial_state = 5", "initial_state = 50"), EXIT_ANALYSIS),
+    ],
+    ids=["replicator-nan-rtol", "simulate-start-beyond-n"],
+)
+def test_failed_command_leaves_no_output_directory(tmp_path, command, text, code):
+    out_dir = tmp_path / "res"
+    path = write_config(tmp_path, text)
+    assert main([command, "--config", path, "--out", str(out_dir), "--quiet"]) == code
+    assert not out_dir.exists()
+
+
 def test_environment_variable_sets_the_output_directory(tmp_path, monkeypatch):
     env_dir = tmp_path / "from_env"
     monkeypatch.setenv("NETSEL_OUT_DIR", str(env_dir))
@@ -525,3 +544,30 @@ def test_config_directory_beats_the_environment(tmp_path, monkeypatch):
     assert main(["stationary", "--config", path, "--quiet"]) == EXIT_OK
     assert (cfg_dir / "stationary.csv").exists()
     assert not (env_dir / "stationary.csv").exists()
+
+
+# -- cold start -----------------------------------------------------------------------
+
+COLD_START = """
+import sys
+from netsel.cli import main
+config, out = sys.argv[1:]
+for command in ("equilibrium", "stationary", "sweep", "simulate"):
+    assert main([command, "--config", config, "--out", out, "--quiet"]) == 0, command
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_numpy_only_commands_never_load_scipy(tmp_path):
+    # scipy serves the banded solves and the replicator ODE only; a fresh
+    # interpreter must not pay for its import anywhere else.
+    path = write_config(tmp_path, SIM + "\n[sweep]\nvariable = lambda\nvalues = 30, 35\n")
+    src = str(Path(netsel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, path, str(tmp_path / "res")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "res" / "histogram.csv").exists()

@@ -320,8 +320,14 @@ def reference_run(spec, kernel, decimation):
 @given(data=st.data())
 def test_block_walk_matches_the_step_loop(data):
     # A small prime block makes block edges, the burn-in edge and the
-    # sampling points cross in every arrangement.
+    # sampling points cross in every arrangement; so does a small prime
+    # cell count for the lockstep engine, which _LOCKSTEP = 1 forces on
+    # every run and a threshold above the replica count keeps off.  A
+    # group of 1 or 2 splits the replicas into several lockstep walks.
     block = data.draw(st.sampled_from([2, 3, 5, 7, 13]), label="block")
+    cells = data.draw(st.sampled_from([2, 3, 5, 7, 13]), label="cells")
+    lockstep = data.draw(st.sampled_from([1, 4]), label="lockstep")
+    group = data.draw(st.sampled_from([1, 2, 2048]), label="group")
     kernel = data.draw(
         st.sampled_from([fermi_kernel(n=6), fermi_kernel(n=9, anchors=0), gambler_kernel()]),
         label="kernel",
@@ -341,6 +347,9 @@ def test_block_walk_matches_the_step_loop(data):
     )
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_BLOCK", block)
+        mp.setattr(montecarlo, "_CELLS", cells)
+        mp.setattr(montecarlo, "_LOCKSTEP", lockstep)
+        mp.setattr(montecarlo, "_GROUP", group)
         result = run(spec, kernel, trajectory_decimation=decimation)
     counts, finals, samples = reference_run(spec, kernel, decimation)
     assert np.array_equal(result.histogram.counts, counts)
@@ -365,6 +374,39 @@ def test_traced_walk_keeps_no_block_alive():
         tracemalloc.stop()
     assert result.trajectory.shape == (501, 2)
     assert peak < 2 * 2**20
+
+
+def test_lockstep_buffers_stay_bounded():
+    # 2,000 replicas take the lockstep engine.  Its blocks hold _CELLS
+    # draws and as many states, 4 MB each, next to about 2.6 MB of
+    # generators; blocks as long as the walk's would take 262 MB.
+    kernel = fermi_kernel(n=100)
+    spec = SimulationSpec(seed=5, steps=2000, replicas=2000)
+    assert spec.replicas >= montecarlo._LOCKSTEP
+    tracemalloc.start()
+    try:
+        result = run(spec, kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.histogram.events_counted == 1000 * 2000
+    assert peak < 16 * 2**20
+
+
+def test_lockstep_groups_bound_the_live_generators(monkeypatch):
+    # Each lockstep walk keeps its replicas' generators alive to the end,
+    # so a run holds at most _GROUP of them at once, in near-equal groups
+    # that stay wide enough for lockstep to pay.
+    widths = []
+    real = montecarlo._lockstep
+    monkeypatch.setattr(
+        montecarlo, "_lockstep", lambda *a: widths.append(len(a[5])) or real(*a)
+    )
+    kernel = fermi_kernel(n=20)
+    spec = SimulationSpec(seed=8, steps=50, replicas=2 * montecarlo._GROUP + 1)
+    run(spec, kernel)
+    assert len(widths) == 3 and sum(widths) == spec.replicas
+    assert max(widths) <= montecarlo._GROUP and max(widths) - min(widths) <= 1
 
 
 def test_absorbing_runs_end_at_a_boundary():
