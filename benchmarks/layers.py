@@ -1,8 +1,9 @@
-"""Time the layers of netsel and write BENCH_5.json.
+"""Time the layers of netsel and write BENCH_<number>.json.
 
-Usage, from the repository root (no options):
+Usage, from the repository root, with the number of the revision being
+recorded as the one argument:
 
-    python benchmarks/layers.py
+    python benchmarks/layers.py 6      # writes BENCH_6.json
 
 It imports netsel from the ``src/`` next to this directory and times one
 anchored Fermi chain per population size: ratio 1, one anchor per side,
@@ -26,7 +27,8 @@ BLAS runs on one thread, as in ``perfbench``: on a small machine a
 threaded dot product of 10^4 elements waits milliseconds for its
 helper threads, which would hide the layer's own cost.
 The layers are the rows of the ROADMAP baseline table, so records of
-successive revisions compare row by row.
+successive revisions compare row by row.  ``src_lines`` records the line
+count of each ``src/netsel/*.py`` (as ``wc -l`` counts) and their total.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ import scipy  # noqa: E402
 
 from netsel import chain, model, montecarlo, protocols  # noqa: E402
 
-OUT = ROOT / "BENCH_5.json"
 SIZES = (10**3, 10**4, 10**5, 10**6)
 REPEATS = 5
 WALK_EVENTS = 200_000
@@ -203,7 +204,17 @@ def launch_rows() -> dict[str, dict[str, float]]:
     return rows
 
 
-def main() -> None:
+def src_lines() -> dict[str, int]:
+    """Newline count of each module of the package, and their total."""
+    files = sorted((ROOT / "src" / "netsel").glob("*.py"))
+    lines = {path.name: path.read_bytes().count(b"\n") for path in files}
+    return {**lines, "total": sum(lines.values())}
+
+
+def main(argv: list[str]) -> None:
+    if len(argv) != 1 or not argv[0].isdigit():
+        sys.exit("usage: python benchmarks/layers.py <number>   (writes BENCH_<number>.json)")
+    out = ROOT / f"BENCH_{argv[0]}.json"
     by_size = {n: layers_at(n) for n in SIZES}
     mc = montecarlo_rows()
     engines = engine_rows()
@@ -238,8 +249,9 @@ def main() -> None:
             "what": "fresh interpreters; reproduce and simulate through python -m netsel.cli",
             "rows": launches,
         },
+        "src_lines": src_lines(),
     }
-    OUT.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     for layer, row in record["layers"].items():
         print(f"{layer:20s}" + "".join(f"{v:>12.3f}" for v in row.values()))
     for name, row in mc.items():
@@ -249,8 +261,9 @@ def main() -> None:
               f"{row['speedup']:>8.2f}x")
     for name, row in launches.items():
         print(f"{name:22s}{row['ms']:>12.1f} ms{row['peak_rss_mb']:>10.1f} MB")
-    print(f"wrote {OUT}")
+    print(f"src lines {record['src_lines']['total']:>12d}")
+    print(f"wrote {out}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

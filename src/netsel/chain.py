@@ -270,6 +270,15 @@ def classify(kernel: TransitionKernel) -> ChainClass:
     )
 
 
+def _require(kernel: TransitionKernel, kind: str, purpose: str) -> None:
+    """Raise ChainStructureError naming ``purpose`` unless ``kernel`` is of class ``kind``."""
+    structure = classify(kernel)
+    if structure.kind != kind:
+        raise ChainStructureError(
+            f"{purpose} needs an {kind} kernel, got {structure.kind} ({structure.detail})"
+        )
+
+
 def stationary_noise_free(
     params: NetworkParams,
     population: PopulationConfig,
@@ -337,11 +346,7 @@ def stationary_product(kernel: TransitionKernel) -> StationaryDistribution:
     before exponentiation, so populations in the thousands neither
     overflow nor underflow even at high selection intensity.
     """
-    structure = classify(kernel)
-    if structure.kind != "irreducible":
-        raise ChainStructureError(
-            f"product form needs an irreducible kernel, got {structure.kind} ({structure.detail})"
-        )
+    _require(kernel, "irreducible", "product form")
     return _product_form(kernel)
 
 
@@ -374,55 +379,21 @@ def _solve_balance_block(
     return solve_banded((1, 1), ab, rhs)
 
 
-def stationary_eigen(
-    kernel: TransitionKernel,
-    method: str = "balance",
-    tol: float = 1e-13,
-    max_iter: int = 200_000,
-) -> StationaryDistribution:
+def stationary_eigen(kernel: TransitionKernel) -> StationaryDistribution:
     """Stationary law as the fixed point of the transition operator.
 
-    method="balance" (default) pins the state where the one-step drift
-    ratios peak, then solves the two tridiagonal blocks of the global
-    balance equations on either side with a banded LU factorisation.
-    Anchoring at the likeliest state keeps every unknown at or below the
-    anchor's scale, so the solve is overflow-free at any population size.
+    Pins the state where the one-step drift ratios peak, then solves the
+    two tridiagonal blocks of the global balance equations on either side
+    with a banded LU factorisation.  Anchoring at the likeliest state
+    keeps every unknown at or below the anchor's scale, so the solve is
+    overflow-free at any population size.
 
-    method="power" iterates the tridiagonal operator from the uniform
-    vector until the sup change drops below ``tol``; it is retained as a
-    slow structural cross-check and raises RuntimeError with iteration
-    diagnostics when ``max_iter`` is exhausted first.
-
-    Both routes are deliberately independent of the product form in
+    The route is deliberately independent of the product form in
     :func:`stationary_product` (the peak location is the only thing
     shared, and it only selects the anchor, never the values).
     """
-    structure = classify(kernel)
-    if structure.kind != "irreducible":
-        raise ChainStructureError(
-            f"eigenvector route needs an irreducible kernel, got {structure.kind} "
-            f"({structure.detail})"
-        )
+    _require(kernel, "irreducible", "eigenvector route")
     n = kernel.n
-    if method == "power":
-        psi = np.full(n + 1, 1.0 / (n + 1))
-        up, down, stay = kernel.up, kernel.down, kernel.stay
-        delta = np.inf
-        for _ in range(max_iter):
-            nxt = psi * stay
-            nxt[1:] += psi[:-1] * up[:-1]
-            nxt[:-1] += psi[1:] * down[1:]
-            nxt /= nxt.sum()
-            delta = float(np.abs(nxt - psi).max())
-            psi = nxt
-            if delta < tol:
-                return StationaryDistribution(psi=psi / psi.sum(), kind="eigenvector")
-        raise RuntimeError(
-            f"power iteration did not converge: {max_iter} iterations, "
-            f"last sup-norm change {delta:.3e} (tolerance {tol:.1e})"
-        )
-    if method != "balance":
-        raise ValueError(f"method must be 'balance' or 'power', got {method!r}")
     anchor = int(np.argmax(_log_profile(kernel)))
     psi = np.zeros(n + 1)
     psi[anchor] = 1.0
@@ -433,15 +404,6 @@ def stationary_eigen(
     psi = np.clip(psi, 0.0, None)
     psi /= psi.sum()
     return StationaryDistribution(psi=psi, kind="eigenvector")
-
-
-def _require_absorbing(kernel: TransitionKernel) -> None:
-    structure = classify(kernel)
-    if structure.kind != "absorbing":
-        raise ChainStructureError(
-            f"absorption analysis needs an absorbing kernel, got {structure.kind} "
-            f"({structure.detail})"
-        )
 
 
 def _absorption_solve(kernel: TransitionKernel) -> np.ndarray:
@@ -477,7 +439,7 @@ def absorption_analysis(kernel: TransitionKernel, initial: int) -> AbsorptionRes
     be 1 up to solver round-off.  For every start state at once, use
     :func:`absorption_table`, which runs the same solve once.
     """
-    _require_absorbing(kernel)
+    _require(kernel, "absorbing", "absorption analysis")
     n = kernel.n
     if not 0 <= initial <= n:
         raise ValueError(f"initial state must lie in 0..{n}, got {initial}")
@@ -488,7 +450,7 @@ def absorption_analysis(kernel: TransitionKernel, initial: int) -> AbsorptionRes
 
 def absorption_table(kernel: TransitionKernel) -> list[AbsorptionResult]:
     """:func:`absorption_analysis` for every start state k0 = 0..n, from one solve."""
-    _require_absorbing(kernel)
+    _require(kernel, "absorbing", "absorption analysis")
     return [AbsorptionResult(*row) for row in _absorption_solve(kernel).tolist()]
 
 

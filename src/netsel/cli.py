@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -75,22 +76,7 @@ def _write_csv(
 
 
 def _params_meta(params: NetworkParams) -> dict[str, Any]:
-    return {
-        "capacity": params.capacity,
-        "arrival": params.arrival,
-        "delay_weight": params.delay_weight,
-        "price_primary": params.price_primary,
-        "price_secondary": params.price_secondary,
-        "price_gap": params.price_gap,
-    }
-
-
-def _population_meta(population: PopulationConfig) -> dict[str, Any]:
-    return {
-        "n": population.n,
-        "anchored_primary": population.anchored_primary,
-        "anchored_secondary": population.anchored_secondary,
-    }
+    return {**dataclasses.asdict(params), "price_gap": params.price_gap}
 
 
 def _say(quiet: bool, message: str) -> None:
@@ -135,7 +121,7 @@ def cmd_equilibrium(config: ExperimentConfig, args: argparse.Namespace) -> int:
         meta = {
             "command": "equilibrium",
             "network": _params_meta(params),
-            "population": _population_meta(population),
+            "population": dataclasses.asdict(population),
             "config": config.as_dict(),
         }
         _write_csv(out_dir / "equilibrium.csv", ("quantity", "value"), rows, meta, quiet)
@@ -163,7 +149,7 @@ def cmd_stationary(config: ExperimentConfig, args: argparse.Namespace) -> int:
     base_meta = {
         "command": "stationary",
         "network": _params_meta(params),
-        "population": _population_meta(population),
+        "population": dataclasses.asdict(population),
         "rule": repr(kernel.rule),
         "chain_class": structure.kind,
         "config": config.as_dict(),
@@ -260,7 +246,7 @@ def cmd_simulate(config: ExperimentConfig, args: argparse.Namespace) -> int:
     base_meta = {
         "command": "simulate",
         "network": _params_meta(params),
-        "population": _population_meta(population),
+        "population": dataclasses.asdict(population),
         "rule": repr(rule),
         "chain_class": chain_class,
         "seed": spec.seed,
@@ -365,7 +351,7 @@ def _fig1a(out_dir: Path, quiet: bool) -> None:
     meta = _figure_meta(
         params,
         figure="fig1a",
-        population=_population_meta(population),
+        population=dataclasses.asdict(population),
         rule="proportional (noise-free)",
         critical_state=k_star,
         equilibrium_marker=population.n * model.equilibrium(params).share_primary,
@@ -409,7 +395,7 @@ def _fig2a(out_dir: Path, quiet: bool) -> None:
     meta = _figure_meta(
         params,
         figure="fig2a",
-        population=_population_meta(population),
+        population=dataclasses.asdict(population),
         rule=repr(rule),
         beta_ratio=ratio,
         note_rule="noise intensity ratio 1.0 chosen for the illustration and recorded here",
@@ -450,7 +436,7 @@ def _fig3a(out_dir: Path, quiet: bool) -> None:
     meta = _figure_meta(
         params,
         figure="fig3a",
-        population=_population_meta(population),
+        population=dataclasses.asdict(population),
         beta_ratios=list(ratios),
         beta_reference=beta_reference(params, population.n),
     )

@@ -10,6 +10,7 @@ so the equilibrium lands on the requested share.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -272,14 +273,16 @@ class ExperimentConfig:
                 if key not in sec:
                     raise ConfigError(f"missing required key '{key}' in section [sweep]")
             start, stop, step = sec["start"], sec["stop"], sec["step"]
-            if step <= 0 or stop < start:
-                raise ConfigError("[sweep] needs step > 0 and stop >= start")
+            if not (0 < step < math.inf and start <= stop and math.isfinite((stop - start) / step)):
+                raise ConfigError(
+                    "[sweep] needs a finite step > 0, stop >= start and finitely many points"
+                )
             count = int(round((stop - start) / step)) + 1
             grid = start + step * np.arange(count)
             values = tuple(float(v) for v in grid if v <= stop + step * 1e-9)
         if variable == "n":
             for v in values:
-                if v != int(v) or int(v) < 2:
+                if not math.isfinite(v) or v != int(v) or int(v) < 2:
                     raise ConfigError(f"[sweep] population sizes must be integers >= 2, got {v}")
         return SweepSpec(variable=variable, values=values)
 

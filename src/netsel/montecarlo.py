@@ -23,14 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainStructureError, StationaryDistribution, TransitionKernel, classify
+from .chain import StationaryDistribution, TransitionKernel, _require
 
 __all__ = [
     "SimulationSpec",
     "OccupancyHistogram",
     "RunResult",
     "AbsorptionFrequency",
-    "step",
     "run",
     "absorption_frequency",
 ]
@@ -171,23 +170,6 @@ class AbsorptionFrequency:
     mean_steps: float
     replicas: int
     unabsorbed: int
-
-
-def step(kernel: TransitionKernel, state: int, rng: np.random.Generator) -> int:
-    """Advance the chain by one imitation event, consuming one uniform draw.
-
-    The draw u moves the state up when u < up[k], down when it falls in
-    the next down[k]-wide slice, and leaves it in place otherwise.
-    """
-    n = kernel.n
-    if not 0 <= state <= n:
-        raise ValueError(f"state must lie in 0..{n}, got {state}")
-    u = rng.random()
-    if u < kernel.up[state]:
-        return state + 1
-    if u < kernel.up[state] + kernel.down[state]:
-        return state - 1
-    return state
 
 
 def _resolve_initial(spec: SimulationSpec, n: int, gen: np.random.Generator) -> int:
@@ -349,12 +331,7 @@ def absorption_frequency(spec: SimulationSpec, kernel: TransitionKernel) -> Abso
     warning is raised when they exceed 1% of the total.  ``spec.burn_in``
     is ignored — absorption has no stationary phase to wait for.
     """
-    structure = classify(kernel)
-    if structure.kind != "absorbing":
-        raise ChainStructureError(
-            f"absorption sampling needs an absorbing kernel, got {structure.kind} "
-            f"({structure.detail})"
-        )
+    _require(kernel, "absorbing", "absorption sampling")
     n = kernel.n
     total = spec.replicas
     gen = np.random.Generator(np.random.Philox(key=spec.seed))
@@ -377,9 +354,7 @@ def absorption_frequency(spec: SimulationSpec, kernel: TransitionKernel) -> Abso
     while active_idx.size and t < spec.steps:
         t += 1
         u = gen.random(k.size)
-        p_up = up[k]
-        p_move = move[k]
-        k = k + (u < p_up).astype(np.int64) - ((u >= p_up) & (u < p_move)).astype(np.int64)
+        k = k + 2 * (u < up[k]) - (u < move[k])  # the step of _lockstep
         hit = (k == 0) | (k == n)
         if hit.any():
             absorbed_at[active_idx[hit]] = k[hit]

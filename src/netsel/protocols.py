@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -111,22 +111,20 @@ class CustomRule(ImitationRule):
     """Wrap a user-supplied map from payoff difference to probability.
 
     The map must be nondecreasing with values in [0, 1]; both properties
-    are spot-checked on an even grid over ``check_range`` at construction
-    and a violation raises ValueError.  The check is a sanity net, not a
-    proof — a function misbehaving between grid points will slip through.
+    are spot-checked on an even grid of 129 points over ``check_range`` at
+    construction and a violation raises ValueError.  The check is a sanity
+    net, not a proof — a function misbehaving between grid points will
+    slip through.
     """
 
     fn: Callable[[float], float]
     check_range: tuple[float, float] = (-1.0, 1.0)
-    check_points: int = field(default=129, repr=False)
 
     def __post_init__(self) -> None:
         lo, hi = self.check_range
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"check_range must be a finite interval, got {self.check_range}")
-        if self.check_points < 2:
-            raise ValueError("check_points must be at least 2")
-        grid = np.linspace(lo, hi, self.check_points)
+        grid = np.linspace(lo, hi, 129)
         values = [float(self.fn(z)) for z in grid]
         for z, v in zip(grid, values):
             if not 0.0 <= v <= 1.0:

@@ -130,12 +130,9 @@ def integrate(
     from scipy.integrate import solve_ivp  # scipy loads only when a solve needs it
 
     threshold = rtol * gain
-    pi_s = model.utility_secondary(params)
 
     def field(_t: float, y: np.ndarray) -> list[float]:
-        x = min(max(float(y[0]), 0.0), 1.0)
-        advantage = model.utility_primary_at_share(params, x) - pi_s
-        return [gain * x * (1.0 - x) * advantage]
+        return [replicator_rhs(params, min(max(float(y[0]), 0.0), 1.0), gain)]
 
     def settled(t: float, y: np.ndarray) -> float:
         return abs(field(t, y)[0]) - threshold

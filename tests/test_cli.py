@@ -122,9 +122,24 @@ def test_sweep_rejects_unknown_variables(tmp_path):
         parse_config(path).sweep()
 
 
-def test_sweep_rejects_fractional_population_sizes(tmp_path):
-    path = write_config(tmp_path, BASE + "\n[sweep]\nvariable = n\nvalues = 10, 2.5\n")
-    with pytest.raises(ConfigError, match="integers"):
+@pytest.mark.parametrize(
+    "grid, match",
+    [
+        ("values = 10, 2.5", "integers"),
+        ("values = inf", "integers"),
+        ("values = nan", "integers"),
+        ("start = 1\nstop = inf\nstep = 1", "finitely many"),
+        ("start = 1\nstop = 1e300\nstep = 1e-300", "finitely many"),
+        ("start = 2\nstop = 10\nstep = nan", "finitely many"),
+        ("start = 2\nstop = 10\nstep = inf", "finitely many"),
+    ],
+    ids=[
+        "fractional", "values-inf", "values-nan", "stop-inf", "too-many-points", "step-nan", "step-inf"
+    ],
+)
+def test_sweep_rejects_fractional_population_sizes(tmp_path, grid, match):
+    path = write_config(tmp_path, BASE + f"\n[sweep]\nvariable = n\n{grid}\n")
+    with pytest.raises(ConfigError, match=match):
         parse_config(path).sweep()
 
 
@@ -508,8 +523,9 @@ def test_reproduce_all_with_gnuplot_stubs(tmp_path):
     [
         ("replicator", BASE + "\n[replicator]\ninitial_share = 0.2\nrtol = nan\n", EXIT_CONFIG),
         ("simulate", SIM.replace("initial_state = 5", "initial_state = 50"), EXIT_ANALYSIS),
+        ("sweep", BASE + "\n[sweep]\nvariable = n\nvalues = inf\n", EXIT_CONFIG),
     ],
-    ids=["replicator-nan-rtol", "simulate-start-beyond-n"],
+    ids=["replicator-nan-rtol", "simulate-start-beyond-n", "sweep-infinite-n"],
 )
 def test_failed_command_leaves_no_output_directory(tmp_path, command, text, code):
     out_dir = tmp_path / "res"

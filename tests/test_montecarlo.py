@@ -25,7 +25,6 @@ from netsel.montecarlo import (
     SimulationSpec,
     absorption_frequency,
     run,
-    step,
 )
 from netsel.protocols import fermi_from_ratio
 
@@ -48,6 +47,21 @@ def gambler_kernel():
     up = np.array([0.0, 0.25, 0.25, 0.25, 0.0])
     down = np.array([0.0, 0.25, 0.25, 0.25, 0.0])
     return TransitionKernel(up=up, down=down, stay=1.0 - up - down)
+
+
+def step(kernel, state, rng):
+    """Reference for one imitation event, consuming one uniform draw u:
+    up when u < up[k], down when it falls in the next down[k]-wide slice,
+    and in place otherwise."""
+    n = kernel.n
+    if not 0 <= state <= n:
+        raise ValueError(f"state must lie in 0..{n}, got {state}")
+    u = rng.random()
+    if u < kernel.up[state]:
+        return state + 1
+    if u < kernel.up[state] + kernel.down[state]:
+        return state - 1
+    return state
 
 
 # -- spec and histogram validation ------------------------------------------------
