@@ -13,9 +13,13 @@ untimed warm-up call, and the median wall time of the timed calls is
 recorded in milliseconds, next to the Python, numpy and scipy versions.
 The Monte Carlo rows time ``montecarlo.run`` on the same chain at
 n = 100 (one replica of 2*10^5 events, untraced and traced at three
-decimations, and 2,000 replicas of 2*10^4 events) and
+decimations, and 2,000 replicas of 2*10^4 events), one replica of 2*10^6
+events at n = 1,000 (untraced and traced at decimation 1,000), and
 ``absorption_frequency`` over 10^4 replicas of the unanchored chain at
-n = 20, each with its events (or replicas) per second.  The engine rows
+n = 20, each with its events (or replicas) per second.  The window rows
+count, in an untimed run of each one-replica walk, the share of draws
+that ``montecarlo._window`` resolves one by one and the share of blocks
+it walks again in a wider window.  The engine rows
 time both engines of ``run`` at 32 to 2,000 replicas of 2*10^4 events,
 forcing each by setting ``montecarlo._LOCKSTEP``; they are what the
 threshold is chosen from.
@@ -55,6 +59,7 @@ from netsel import chain, model, montecarlo, protocols  # noqa: E402
 SIZES = (10**3, 10**4, 10**5, 10**6)
 REPEATS = 5
 WALK_EVENTS = 200_000
+LONG_WALK_N, LONG_WALK_EVENTS = 1_000, 2_000_000
 REPLICAS, REPLICA_EVENTS = 2_000, 20_000
 ABSORB_REPLICAS = 10_000
 ENGINE_REPLICAS = (32, 64, 128, 256, 2_000)
@@ -124,11 +129,17 @@ def montecarlo_rows() -> dict[str, dict[str, float]]:
     kernel = fermi_kernel(params, 100)
     absorbing = fermi_kernel(params, 20, anchors=0)
     walk = montecarlo.SimulationSpec(seed=1, steps=WALK_EVENTS, burn_in=0, initial_state=50)
+    long_kernel = fermi_kernel(params, LONG_WALK_N)
+    long_walk = montecarlo.SimulationSpec(
+        seed=1, steps=LONG_WALK_EVENTS, burn_in=0, initial_state=LONG_WALK_N // 2
+    )
     many = montecarlo.SimulationSpec(seed=1, steps=REPLICA_EVENTS, replicas=REPLICAS)
     absorb = montecarlo.SimulationSpec(seed=1, steps=100_000, replicas=ABSORB_REPLICAS)
     timed = {"run_untraced": (WALK_EVENTS, lambda: montecarlo.run(walk, kernel))}
     for d in (1, 2, 1000):
         timed[f"run_traced_d{d}"] = (WALK_EVENTS, lambda d=d: montecarlo.run(walk, kernel, d))
+    for name, d in (("run_n1000_untraced", None), ("run_n1000_traced_d1000", 1000)):
+        timed[name] = (LONG_WALK_EVENTS, lambda d=d: montecarlo.run(long_walk, long_kernel, d))
     timed["run_2000_replicas"] = (REPLICAS * REPLICA_EVENTS, lambda: montecarlo.run(many, kernel))
     timed["absorption_frequency"] = (
         ABSORB_REPLICAS,
@@ -138,6 +149,41 @@ def montecarlo_rows() -> dict[str, dict[str, float]]:
     for name, (ops, fn) in timed.items():
         ms = median_ms(fn)
         rows[name] = {"ms": round(ms, 2), "per_s": round(ops / (ms / 1e3))}
+    return rows
+
+
+def window_rows() -> dict[str, dict[str, float]]:
+    """How the one-replica walks above went through ``montecarlo._window``."""
+    params = economy()
+    real = montecarlo._window
+    rows = {}
+    for n, events in ((100, WALK_EVENTS), (LONG_WALK_N, LONG_WALK_EVENTS)):
+        tally = {"draws": 0, "odd": 0, "blocks": 0, "refused": 0}
+
+        def spy(up, move, k0, lo, hi, u):
+            states = real(up, move, k0, lo, hi, u)
+            if states is None:
+                tally["refused"] += 1
+                return None
+            # _window's bounds: the draws they leave undecided are odd.
+            a, b = up[lo : hi + 1], move[lo : hi + 1]
+            settled = (u < a.min()) | ((u >= a.max()) & (u < b.min())) | (u >= b.max())
+            tally["draws"] += u.size
+            tally["odd"] += int(u.size - settled.sum())
+            tally["blocks"] += 1
+            return states
+
+        spec = montecarlo.SimulationSpec(seed=1, steps=events, burn_in=0, initial_state=n // 2)
+        montecarlo._window = spy
+        try:
+            montecarlo.run(spec, fermi_kernel(params, n))
+        finally:
+            montecarlo._window = real
+        rows[str(n)] = {
+            "events": events,
+            "resolved_share": round(tally["odd"] / tally["draws"], 4),
+            "redone_share": round(tally["refused"] / tally["blocks"], 4),
+        }
     return rows
 
 
@@ -217,6 +263,7 @@ def main(argv: list[str]) -> None:
     out = ROOT / f"BENCH_{argv[0]}.json"
     by_size = {n: layers_at(n) for n in SIZES}
     mc = montecarlo_rows()
+    windows = window_rows()
     engines = engine_rows()
     launches = launch_rows()
     record = {
@@ -236,9 +283,16 @@ def main(argv: list[str]) -> None:
             for layer in by_size[SIZES[0]]
         },
         "montecarlo": {
-            "chain": "the same chain at n = 100; absorption on it unanchored at n = 20",
+            "chain": "the same chain at n = 100 (run_n1000_*: at n = 1,000); "
+            "absorption on it unanchored at n = 20",
             "rows": mc,
             "per_s": "events per second; replicas per second for absorption_frequency",
+        },
+        "window": {
+            "what": "one-replica walks from n // 2, burn-in 0, by population size",
+            "rows": windows,
+            "resolved_share": "draws resolved one by one / draws",
+            "redone_share": "blocks walked again in a wider window / blocks",
         },
         "engines": {
             "chain": "the same chain at n = 100; 2*10^4 events per replica, default burn-in",
@@ -256,6 +310,9 @@ def main(argv: list[str]) -> None:
         print(f"{layer:20s}" + "".join(f"{v:>12.3f}" for v in row.values()))
     for name, row in mc.items():
         print(f"{name:22s}{row['ms']:>12.2f} ms{row['per_s']:>14,d} /s")
+    for n, row in windows.items():
+        print(f"window at n = {n:>5s}{row['resolved_share']:>10.4f} resolved"
+              f"{row['redone_share']:>10.4f} redone")
     for replicas, row in engines.items():
         print(f"engines at {replicas:>5s}{row['walk_ms']:>12.2f} ms{row['lockstep_ms']:>12.2f} ms"
               f"{row['speedup']:>8.2f}x")

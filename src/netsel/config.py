@@ -78,6 +78,9 @@ _SCHEMA: dict[str, dict[str, type]] = {
 
 SWEEP_VARIABLES = ("lambda", "beta_ratio", "n")
 
+# A start/stop/step grid spans fewer steps than this; 10^9 points take 8 GB.
+_SWEEP_STEPS = 10**6
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -273,9 +276,10 @@ class ExperimentConfig:
                 if key not in sec:
                     raise ConfigError(f"missing required key '{key}' in section [sweep]")
             start, stop, step = sec["start"], sec["stop"], sec["step"]
-            if not (0 < step < math.inf and start <= stop and math.isfinite((stop - start) / step)):
+            if not (0 < step < math.inf and start <= stop and (stop - start) / step < _SWEEP_STEPS):
                 raise ConfigError(
-                    "[sweep] needs a finite step > 0, stop >= start and finitely many points"
+                    "[sweep] needs a finite step > 0, stop >= start and finitely many points: "
+                    f"fewer than {_SWEEP_STEPS} steps from start to stop"
                 )
             count = int(round((stop - start) / step)) + 1
             grid = start + step * np.arange(count)

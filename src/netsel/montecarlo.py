@@ -8,11 +8,13 @@ numbers, adding replicas never disturbs existing ones, and any
 exactly one uniform draw.
 
 ``run`` has two engines that keep this contract to the bit.  Fewer than
-_LOCKSTEP replicas walk one after another, each through a plain loop
-over its own blocks of draws.  More replicas advance in lockstep: every
-event is one vector step over all of them, and row r of the block of
-draws comes from replica r's own stream.  Which engine ran cannot be
-seen in the output.
+_LOCKSTEP replicas walk one after another, each in blocks of draws: one
+vector pass settles the draws that every state in a window around the
+block's start would take alike, the rest are resolved one by one, and a
+block that leaves its window is walked again in a wider one.  More
+replicas advance in lockstep: every event is one vector step over all of
+them, and row r of the block of draws comes from replica r's own stream.
+Which engine ran cannot be seen in the output.
 """
 
 from __future__ import annotations
@@ -35,16 +37,16 @@ __all__ = [
 ]
 
 # A replica walks in blocks of this many events: one generator call draws
-# a block's uniforms, a plain loop consumes them, and a counted or traced
-# block hands its states on as one int64 array for np.bincount and the
-# trajectory slices.  A live block holds about 90 B per event in draws
-# and states, so 65,536 raised the peak memory of a traced walk at
-# n = 1,000 by 7 MB while saving about 5% of its time.
+# a block's uniforms, one _window step turns them into an int64 array of
+# states for np.bincount and the trajectory slices.  A longer block needs
+# a wider window, where more draws are resolved one by one: at n = 1,000,
+# 7% at 2,048, 11% at 8,192 and 14% at 16,384.  65,536 took 1.2x the
+# time of a traced walk at n = 1,000 and 2.5x its peak memory.
 _BLOCK = 8192
 
-# Runs of at least this many replicas take the lockstep engine.  At
-# n = 100 it took 1.4-1.6x the time of the replica-by-replica walk with
-# 64 replicas, 0.8x with 128 and 0.3x with 2,000 (benchmarks/layers.py).
+# Runs of at least this many replicas take the lockstep engine.  At n = 100
+# it took 1.9x the time of the one-by-one walk with 32 replicas, 1.1x with
+# 64, 0.8x with 128 and 0.26x with 2,000 (benchmarks/layers.py).
 _LOCKSTEP = 128
 
 # Lockstep replicas advance in near-equal groups of at most this many,
@@ -182,8 +184,8 @@ def _resolve_initial(spec: SimulationSpec, n: int, gen: np.random.Generator) -> 
 
 
 def _walk(
-    up: list[float],
-    move: list[float],
+    up: np.ndarray,
+    move: np.ndarray,
     k: int,
     steps: int,
     burn: int,
@@ -196,29 +198,62 @@ def _walk(
     state after its last, and states the int64 state after each of its
     events, as an (events, 1) column.  No block straddles ``burn``;
     burn-in blocks yield states None unless ``keep_burn_in`` asks for
-    them.
+    them.  A block is one :func:`_window` step around k, reaching twice
+    as far as the last block did (the first, sqrt(_BLOCK)), or further
+    until the block fits.
     """
+    n, reach = up.size - 1, int(_BLOCK**0.5)
     t = 0
     while t < steps:
         end = min(t + _BLOCK, burn if t < burn else steps)
-        draws = gen.random(end - t).tolist()
-        if t < burn and not keep_burn_in:
-            for u in draws:
-                if u < up[k]:
-                    k += 1
-                elif u < move[k]:
-                    k -= 1
-            yield t, k, None
-        else:
-            path: list[int] = []
-            for u in draws:
-                if u < up[k]:
-                    k += 1
-                elif u < move[k]:
-                    k -= 1
-                path.append(k)
-            yield t, k, np.fromiter(path, np.int64, len(path)).reshape(-1, 1)
+        u = gen.random(end - t)
+        while (states := _window(up, move, k, max(k - reach, 0), min(k + reach, n), u)) is None:
+            reach = 2 * reach + 1
+        reach = 2 * int(max(states.max() - k, k - states.min()))
+        k = int(states[-1])
+        yield t, k, states.reshape(-1, 1) if t >= burn or keep_burn_in else None
         t = end
+
+
+def _window(
+    up: np.ndarray, move: np.ndarray, k0: int, lo: int, hi: int, u: np.ndarray
+) -> np.ndarray | None:
+    """The states after each draw of ``u`` from k0, as the loop
+    ``k += 1 if u < up[k] else -1 if u < move[k] else 0`` walks them, or
+    None if one leaves [lo, hi].
+
+    At any k in [lo, hi], a draw below every up[k] steps up, one at or
+    past every move[k] stays, and one from the largest up[k] to below
+    the smallest move[k] steps down, as move = up + down rounds to at
+    least up.  Only the rest, the odd draws, need their state.  By
+    induction on the events, these are the loop's states while they
+    stay in the window.
+    """
+    a, b = up[lo : hi + 1], move[lo : hi + 1]
+    plus = u < a.min()
+    minus = (u >= a.max()) & (u < b.min())
+    odd = np.flatnonzero(~(plus | minus | (u >= b.max())))
+    step = plus.astype(np.int64)
+    step -= minus
+    if odd.size:
+        # Odd draw j starts from k0 plus the odd steps resolved before it
+        # plus cumsum(step)[j], the others; less lo, that is a row of a.
+        up_at, move_at, last = a.tolist(), b.tolist(), hi - lo
+        others = np.cumsum(step)[odd].tolist()
+        base = k0 - lo
+        for i, (v, before) in enumerate(zip(u[odd].tolist(), others)):
+            j = base + before
+            # Outside the window j may be wrong, and row -1 would not raise.
+            if not 0 <= j <= last:
+                return None
+            others[i] = s = 1 if v < up_at[j] else -1 if v < move_at[j] else 0
+            base += s
+        step[odd] = others
+    states = np.cumsum(step, out=step)
+    states += k0
+    if states.min() < lo or states.max() > hi:
+        return None
+    return states
 
 
 def _lockstep(
@@ -279,7 +314,6 @@ def run(
     burn = spec.resolve_burn_in(n)
     up = kernel.up
     move = kernel.up + kernel.down
-    up_list, move_list = up.tolist(), move.tolist()
     lockstep = spec.replicas >= _LOCKSTEP
     groups = -(-spec.replicas // _GROUP) if lockstep else spec.replicas
     bounds = [spec.replicas * i // groups for i in range(groups + 1)]
@@ -288,16 +322,18 @@ def run(
     finals = []
     samples = []
     for lo, hi in zip(bounds, bounds[1:]):
-        gens = [
-            np.random.Generator(np.random.Philox(key=spec.seed).jumped(r)) for r in range(lo, hi)
-        ]
+        # Stream r jumps on from r - 1: jumped(r) would build a Philox per stream.
+        bits = [np.random.Philox(key=spec.seed).jumped(lo)]
+        for _ in range(lo + 1, hi):
+            bits.append(bits[-1].jumped(1))
+        gens = [np.random.Generator(bit) for bit in bits]
         starts = [_resolve_initial(spec, n, gen) for gen in gens]
         keep = traced and lo == 0
         if lockstep:
             k0 = np.array(starts, dtype=np.int64)
             walk = _lockstep(up, move, k0, spec.steps, burn, gens, keep)
         else:
-            walk = _walk(up_list, move_list, starts[0], spec.steps, burn, gens[0], keep)
+            walk = _walk(up, move, starts[0], spec.steps, burn, gens[0], keep)
         if keep:
             samples.append(np.array(starts[:1], dtype=np.int64))
         for t, k, states in walk:

@@ -132,9 +132,12 @@ def test_sweep_rejects_unknown_variables(tmp_path):
         ("start = 1\nstop = 1e300\nstep = 1e-300", "finitely many"),
         ("start = 2\nstop = 10\nstep = nan", "finitely many"),
         ("start = 2\nstop = 10\nstep = inf", "finitely many"),
+        ("start = 2\nstop = 1e300\nstep = 1", "fewer than 1000000 steps"),
+        ("start = 2\nstop = 1000002\nstep = 1", "fewer than 1000000 steps"),
     ],
     ids=[
-        "fractional", "values-inf", "values-nan", "stop-inf", "too-many-points", "step-nan", "step-inf"
+        "fractional", "values-inf", "values-nan", "stop-inf", "too-many-points", "step-nan", "step-inf",
+        "huge-grid", "million-steps",
     ],
 )
 def test_sweep_rejects_fractional_population_sizes(tmp_path, grid, match):
@@ -524,8 +527,9 @@ def test_reproduce_all_with_gnuplot_stubs(tmp_path):
         ("replicator", BASE + "\n[replicator]\ninitial_share = 0.2\nrtol = nan\n", EXIT_CONFIG),
         ("simulate", SIM.replace("initial_state = 5", "initial_state = 50"), EXIT_ANALYSIS),
         ("sweep", BASE + "\n[sweep]\nvariable = n\nvalues = inf\n", EXIT_CONFIG),
+        ("sweep", BASE + "\n[sweep]\nvariable = n\nstart = 2\nstop = 1e300\nstep = 1\n", EXIT_CONFIG),
     ],
-    ids=["replicator-nan-rtol", "simulate-start-beyond-n", "sweep-infinite-n"],
+    ids=["replicator-nan-rtol", "simulate-start-beyond-n", "sweep-infinite-n", "sweep-huge-grid"],
 )
 def test_failed_command_leaves_no_output_directory(tmp_path, command, text, code):
     out_dir = tmp_path / "res"

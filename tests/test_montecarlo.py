@@ -26,7 +26,7 @@ from netsel.montecarlo import (
     absorption_frequency,
     run,
 )
-from netsel.protocols import fermi_from_ratio
+from netsel.protocols import PairwiseProportional, fermi_from_ratio
 
 
 def calibrated_params(target=0.68):
@@ -38,6 +38,14 @@ def fermi_kernel(n=10, anchors=1, ratio=1.0):
     p = calibrated_params()
     pop = PopulationConfig(n=n, anchored_primary=anchors, anchored_secondary=anchors)
     return build_kernel(p, pop, fermi_from_ratio(p, n, ratio))
+
+
+def proportional_kernel(n=12):
+    """Noise-free: down = 0 below k* and up = 0 from k* on, with the gains
+    scaled up so that a short walk moves."""
+    p = calibrated_params()
+    pop = PopulationConfig(n=n, anchored_primary=1, anchored_secondary=1)
+    return build_kernel(p, pop, PairwiseProportional(scale=1000.0))
 
 
 def gambler_kernel():
@@ -388,6 +396,131 @@ def test_traced_walk_keeps_no_block_alive():
         tracemalloc.stop()
     assert result.trajectory.shape == (501, 2)
     assert peak < 2 * 2**20
+
+
+def reference_walk(up, move, k, steps, burn, gen, keep_burn_in):
+    """Reference for montecarlo._walk, with its signature and its blocks:
+    a plain loop over each block's draws, one event at a time."""
+    up, move = up.tolist(), move.tolist()
+    t = 0
+    while t < steps:
+        end = min(t + montecarlo._BLOCK, burn if t < burn else steps)
+        path = []
+        for u in gen.random(end - t).tolist():
+            if u < up[k]:
+                k += 1
+            elif u < move[k]:
+                k -= 1
+            path.append(k)
+        states = np.array(path, dtype=np.int64).reshape(-1, 1)
+        yield t, k, states if t >= burn or keep_burn_in else None
+        t = end
+
+
+def walk_both_ways(spec, kernel, decimation, block=None):
+    """run() on the window walk, then on reference_walk."""
+    assert spec.replicas < montecarlo._LOCKSTEP
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(montecarlo, "_BLOCK", block)
+        result = run(spec, kernel, trajectory_decimation=decimation)
+        mp.setattr(montecarlo, "_walk", reference_walk)
+        return result, run(spec, kernel, trajectory_decimation=decimation)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_window_walk_matches_the_plain_loop(data):
+    # Noise-free, up == move below k*, so no draw steps down there.
+    # Unanchored, the walk stops at an absorbing state and its window
+    # closes to that one state.  Steep, up jumps across k* at ratio 2000,
+    # so full-size blocks cross rows that differ most.
+    case = data.draw(st.sampled_from(["noise-free", "unanchored", "steep"]), label="case")
+    if case == "steep":
+        kernel = fermi_kernel(n=data.draw(st.integers(200, 400), label="n"), ratio=2000.0)
+        block, steps = 8192, data.draw(st.integers(1, 30_000), label="steps")
+    else:
+        kernel = proportional_kernel() if case == "noise-free" else fermi_kernel(n=9, anchors=0)
+        block = data.draw(st.sampled_from([2, 3, 5, 7, 13, 64]), label="block")
+        steps = data.draw(st.integers(1, 400), label="steps")
+    spec = SimulationSpec(
+        seed=data.draw(st.integers(0, 2**64 - 1), label="seed"),
+        steps=steps,
+        burn_in=data.draw(st.none() | st.integers(0, steps - 1), label="burn_in"),
+        replicas=data.draw(st.integers(1, 3), label="replicas"),
+        initial_state=data.draw(
+            st.just(INITIAL_UNIFORM) | st.integers(0, kernel.n), label="initial_state"
+        ),
+    )
+    decimation = data.draw(st.sampled_from([None, 1, 7]), label="decimation")
+    result, expected = walk_both_ways(spec, kernel, decimation, block)
+    assert np.array_equal(result.histogram.counts, expected.histogram.counts)
+    assert np.array_equal(result.final_states, expected.final_states)
+    if decimation is None:
+        assert result.trajectory is None
+    else:
+        assert np.array_equal(result.trajectory, expected.trajectory)
+
+
+def test_window_walk_redoes_the_blocks_that_leave_their_window(monkeypatch):
+    # From state 20 a steep chain runs to k* near 200, further than the
+    # first window reaches: blocks leave their windows and are walked
+    # again in wider ones.
+    refused = []
+    real = montecarlo._window
+
+    def spy(*args):
+        states = real(*args)
+        refused.append(states is None)
+        return states
+
+    monkeypatch.setattr(montecarlo, "_window", spy)
+    kernel = fermi_kernel(n=300, ratio=2000.0)
+    spec = SimulationSpec(seed=12, steps=100_000, burn_in=0, initial_state=20)
+    result, expected = walk_both_ways(spec, kernel, decimation=1)
+    assert sum(refused) >= 2 and refused.count(False) == -(-spec.steps // montecarlo._BLOCK)
+    assert np.array_equal(result.trajectory, expected.trajectory)
+    assert np.array_equal(result.histogram.counts, expected.histogram.counts)
+
+
+def test_window_refuses_states_it_cannot_decide():
+    # Rows 0 and 1 put up in [0.2, 0.5] and move at 0.5, so 0.3 is odd.
+    # From 0 in [0, 1], two draws below 0.2 reach state 2, whose row the
+    # window lacks; from 1 in [1, 2], 0.45 steps down to 0, and row -1
+    # would read row 2 without an error.
+    up = np.array([0.5, 0.2, 0.4, 0.1, 0.0])
+    down = np.array([0.0, 0.3, 0.1, 0.3, 0.5])
+    kernel = TransitionKernel(up=up, down=down, stay=1.0 - up - down)
+    move = kernel.up + kernel.down
+    assert montecarlo._window(kernel.up, move, 0, 0, 1, np.array([0.1, 0.1, 0.3])) is None
+    assert montecarlo._window(kernel.up, move, 1, 1, 2, np.array([0.45, 0.3])) is None
+    whole = montecarlo._window(kernel.up, move, 0, 0, 4, np.array([0.1, 0.1, 0.3]))
+    assert whole.tolist() == [1, 2, 3]
+
+
+def test_group_streams_are_the_jumped_streams(monkeypatch):
+    # Groups of at most 3 split 8 replicas as [0, 2), [2, 5) and [5, 8);
+    # each group chains jumps from its first stream.  Replica r must
+    # still draw from Philox(seed).jumped(r).
+    firsts, widths = [], []
+    real = montecarlo._lockstep
+
+    def spy(*args):
+        widths.append(len(args[5]))
+        for gen in args[5]:
+            twin = np.random.Philox()
+            twin.state = gen.bit_generator.state
+            firsts.append(np.random.Generator(twin).random(4))
+        return real(*args)
+
+    monkeypatch.setattr(montecarlo, "_lockstep", spy)
+    monkeypatch.setattr(montecarlo, "_LOCKSTEP", 1)
+    monkeypatch.setattr(montecarlo, "_GROUP", 3)
+    run(SimulationSpec(seed=77, steps=5, replicas=8, initial_state=5), fermi_kernel())
+    assert widths == [2, 3, 3]
+    for r, draws in enumerate(firsts):
+        expected = np.random.Generator(np.random.Philox(key=77).jumped(r)).random(4)
+        assert np.array_equal(draws, expected), r
 
 
 def test_lockstep_buffers_stay_bounded():
