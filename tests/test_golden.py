@@ -47,6 +47,8 @@ UNANCHORED = README_CONFIG.replace("anchored_primary = 1", "anchored_primary = 0
     "anchored_secondary = 1", "anchored_secondary = 0"
 )
 PROPORTIONAL = README_CONFIG.replace("type = fermi\nbeta_ratio = 1.0", "type = proportional")
+# The start is already settled, so integrate returns its one-sample early exit.
+AT_REST = README_CONFIG.replace("initial_share = 0.2", "initial_share = 0.68")
 
 # name -> (command, config text, files written, digest)
 RUNS = {
@@ -85,6 +87,18 @@ RUNS = {
         README_CONFIG,
         ["histogram.csv", "histogram.meta.json", "trajectory.csv", "trajectory.meta.json"],
         "05bf93f10b2b57fda0ad4dba2e4d55a22e102b7c4d663f57ed18eec5dd43b7fa",
+    ),
+    "replicator": (
+        "replicator",
+        README_CONFIG,
+        ["replicator.csv", "replicator.meta.json"],
+        "e8b81b26b556336765284d885b26e0f311eef26b9bb11e1f74c5ece52519e284",
+    ),
+    "replicator_at_rest": (
+        "replicator",
+        AT_REST,
+        ["replicator.csv", "replicator.meta.json"],
+        "3f8e9dd4f288ddb0ec420515736bf7fd6e98b4d8ec9b8eb45ffd514a2b775a18",
     ),
 }
 
