@@ -3,7 +3,7 @@
 Usage, from the repository root, with the number of the revision being
 recorded as the one argument:
 
-    python benchmarks/layers.py 6      # writes BENCH_6.json
+    python benchmarks/layers.py 8      # writes BENCH_8.json
 
 It imports netsel from the ``src/`` next to this directory and times one
 anchored Fermi chain per population size: ratio 1, one anchor per side,
@@ -11,6 +11,13 @@ on the calibrated economy of the figures (C = 100, lambda = 30,
 x* = 0.68).  Each layer is called REPEATS times at each size after one
 untimed warm-up call, and the median wall time of the timed calls is
 recorded in milliseconds, next to the Python, numpy and scipy versions.
+Every timed row is recorded twice: ``ms`` is the raw median, and
+``scaled_ms`` the median of the same calls rescaled by
+``perfbench/speed.py``'s ``Speedometer`` to its reference speed.  On a
+shared machine raw medians of the same code swing by a third from one
+run to the next; the rescaled ones follow the machine's speed out.  The
+script pins itself, and so every process it launches, to one core, so
+that the speed samples are taken on the core that runs the work.
 The Monte Carlo rows time ``montecarlo.run`` on the same chain at
 n = 100 (one replica of 2*10^5 events, untraced and traced at three
 decimations, and 2,000 replicas of 2*10^4 events), one replica of 2*10^6
@@ -23,6 +30,9 @@ it walks again in a wider window.  The engine rows
 time both engines of ``run`` at 32 to 2,000 replicas of 2*10^4 events,
 forcing each by setting ``montecarlo._LOCKSTEP``; they are what the
 threshold is chosen from.
+The replicator row times ``replicator.integrate`` on the same economy
+from the README's start share 0.2 with the default settings, as
+``netsel replicator`` runs it, with the number of samples it returns.
 The launch rows time fresh interpreters as a user starts them: ``import
 netsel.cli`` alone, ``netsel reproduce --figure all`` and ``netsel
 simulate`` on the README's example config, each with the peak resident
@@ -48,13 +58,14 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
+from speed import Speedometer  # noqa: E402
 
-from netsel import chain, model, montecarlo, protocols  # noqa: E402
+from netsel import chain, model, montecarlo, protocols, replicator  # noqa: E402
 
 SIZES = (10**3, 10**4, 10**5, 10**6)
 REPEATS = 5
@@ -86,16 +97,25 @@ replicas = 2
 initial_state = 5
 trajectory_decimation = 500
 """
+# Samples the machine's speed while main() runs.
+SPEED = Speedometer()
 
 
-def median_ms(fn) -> float:
+def rescaled(spans: list[tuple[float, float]], digits: int) -> dict[str, float]:
+    """Median of the (start, end) spans in ms, raw and at the reference speed."""
+    raw = statistics.median(end - start for start, end in spans)
+    scaled = statistics.median(SPEED.seconds(start, end) for start, end in spans)
+    return {"ms": round(1e3 * raw, digits), "scaled_ms": round(1e3 * scaled, digits)}
+
+
+def median_ms(fn, digits: int = 2) -> dict[str, float]:
     fn()
-    times = []
+    spans = []
     for _ in range(REPEATS):
         start = time.perf_counter()
         fn()
-        times.append(time.perf_counter() - start)
-    return 1e3 * statistics.median(times)
+        spans.append((start, time.perf_counter()))
+    return rescaled(spans, digits)
 
 
 def economy() -> model.NetworkParams:
@@ -114,13 +134,14 @@ def layers_at(n: int) -> dict[str, float]:
     rule = protocols.fermi_from_ratio(params, n, 1.0)
     kernel = chain.build_kernel(params, population, rule)
     law = chain.stationary_product(kernel)
-    return {
-        "fermi_from_ratio": median_ms(lambda: protocols.fermi_from_ratio(params, n, 1.0)),
-        "build_kernel": median_ms(lambda: chain.build_kernel(params, population, rule)),
-        "stationary_product": median_ms(lambda: chain.stationary_product(kernel)),
-        "stationary_eigen": median_ms(lambda: chain.stationary_eigen(kernel)),
-        "expected_poa": median_ms(lambda: model.expected_poa(params, law)),
+    timed = {
+        "fermi_from_ratio": lambda: protocols.fermi_from_ratio(params, n, 1.0),
+        "build_kernel": lambda: chain.build_kernel(params, population, rule),
+        "stationary_product": lambda: chain.stationary_product(kernel),
+        "stationary_eigen": lambda: chain.stationary_eigen(kernel),
+        "expected_poa": lambda: model.expected_poa(params, law),
     }
+    return {name: median_ms(fn, digits=4) for name, fn in timed.items()}
 
 
 def montecarlo_rows() -> dict[str, dict[str, float]]:
@@ -147,9 +168,16 @@ def montecarlo_rows() -> dict[str, dict[str, float]]:
     )
     rows = {}
     for name, (ops, fn) in timed.items():
-        ms = median_ms(fn)
-        rows[name] = {"ms": round(ms, 2), "per_s": round(ops / (ms / 1e3))}
+        row = median_ms(fn)
+        rows[name] = {**row, "per_s": round(ops / (row["ms"] / 1e3))}
     return rows
+
+
+def replicator_row() -> dict[str, float]:
+    """``integrate`` from share 0.2, and how many samples it returns."""
+    params = economy()
+    samples = len(replicator.integrate(params, 0.2).trajectory)
+    return {**median_ms(lambda: replicator.integrate(params, 0.2)), "samples": samples}
 
 
 def window_rows() -> dict[str, dict[str, float]]:
@@ -196,9 +224,10 @@ def engine_rows() -> dict[str, dict[str, float]]:
         for replicas in ENGINE_REPLICAS:
             spec = montecarlo.SimulationSpec(seed=1, steps=REPLICA_EVENTS, replicas=replicas)
             row = {}
-            for engine, threshold in (("walk_ms", replicas + 1), ("lockstep_ms", 1)):
+            for engine, threshold in (("walk", replicas + 1), ("lockstep", 1)):
                 montecarlo._LOCKSTEP = threshold
-                row[engine] = round(median_ms(lambda: montecarlo.run(spec, kernel)), 2)
+                timed = median_ms(lambda: montecarlo.run(spec, kernel))
+                row[f"{engine}_ms"], row[f"{engine}_scaled_ms"] = timed["ms"], timed["scaled_ms"]
             row["speedup"] = round(row["walk_ms"] / row["lockstep_ms"], 2)
             rows[str(replicas)] = row
     finally:
@@ -216,9 +245,11 @@ print(time.perf_counter() - start, code, resource.getrusage(resource.RUSAGE_CHIL
 """
 
 
-def launch(argv: list[str], cwd: str) -> tuple[float, float]:
-    """Wall seconds and peak RSS in MB of one fresh interpreter."""
+def launch(argv: list[str], cwd: str) -> tuple[tuple[float, float], float]:
+    """The (start, end) span, shortened to the child's own wall time, and
+    the peak RSS in MB of one fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    start = time.perf_counter()
     out = subprocess.run(
         [sys.executable, "-c", LAUNCHER, sys.executable, *argv],
         cwd=cwd, env=env, capture_output=True, text=True, check=True,
@@ -226,7 +257,7 @@ def launch(argv: list[str], cwd: str) -> tuple[float, float]:
     wall, code, peak_kb = float(out[0]), int(out[1]), int(out[2])
     if code:
         raise RuntimeError(f"{argv} exited {code}")
-    return wall, peak_kb / 1024
+    return (start, start + wall), peak_kb / 1024
 
 
 def launch_rows() -> dict[str, dict[str, float]]:
@@ -244,7 +275,7 @@ def launch_rows() -> dict[str, dict[str, float]]:
             launch(argv, tmp)
             runs = [launch(argv, tmp) for _ in range(REPEATS)]
             rows[name] = {
-                "ms": round(1e3 * statistics.median(wall for wall, _ in runs), 1),
+                **rescaled([span for span, _ in runs], 1),
                 "peak_rss_mb": round(statistics.median(rss for _, rss in runs), 1),
             }
     return rows
@@ -261,11 +292,16 @@ def main(argv: list[str]) -> None:
     if len(argv) != 1 or not argv[0].isdigit():
         sys.exit("usage: python benchmarks/layers.py <number>   (writes BENCH_<number>.json)")
     out = ROOT / f"BENCH_{argv[0]}.json"
-    by_size = {n: layers_at(n) for n in SIZES}
-    mc = montecarlo_rows()
-    windows = window_rows()
-    engines = engine_rows()
-    launches = launch_rows()
+    # One core for the work, the speed samples and every launched process.
+    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])
+    with SPEED:
+        time.sleep(0.1)  # the first rows take microseconds: sample the speed before them
+        by_size = {n: layers_at(n) for n in SIZES}
+        mc = montecarlo_rows()
+        ode = replicator_row()
+        windows = window_rows()
+        engines = engine_rows()
+        launches = launch_rows()
     record = {
         "environment": {
             "python": platform.python_version(),
@@ -278,15 +314,19 @@ def main(argv: list[str]) -> None:
         "chain": "anchored Fermi, ratio 1, one anchor per side; C = 100, lambda = 30, x* = 0.68",
         "statistic": f"median of {REPEATS} timed calls after one warm-up call",
         "unit": "ms",
+        "scaled_ms": "the same calls rescaled to perfbench/speed.py's reference speed, one core",
         "layers": {
-            layer: {str(n): round(by_size[n][layer], 4) for n in SIZES}
-            for layer in by_size[SIZES[0]]
+            layer: {str(n): by_size[n][layer] for n in SIZES} for layer in by_size[SIZES[0]]
         },
         "montecarlo": {
             "chain": "the same chain at n = 100 (run_n1000_*: at n = 1,000); "
             "absorption on it unanchored at n = 20",
             "rows": mc,
             "per_s": "events per second; replicas per second for absorption_frequency",
+        },
+        "replicator": {
+            "what": "replicator.integrate on the same economy from share 0.2, default settings",
+            "row": ode,
         },
         "window": {
             "what": "one-replica walks from n // 2, burn-in 0, by population size",
@@ -307,9 +347,11 @@ def main(argv: list[str]) -> None:
     }
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     for layer, row in record["layers"].items():
-        print(f"{layer:20s}" + "".join(f"{v:>12.3f}" for v in row.values()))
+        print(f"{layer:20s}" + "".join(f"{v['ms']:>10.3f}/{v['scaled_ms']:<8.3f}" for v in row.values()))
     for name, row in mc.items():
-        print(f"{name:22s}{row['ms']:>12.2f} ms{row['per_s']:>14,d} /s")
+        print(f"{name:22s}{row['ms']:>12.2f}/{row['scaled_ms']:<10.2f} ms{row['per_s']:>14,d} /s")
+    print(f"{'replicator_integrate':22s}{ode['ms']:>12.2f}/{ode['scaled_ms']:<10.2f} ms"
+          f"{ode['samples']:>8d} samples")
     for n, row in windows.items():
         print(f"window at n = {n:>5s}{row['resolved_share']:>10.4f} resolved"
               f"{row['redone_share']:>10.4f} redone")
@@ -317,7 +359,7 @@ def main(argv: list[str]) -> None:
         print(f"engines at {replicas:>5s}{row['walk_ms']:>12.2f} ms{row['lockstep_ms']:>12.2f} ms"
               f"{row['speedup']:>8.2f}x")
     for name, row in launches.items():
-        print(f"{name:22s}{row['ms']:>12.1f} ms{row['peak_rss_mb']:>10.1f} MB")
+        print(f"{name:22s}{row['ms']:>12.1f}/{row['scaled_ms']:<10.1f} ms{row['peak_rss_mb']:>10.1f} MB")
     print(f"src lines {record['src_lines']['total']:>12d}")
     print(f"wrote {out}")
 

@@ -358,25 +358,30 @@ def _product_form(kernel: TransitionKernel) -> StationaryDistribution:
     return StationaryDistribution(psi=psi, kind="product_form")
 
 
+def _tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Banded LU solve of A x = rhs; sub and sup run below and above A's diagonal."""
+    from scipy.linalg import solve_banded  # scipy loads only when a solve needs it
+
+    ab = np.zeros((3, len(diag)))
+    ab[0, 1:] = sup
+    ab[1] = diag
+    ab[2, :-1] = sub
+    return solve_banded((1, 1), ab, rhs)
+
+
 def _solve_balance_block(
     kernel: TransitionKernel, lo: int, hi: int, anchor_above: bool
 ) -> np.ndarray:
     """Solve the global-balance equations for psi[lo..hi] with one
     neighbouring state pinned to weight 1 (above hi or below lo)."""
-    from scipy.linalg import solve_banded  # scipy loads only when a solve needs it
-
     up, down = kernel.up, kernel.down
-    size = hi - lo + 1
-    ab = np.zeros((3, size))
-    rhs = np.zeros(size)
-    ab[0, 1:] = down[lo + 1 : hi + 1]
-    ab[1] = -(up[lo : hi + 1] + down[lo : hi + 1])
-    ab[2, :-1] = up[lo:hi]
+    rhs = np.zeros(hi - lo + 1)
     if anchor_above:
-        rhs[size - 1] = -down[hi + 1]
+        rhs[-1] = -down[hi + 1]
     else:
         rhs[0] = -up[lo - 1]
-    return solve_banded((1, 1), ab, rhs)
+    diag = -(up[lo : hi + 1] + down[lo : hi + 1])
+    return _tridiagonal(up[lo:hi], diag, down[lo + 1 : hi + 1], rhs)
 
 
 def stationary_eigen(kernel: TransitionKernel) -> StationaryDistribution:
@@ -413,21 +418,15 @@ def _absorption_solve(kernel: TransitionKernel) -> np.ndarray:
     system with three right-hand sides (hit 0, hit n, accumulate time),
     solved by a banded LU; the boundary rows are exact.
     """
-    from scipy.linalg import solve_banded  # scipy loads only when a solve needs it
-
     n = kernel.n
     up, down = kernel.up, kernel.down
-    ab = np.zeros((3, n - 1))
-    ab[0, 1:] = -up[1 : n - 1]
-    ab[1] = up[1:n] + down[1:n]
-    ab[2, :-1] = -down[2:n]
     rhs = np.zeros((n - 1, 3))
     rhs[:, 2] = 1.0
     rhs[0, 0] = down[1]
     rhs[-1, 1] = up[n - 1]
     table = np.zeros((n + 1, 3))
     table[0, 0] = table[n, 1] = 1.0
-    table[1:n] = solve_banded((1, 1), ab, rhs)
+    table[1:n] = _tridiagonal(-down[2:n], up[1:n] + down[1:n], -up[1 : n - 1], rhs)
     return table
 
 

@@ -268,8 +268,7 @@ def cmd_simulate(config: ExperimentConfig, args: argparse.Namespace) -> int:
         out_dir / "histogram.csv", ("k", "count", "frequency"), hist_rows, base_meta, quiet
     )
     if result.trajectory is not None:
-        traj_rows = [(int(e), int(k)) for e, k in result.trajectory]
-        _write_csv(out_dir / "trajectory.csv", ("event", "k"), traj_rows, base_meta, quiet)
+        _write_csv(out_dir / "trajectory.csv", ("event", "k"), result.trajectory.tolist(), base_meta, quiet)
     return EXIT_OK
 
 
@@ -279,13 +278,7 @@ def cmd_replicator(config: ExperimentConfig, args: argparse.Namespace) -> int:
     quiet = args.quiet
     out_dir = _resolve_out_dir(args, config)
     try:
-        result = replicator.integrate(
-            params,
-            initial_share=settings["initial_share"],
-            horizon=settings["horizon"],
-            rtol=settings["rtol"],
-            gain=settings["gain"],
-        )
+        result = replicator.integrate(params, **settings)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -299,8 +292,7 @@ def cmd_replicator(config: ExperimentConfig, args: argparse.Namespace) -> int:
         "converged": result.converged,
         "config": config.as_dict(),
     }
-    rows = [(s.time, s.share_primary) for s in result.trajectory]
-    _write_csv(out_dir / "replicator.csv", ("time", "x_p"), rows, meta, quiet)
+    _write_csv(out_dir / "replicator.csv", ("time", "x_p"), result.trajectory.tolist(), meta, quiet)
     return EXIT_OK
 
 
@@ -533,7 +525,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if needs_config:
             p.add_argument("--config", required=True, help="INI experiment file")
         p.add_argument("--out", help="output directory (default: config, then $NETSEL_OUT_DIR, then cwd)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--quiet", action="store_true", help="suppress console summary lines")
 
     for name, helptext in (
@@ -543,7 +534,10 @@ def _build_parser() -> argparse.ArgumentParser:
         ("simulate", "seeded Monte Carlo run with histogram and trajectory"),
         ("replicator", "deterministic mean-dynamics trajectory"),
     ):
-        add_common(sub.add_parser(name, help=helptext))
+        p = sub.add_parser(name, help=helptext)
+        add_common(p)
+        if name == "simulate":
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
     repro = sub.add_parser("reproduce", help="emit built-in figure datasets")
     repro.add_argument(
         "--figure",

@@ -262,6 +262,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"[sweep] unknown variable {variable!r}; choose from {', '.join(SWEEP_VARIABLES)}"
             )
+        rule = self._section("rule")
+        if variable == "beta_ratio" and (rule.get("type") != "fermi" or "beta_absolute" in rule):
+            raise ConfigError("[sweep] beta_ratio needs a fermi [rule] given by beta_ratio")
         if "values" in sec:
             if any(key in sec for key in ("start", "stop", "step")):
                 raise ConfigError("[sweep] give either 'values' or start/stop/step, not both")

@@ -25,7 +25,6 @@ from .model import NetworkParams
 from .protocols import ImitationRule
 
 __all__ = [
-    "ReplicatorState",
     "IntegrationResult",
     "replicator_rhs",
     "mean_dynamics_rhs",
@@ -34,39 +33,30 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ReplicatorState:
-    """One sampled point of a trajectory: the primary share at a time."""
-
-    share_primary: float
-    time: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.share_primary <= 1.0:
-            raise ValueError(f"share must lie in [0, 1], got {self.share_primary}")
-        if not (math.isfinite(self.time) and self.time >= 0.0):
-            raise ValueError(f"time must be nonnegative and finite, got {self.time}")
-
-
-@dataclass(frozen=True)
 class IntegrationResult:
     """Outcome of following the flow: samples, endpoint, and whether it settled.
 
-    ``converged`` reports whether the derivative-based stop condition
-    fired before the horizon; a False value is information, not an error,
-    and the partial trajectory stays fully inspectable.
+    ``trajectory`` holds float64 rows (time, share), the shape of
+    ``montecarlo.RunResult.trajectory``.  ``converged`` reports whether
+    the derivative-based stop condition fired before the horizon; a False
+    value is information, not an error, and the partial trajectory stays
+    fully inspectable.
     """
 
-    trajectory: tuple[ReplicatorState, ...]
-    fixed_point: float
+    trajectory: np.ndarray
     converged: bool
 
     @property
     def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.trajectory])
+        return self.trajectory[:, 0]
 
     @property
     def shares(self) -> np.ndarray:
-        return np.array([s.share_primary for s in self.trajectory])
+        return self.trajectory[:, 1]
+
+    @property
+    def fixed_point(self) -> float:
+        return float(self.trajectory[-1, 1])
 
 
 def replicator_rhs(params: NetworkParams, share: float, gain: float = 1.0) -> float:
@@ -140,8 +130,7 @@ def integrate(
     settled.terminal = True  # type: ignore[attr-defined]
 
     if abs(field(0.0, np.array([initial_share]))[0]) <= threshold:
-        state = ReplicatorState(share_primary=initial_share, time=0.0)
-        return IntegrationResult(trajectory=(state,), fixed_point=initial_share, converged=True)
+        return IntegrationResult(np.array([[0.0, initial_share]]), converged=True)
 
     solution = solve_ivp(
         field,
@@ -153,12 +142,6 @@ def integrate(
         events=settled,
     )
     shares = np.clip(solution.y[0], 0.0, 1.0)
-    trajectory = tuple(
-        ReplicatorState(share_primary=float(x), time=float(t))
-        for t, x in zip(solution.t, shares)
-    )
     return IntegrationResult(
-        trajectory=trajectory,
-        fixed_point=float(shares[-1]),
-        converged=bool(solution.status == 1),
+        np.column_stack((solution.t, shares)), converged=bool(solution.status == 1)
     )

@@ -122,26 +122,35 @@ def test_sweep_rejects_unknown_variables(tmp_path):
         parse_config(path).sweep()
 
 
+SWEEP_N = BASE + "\n[sweep]\nvariable = n\n"
+RATIO_SWEEP = "\n[sweep]\nvariable = beta_ratio\nvalues = 1, 10\n"
+# A beta_ratio sweep overrides a Fermi rule's ratio; these rules have none.
+RATIO_OF_PROPORTIONAL = BASE.replace("type = fermi\nbeta_ratio = 1.0", "type = proportional") + RATIO_SWEEP
+RATIO_OF_ABSOLUTE = BASE.replace("beta_ratio = 1.0", "beta_absolute = 50") + RATIO_SWEEP
+
+
 @pytest.mark.parametrize(
-    "grid, match",
+    "text, match",
     [
-        ("values = 10, 2.5", "integers"),
-        ("values = inf", "integers"),
-        ("values = nan", "integers"),
-        ("start = 1\nstop = inf\nstep = 1", "finitely many"),
-        ("start = 1\nstop = 1e300\nstep = 1e-300", "finitely many"),
-        ("start = 2\nstop = 10\nstep = nan", "finitely many"),
-        ("start = 2\nstop = 10\nstep = inf", "finitely many"),
-        ("start = 2\nstop = 1e300\nstep = 1", "fewer than 1000000 steps"),
-        ("start = 2\nstop = 1000002\nstep = 1", "fewer than 1000000 steps"),
+        (SWEEP_N + "values = 10, 2.5", "integers"),
+        (SWEEP_N + "values = inf", "integers"),
+        (SWEEP_N + "values = nan", "integers"),
+        (SWEEP_N + "start = 1\nstop = inf\nstep = 1", "finitely many"),
+        (SWEEP_N + "start = 1\nstop = 1e300\nstep = 1e-300", "finitely many"),
+        (SWEEP_N + "start = 2\nstop = 10\nstep = nan", "finitely many"),
+        (SWEEP_N + "start = 2\nstop = 10\nstep = inf", "finitely many"),
+        (SWEEP_N + "start = 2\nstop = 1e300\nstep = 1", "fewer than 1000000 steps"),
+        (SWEEP_N + "start = 2\nstop = 1000002\nstep = 1", "fewer than 1000000 steps"),
+        (RATIO_OF_PROPORTIONAL, "fermi"),
+        (RATIO_OF_ABSOLUTE, "fermi"),
     ],
     ids=[
         "fractional", "values-inf", "values-nan", "stop-inf", "too-many-points", "step-nan", "step-inf",
-        "huge-grid", "million-steps",
+        "huge-grid", "million-steps", "ratio-of-proportional", "ratio-of-absolute",
     ],
 )
-def test_sweep_rejects_fractional_population_sizes(tmp_path, grid, match):
-    path = write_config(tmp_path, BASE + f"\n[sweep]\nvariable = n\n{grid}\n")
+def test_sweep_rejects_fractional_population_sizes(tmp_path, text, match):
+    path = write_config(tmp_path, text + "\n")
     with pytest.raises(ConfigError, match=match):
         parse_config(path).sweep()
 
@@ -412,6 +421,14 @@ def test_seed_flag_overrides_the_config(tmp_path):
     assert read_meta(seeded_dir / "histogram.csv")["seed"] == 10
 
 
+def test_seed_flag_belongs_to_simulate_only(tmp_path):
+    # Only simulate draws random numbers; elsewhere --seed would be ignored.
+    path = write_config(tmp_path, BASE)
+    with pytest.raises(SystemExit) as exc:
+        main(["stationary", "--config", path, "--seed", "1"])
+    assert exc.value.code == 2
+
+
 def test_simulate_start_beyond_the_population_exits_three(tmp_path, capsys):
     path = write_config(tmp_path, SIM.replace("initial_state = 5", "initial_state = 50"))
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "res")]) == EXIT_ANALYSIS
@@ -528,8 +545,13 @@ def test_reproduce_all_with_gnuplot_stubs(tmp_path):
         ("simulate", SIM.replace("initial_state = 5", "initial_state = 50"), EXIT_ANALYSIS),
         ("sweep", BASE + "\n[sweep]\nvariable = n\nvalues = inf\n", EXIT_CONFIG),
         ("sweep", BASE + "\n[sweep]\nvariable = n\nstart = 2\nstop = 1e300\nstep = 1\n", EXIT_CONFIG),
+        ("sweep", RATIO_OF_PROPORTIONAL, EXIT_CONFIG),
+        ("sweep", RATIO_OF_ABSOLUTE, EXIT_CONFIG),
     ],
-    ids=["replicator-nan-rtol", "simulate-start-beyond-n", "sweep-infinite-n", "sweep-huge-grid"],
+    ids=[
+        "replicator-nan-rtol", "simulate-start-beyond-n", "sweep-infinite-n", "sweep-huge-grid",
+        "sweep-ratio-of-proportional", "sweep-ratio-of-absolute",
+    ],
 )
 def test_failed_command_leaves_no_output_directory(tmp_path, command, text, code):
     out_dir = tmp_path / "res"

@@ -118,7 +118,7 @@ def test_short_horizon_reports_non_convergence():
     p = calibrated_params()
     result = integrate(p, 0.1, horizon=1e-3, rtol=1e-10)
     assert not result.converged
-    assert result.trajectory[-1].time == pytest.approx(1e-3)
+    assert result.times[-1] == pytest.approx(1e-3)
 
 
 def test_short_horizon_matches_the_field():
@@ -136,7 +136,7 @@ def test_gain_speeds_time_but_not_the_destination():
     slow = integrate(p, 0.2, rtol=1e-10, gain=1.0)
     fast = integrate(p, 0.2, rtol=1e-10, gain=10.0)
     assert abs(slow.fixed_point - fast.fixed_point) < 1e-6
-    assert fast.trajectory[-1].time < slow.trajectory[-1].time
+    assert fast.times[-1] < slow.times[-1]
 
 
 def test_integration_rejects_boundary_starts():
