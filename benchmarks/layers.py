@@ -3,14 +3,14 @@
 Usage, from the repository root, with the number of the revision being
 recorded as the one argument:
 
-    python benchmarks/layers.py 8      # writes BENCH_8.json
+    python benchmarks/layers.py 9      # writes BENCH_9.json
 
 It imports netsel from the ``src/`` next to this directory and times one
 anchored Fermi chain per population size: ratio 1, one anchor per side,
 on the calibrated economy of the figures (C = 100, lambda = 30,
-x* = 0.68).  Each layer is called REPEATS times at each size after one
-untimed warm-up call, and the median wall time of the timed calls is
-recorded in milliseconds, next to the Python, numpy and scipy versions.
+x* = 0.68).  Each layer is timed in REPEATS spans at each size after one
+warm-up call, and the median wall time of a call is recorded in
+milliseconds, next to the Python, numpy and scipy versions.
 Every timed row is recorded twice: ``ms`` is the raw median, and
 ``scaled_ms`` the median of the same calls rescaled by
 ``perfbench/speed.py``'s ``Speedometer`` to its reference speed.  On a
@@ -18,6 +18,13 @@ shared machine raw medians of the same code swing by a third from one
 run to the next; the rescaled ones follow the machine's speed out.  The
 script pins itself, and so every process it launches, to one core, so
 that the speed samples are taken on the core that runs the work.
+A call shorter than SPAN_S is timed in batches: each timed span runs
+enough calls, by the warm-up's time, to last about SPAN_S (``calls`` in
+the row), so that the sampler, which fires every 10 ms, takes samples
+inside it; the row is then the median span divided by its calls.
+The absorption rows time ``absorption_table`` on the same chain without
+anchors at n = 10^3 to 10^5.  A kernel keeps its table once solved, so
+each call gets a fresh kernel, built outside the timed span.
 The Monte Carlo rows time ``montecarlo.run`` on the same chain at
 n = 100 (one replica of 2*10^5 events, untraced and traced at three
 decimations, and 2,000 replicas of 2*10^4 events), one replica of 2*10^6
@@ -34,9 +41,10 @@ The replicator row times ``replicator.integrate`` on the same economy
 from the README's start share 0.2 with the default settings, as
 ``netsel replicator`` runs it, with the number of samples it returns.
 The launch rows time fresh interpreters as a user starts them: ``import
-netsel.cli`` alone, ``netsel reproduce --figure all`` and ``netsel
-simulate`` on the README's example config, each with the peak resident
-memory of the process.
+netsel.cli`` alone, ``netsel reproduce --figure all``, and ``netsel
+simulate`` and ``netsel stationary`` on the README's example config, the
+latter also without anchors (an absorption table), each with the peak
+resident memory of the process.
 BLAS runs on one thread, as in ``perfbench``: on a small machine a
 threaded dot product of 10^4 elements waits milliseconds for its
 helper threads, which would hide the layer's own cost.
@@ -48,6 +56,7 @@ count of each ``src/netsel/*.py`` (as ``wc -l`` counts) and their total.
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import statistics
@@ -68,7 +77,9 @@ from speed import Speedometer  # noqa: E402
 from netsel import chain, model, montecarlo, protocols, replicator  # noqa: E402
 
 SIZES = (10**3, 10**4, 10**5, 10**6)
+ABSORB_SIZES = (10**3, 10**4, 10**5)
 REPEATS = 5
+SPAN_S = 0.02
 WALK_EVENTS = 200_000
 LONG_WALK_N, LONG_WALK_EVENTS = 1_000, 2_000_000
 REPLICAS, REPLICA_EVENTS = 2_000, 20_000
@@ -101,21 +112,33 @@ trajectory_decimation = 500
 SPEED = Speedometer()
 
 
-def rescaled(spans: list[tuple[float, float]], digits: int) -> dict[str, float]:
-    """Median of the (start, end) spans in ms, raw and at the reference speed."""
-    raw = statistics.median(end - start for start, end in spans)
-    scaled = statistics.median(SPEED.seconds(start, end) for start, end in spans)
+def rescaled(spans: list[tuple[float, float]], digits: int, calls: int = 1) -> dict[str, float]:
+    """Median of the (start, end) spans of ``calls`` calls each, in ms per
+    call, raw and at the reference speed."""
+    raw = statistics.median(end - start for start, end in spans) / calls
+    scaled = statistics.median(SPEED.seconds(start, end) for start, end in spans) / calls
     return {"ms": round(1e3 * raw, digits), "scaled_ms": round(1e3 * scaled, digits)}
 
 
-def median_ms(fn, digits: int = 2) -> dict[str, float]:
-    fn()
+def median_ms(fn, digits: int = 2, fresh=tuple) -> dict[str, float]:
+    """Median time of one ``fn(*fresh())`` call, after one warm-up call.
+
+    ``fresh()`` runs outside the timed spans.  A warm-up shorter than
+    SPAN_S sets how many calls each timed span runs, and the row says so.
+    """
+    args = fresh()
+    start = time.perf_counter()
+    fn(*args)
+    calls = max(1, math.ceil(SPAN_S / (time.perf_counter() - start)))
     spans = []
     for _ in range(REPEATS):
+        batch = [fresh() for _ in range(calls)]
         start = time.perf_counter()
-        fn()
+        for args in batch:
+            fn(*args)
         spans.append((start, time.perf_counter()))
-    return rescaled(spans, digits)
+    row = rescaled(spans, digits, calls)
+    return row if calls == 1 else {**row, "calls": calls}
 
 
 def economy() -> model.NetworkParams:
@@ -142,6 +165,17 @@ def layers_at(n: int) -> dict[str, float]:
         "expected_poa": lambda: model.expected_poa(params, law),
     }
     return {name: median_ms(fn, digits=4) for name, fn in timed.items()}
+
+
+def absorption_rows() -> dict[str, dict[str, float]]:
+    """``absorption_table`` on the unanchored chain, a fresh kernel per call."""
+    params = economy()
+    return {
+        str(n): median_ms(
+            chain.absorption_table, digits=4, fresh=lambda n=n: (fermi_kernel(params, n, anchors=0),)
+        )
+        for n in ABSORB_SIZES
+    }
 
 
 def montecarlo_rows() -> dict[str, dict[str, float]]:
@@ -265,10 +299,20 @@ def launch_rows() -> dict[str, dict[str, float]]:
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "experiment.ini"
         config.write_text(README_CONFIG, encoding="utf-8")
+        unanchored = Path(tmp) / "unanchored.ini"
+        unanchored.write_text(
+            README_CONFIG.replace("anchored_primary = 1", "anchored_primary = 0").replace(
+                "anchored_secondary = 1", "anchored_secondary = 0"
+            ),
+            encoding="utf-8",
+        )
         launches = {
             "import_netsel_cli": ["-c", "import netsel.cli"],
             "reproduce_all": ["-m", "netsel.cli", "reproduce", "--figure", "all", "--out", "figs"],
             "simulate_readme": ["-m", "netsel.cli", "simulate", "--config", str(config), "--out", "sim"],
+            "stationary_unanchored": [
+                "-m", "netsel.cli", "stationary", "--config", str(unanchored), "--out", "abs"
+            ],
         }
         rows = {}
         for name, argv in launches.items():
@@ -297,6 +341,7 @@ def main(argv: list[str]) -> None:
     with SPEED:
         time.sleep(0.1)  # the first rows take microseconds: sample the speed before them
         by_size = {n: layers_at(n) for n in SIZES}
+        absorption = absorption_rows()
         mc = montecarlo_rows()
         ode = replicator_row()
         windows = window_rows()
@@ -312,11 +357,16 @@ def main(argv: list[str]) -> None:
             "openblas_threads": os.environ["OPENBLAS_NUM_THREADS"],
         },
         "chain": "anchored Fermi, ratio 1, one anchor per side; C = 100, lambda = 30, x* = 0.68",
-        "statistic": f"median of {REPEATS} timed calls after one warm-up call",
+        "statistic": f"median of {REPEATS} timed spans after one warm-up call, per call; "
+        f"a row with calls ran that many calls per span to fill about {SPAN_S * 1e3:g} ms",
         "unit": "ms",
         "scaled_ms": "the same calls rescaled to perfbench/speed.py's reference speed, one core",
         "layers": {
             layer: {str(n): by_size[n][layer] for n in SIZES} for layer in by_size[SIZES[0]]
+        },
+        "absorption_table": {
+            "chain": "the same chain without anchors; a fresh kernel per call, built untimed",
+            "rows": absorption,
         },
         "montecarlo": {
             "chain": "the same chain at n = 100 (run_n1000_*: at n = 1,000); "
@@ -348,6 +398,8 @@ def main(argv: list[str]) -> None:
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     for layer, row in record["layers"].items():
         print(f"{layer:20s}" + "".join(f"{v['ms']:>10.3f}/{v['scaled_ms']:<8.3f}" for v in row.values()))
+    for n, row in absorption.items():
+        print(f"absorption_table {n:>8s}{row['ms']:>10.3f}/{row['scaled_ms']:<8.3f}")
     for name, row in mc.items():
         print(f"{name:22s}{row['ms']:>12.2f}/{row['scaled_ms']:<10.2f} ms{row['per_s']:>14,d} /s")
     print(f"{'replicator_integrate':22s}{ode['ms']:>12.2f}/{ode['scaled_ms']:<10.2f} ms"

@@ -18,6 +18,7 @@ separate on purpose so each can cross-check the others.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -125,6 +126,19 @@ class TransitionKernel:
         p[idx[:-1], idx[:-1] + 1] = self.up[:-1]
         p[idx[1:], idx[1:] - 1] = self.down[1:]
         return p
+
+    # A kernel is frozen and its arrays read-only, so its class and its
+    # absorption table are computed at most once; dataclasses.replace
+    # builds a new kernel, which starts with neither.
+    @cached_property
+    def _structure(self) -> ChainClass:
+        return classify(self)
+
+    @cached_property
+    def _absorption(self) -> np.ndarray:
+        table = _absorption_solve(self)
+        table.flags.writeable = False
+        return table
 
 
 @dataclass(frozen=True)
@@ -272,7 +286,7 @@ def classify(kernel: TransitionKernel) -> ChainClass:
 
 def _require(kernel: TransitionKernel, kind: str, purpose: str) -> None:
     """Raise ChainStructureError naming ``purpose`` unless ``kernel`` is of class ``kind``."""
-    structure = classify(kernel)
+    structure = kernel._structure
     if structure.kind != kind:
         raise ChainStructureError(
             f"{purpose} needs an {kind} kernel, got {structure.kind} ({structure.detail})"
@@ -358,30 +372,24 @@ def _product_form(kernel: TransitionKernel) -> StationaryDistribution:
     return StationaryDistribution(psi=psi, kind="product_form")
 
 
-def _tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Banded LU solve of A x = rhs; sub and sup run below and above A's diagonal."""
-    from scipy.linalg import solve_banded  # scipy loads only when a solve needs it
-
-    ab = np.zeros((3, len(diag)))
-    ab[0, 1:] = sup
-    ab[1] = diag
-    ab[2, :-1] = sub
-    return solve_banded((1, 1), ab, rhs)
-
-
 def _solve_balance_block(
     kernel: TransitionKernel, lo: int, hi: int, anchor_above: bool
 ) -> np.ndarray:
     """Solve the global-balance equations for psi[lo..hi] with one
     neighbouring state pinned to weight 1 (above hi or below lo)."""
+    from scipy.linalg import solve_banded  # scipy loads only when this route runs
+
     up, down = kernel.up, kernel.down
     rhs = np.zeros(hi - lo + 1)
     if anchor_above:
         rhs[-1] = -down[hi + 1]
     else:
         rhs[0] = -up[lo - 1]
-    diag = -(up[lo : hi + 1] + down[lo : hi + 1])
-    return _tridiagonal(up[lo:hi], diag, down[lo + 1 : hi + 1], rhs)
+    ab = np.zeros((3, hi - lo + 1))
+    ab[0, 1:] = down[lo + 1 : hi + 1]
+    ab[1] = -(up[lo : hi + 1] + down[lo : hi + 1])
+    ab[2, :-1] = up[lo:hi]
+    return solve_banded((1, 1), ab, rhs)
 
 
 def stationary_eigen(kernel: TransitionKernel) -> StationaryDistribution:
@@ -411,22 +419,78 @@ def stationary_eigen(kernel: TransitionKernel) -> StationaryDistribution:
     return StationaryDistribution(psi=psi, kind="eigenvector")
 
 
+def _eliminate(
+    sub: list[float], diag: list[float], sup: list[float], columns: list[list[float]]
+) -> list[list[float]]:
+    """Solve A x = b in place for each right-hand side b in ``columns``.
+
+    A is tridiagonal: ``diag`` on its diagonal, ``sub`` below it and
+    ``sup`` above it.  These are the float operations of LAPACK's dgtsv,
+    in its order: elimination with partial pivoting (rows i and i+1 swap
+    when |d_i| < |dl_i|, which fills a second super-diagonal dl), then
+    back substitution x_i = (b_i - du_i x_{i+1} - dl_i x_{i+2}) / d_i.
+    So on Python floats it gives the bits of
+    ``scipy.linalg.solve_banded((1, 1), ...)`` without loading scipy.
+    A zero pivot raises np.linalg.LinAlgError("singular matrix"), as
+    solve_banded does.
+    """
+    dl, d, du = list(sub), list(diag), list(sup)
+    m = len(d)
+    for i in range(m - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise np.linalg.LinAlgError("singular matrix")
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            for b in columns:
+                b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < m - 2:  # the last row has no second super-diagonal entry
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            for b in columns:
+                b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    if d[-1] == 0.0:
+        raise np.linalg.LinAlgError("singular matrix")
+    for b in columns:
+        b[-1] = b[-1] / d[-1]
+        if m > 1:
+            b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+        for i in range(m - 3, -1, -1):
+            b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return columns
+
+
 def _absorption_solve(kernel: TransitionKernel) -> np.ndarray:
     """Rows (P_0, P_n, expected steps) for every start state k0 = 0..n.
 
     The first-step equations on the interior states form one tridiagonal
     system with three right-hand sides (hit 0, hit n, accumulate time),
-    solved by a banded LU; the boundary rows are exact.
+    solved by :func:`_eliminate`, bit for bit as a banded LU in
+    ``scipy.linalg.solve_banded`` would solve it; the boundary rows are
+    exact.  It raises np.linalg.LinAlgError on a singular system.
     """
     n = kernel.n
     up, down = kernel.up, kernel.down
-    rhs = np.zeros((n - 1, 3))
-    rhs[:, 2] = 1.0
-    rhs[0, 0] = down[1]
-    rhs[-1, 1] = up[n - 1]
+    hit_0 = [0.0] * (n - 1)
+    hit_n = [0.0] * (n - 1)
+    hit_0[0] = float(down[1])
+    hit_n[-1] = float(up[n - 1])
+    solved = _eliminate(
+        (-down[2:n]).tolist(),
+        (up[1:n] + down[1:n]).tolist(),
+        (-up[1 : n - 1]).tolist(),
+        [hit_0, hit_n, [1.0] * (n - 1)],
+    )
     table = np.zeros((n + 1, 3))
     table[0, 0] = table[n, 1] = 1.0
-    table[1:n] = _tridiagonal(-down[2:n], up[1:n] + down[1:n], -up[1 : n - 1], rhs)
+    table[1:n] = np.transpose(solved)
     return table
 
 
@@ -435,22 +499,32 @@ def absorption_analysis(kernel: TransitionKernel, initial: int) -> AbsorptionRes
 
     The two hitting probabilities are solved for independently, so their
     sum is a genuine consistency diagnostic for the caller — it should
-    be 1 up to solver round-off.  For every start state at once, use
-    :func:`absorption_table`, which runs the same solve once.
+    be 1 up to solver round-off.  The kernel solves for every start state
+    at once and keeps the table, so calling this for each k0 = 0..n costs
+    one solve, as :func:`absorption_table` does.  ``initial`` must be an
+    integer state in 0..n (not a bool); ValueError otherwise.
     """
     _require(kernel, "absorbing", "absorption analysis")
     n = kernel.n
-    if not 0 <= initial <= n:
-        raise ValueError(f"initial state must lie in 0..{n}, got {initial}")
+    if (
+        not isinstance(initial, (int, np.integer))
+        or isinstance(initial, bool)
+        or not 0 <= initial <= n
+    ):
+        raise ValueError(f"initial state must be an integer in 0..{n}, got {initial!r}")
     if initial in (0, n):  # absorbed at once, even when the interior solve would fail
         return AbsorptionResult(float(initial == 0), float(initial == n), 0.0)
-    return AbsorptionResult(*_absorption_solve(kernel)[initial].tolist())
+    return AbsorptionResult(*kernel._absorption[initial].tolist())
 
 
 def absorption_table(kernel: TransitionKernel) -> list[AbsorptionResult]:
-    """:func:`absorption_analysis` for every start state k0 = 0..n, from one solve."""
+    """:func:`absorption_analysis` for every start state k0 = 0..n.
+
+    The table comes from one solve, which the kernel keeps: a second call,
+    or absorption_analysis on the same kernel, solves nothing again.
+    """
     _require(kernel, "absorbing", "absorption analysis")
-    return [AbsorptionResult(*row) for row in _absorption_solve(kernel).tolist()]
+    return [AbsorptionResult(*row) for row in kernel._absorption.tolist()]
 
 
 def long_run(kernel: TransitionKernel) -> tuple[ChainClass, StationaryDistribution | None]:
@@ -462,7 +536,7 @@ def long_run(kernel: TransitionKernel) -> tuple[ChainClass, StationaryDistributi
     built from this kernel and its ``params``.  A chain with none of the
     three raises ChainStructureError.
     """
-    structure = classify(kernel)
+    structure = kernel._structure
     if structure.kind == "irreducible":
         return structure, _product_form(kernel)
     if structure.kind == "absorbing":

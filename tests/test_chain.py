@@ -1,19 +1,22 @@
 """Kernel construction, chain classification, stationary laws, absorption."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
+from netsel import chain
 from netsel.chain import (
     ChainStructureError,
     PopulationConfig,
     StationaryDistribution,
     TransitionKernel,
     absorption_analysis,
+    absorption_table,
     build_kernel,
     classify,
     detailed_balance_residual,
@@ -553,8 +556,34 @@ def test_absorption_rejects_irreducible_kernel():
 
 def test_absorption_rejects_bad_start():
     kernel = build_kernel(calibrated_params(), PopulationConfig(n=10), Fermi(beta=400.0))
+    for initial in (11, -1, 2.5, True, np.float64(3.0)):
+        with pytest.raises(ValueError, match="initial state"):
+            absorption_analysis(kernel, initial)
+    assert absorption_analysis(kernel, np.int64(4)) == absorption_analysis(kernel, 4)
+
+
+def test_kernel_classifies_and_solves_its_absorption_table_once(monkeypatch):
+    params = calibrated_params()
+    kernel = build_kernel(params, PopulationConfig(n=12), fermi_from_ratio(params, 12, 1.0))
+    calls = {"classify": 0, "_eliminate": 0}
+    for name in calls:
+
+        def spy(*args, real=getattr(chain, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(chain, name, spy)
+    assert chain.long_run(kernel)[1] is None
+    rows = [absorption_analysis(kernel, k0) for k0 in range(13)]
+    assert absorption_table(kernel) == rows
+    assert calls == {"classify": 1, "_eliminate": 1}
+    assert not kernel._absorption.flags.writeable
     with pytest.raises(ValueError):
-        absorption_analysis(kernel, 11)
+        kernel._absorption[5, 0] = 0.0
+    fresh = dataclasses.replace(kernel, params=None)
+    assert "_structure" not in vars(fresh) and "_absorption" not in vars(fresh)
+    assert absorption_table(fresh) == rows
+    assert calls == {"classify": 2, "_eliminate": 2}
 
 
 # -- small tools ----------------------------------------------------------------------
@@ -641,6 +670,104 @@ def loop_absorption_interior(kernel):
     rhs[0, 0] = down[1]
     rhs[size - 1, 1] = up[n - 1]
     return solve_banded((1, 1), ab, rhs)
+
+
+# -- the absorption solve against solve_banded ----------------------------------------
+#
+# chain._eliminate repeats LAPACK dgtsv's float operations on Python floats;
+# scipy.linalg.solve_banded((1, 1), ...), which calls dgtsv (or divides
+# once for a 1 x 1 system), is the reference, bit for bit.
+
+
+def banded_reference(sub, diag, sup, rhs):
+    ab = np.zeros((3, len(diag)))
+    ab[0, 1:] = sup
+    ab[1] = diag
+    ab[2, :-1] = sub
+    return solve_banded((1, 1), ab, rhs)
+
+
+def eliminated(sub, diag, sup, rhs):
+    return np.transpose(chain._eliminate(sub, diag, sup, [c.tolist() for c in rhs.T]))
+
+
+# Either sign, magnitudes from 1e-6 to 1e7, and one value in five an exact zero.
+band_values = st.builds(
+    lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+    st.sampled_from((-1.0, -1.0, 0.0, 1.0, 1.0)),
+    st.floats(1.0, 10.0),
+    st.integers(-6, 6),
+)
+
+
+@st.composite
+def tridiagonal_systems(draw):
+    m = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 3))
+    sub = draw(st.lists(band_values, min_size=m - 1, max_size=m - 1))
+    # solve_banded divides a 1 x 1 system without a singularity check.
+    diag = draw(st.lists(band_values.filter(bool) if m == 1 else band_values, min_size=m, max_size=m))
+    sup = draw(st.lists(band_values, min_size=m - 1, max_size=m - 1))
+    rhs = draw(st.lists(band_values, min_size=m * k, max_size=m * k))
+    return sub, diag, sup, np.array(rhs).reshape(m, k)
+
+
+@settings(max_examples=250, deadline=None, database=None)
+@given(tridiagonal_systems())
+# Rows swap at the only step, at the last of two, and at each of three.
+@example(([4.0], [1.0, 2.0], [3.0], np.array([[1.0], [-2.0]])))
+@example(([1.0, 4.0], [3.0, 1.0, 2.0], [5.0, 3.0], np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 1.0]])))
+@example(([5.0, 6.0, 7.0], [1.0, -1.0, 1.0, 2.0], [2.0, 3.0, 4.0], np.eye(4)[:, :3]))
+def test_elimination_matches_solve_banded_bit_for_bit(system):
+    sub, diag, sup, rhs = system
+    try:
+        expected = banded_reference(sub, diag, sup, rhs)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+            eliminated(sub, diag, sup, rhs)
+        return
+    assert np.array_equal(eliminated(sub, diag, sup, rhs).view(np.int64), expected.view(np.int64))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    n=st.integers(2, 300),
+    ratio=st.one_of(st.just(0.0), st.floats(-2.0, 5.0).map(lambda e: 10.0**e)),
+    arrival=st.floats(1.0, 99.0),
+    target=st.floats(0.05, 0.95),
+)
+@example(n=2, ratio=1.0, arrival=30.0, target=0.68)  # solve_banded's own 1 x 1 branch
+@example(n=200, ratio=1e5, arrival=30.0, target=0.68)
+def test_absorption_solve_matches_solve_banded_bit_for_bit(n, ratio, arrival, target):
+    params = calibrated_params(arrival, target)
+    kernel = build_kernel(params, PopulationConfig(n=n), fermi_from_ratio(params, n, ratio))
+    try:
+        expected = loop_absorption_interior(kernel)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+            chain._absorption_solve(kernel)
+        return
+    table = chain._absorption_solve(kernel)
+    assert np.array_equal(table[1:n].view(np.int64), expected.view(np.int64))
+
+
+def test_zero_pivot_is_singular_on_both_sides():
+    # Absorbing, and nonsingular in exact arithmetic, but the first pivot
+    # 0.5 + 1e-20 rounds to 0.5, so the second, 0.5 - 0.5 * 0.5 / 0.5, is 0.
+    up = np.array([0.0, 0.5, 0.0, 0.0])
+    down = np.array([0.0, 1e-20, 0.5, 0.0])
+    kernel = TransitionKernel(up=up, down=down, stay=1.0 - up - down)
+    assert classify(kernel).kind == "absorbing"
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        loop_absorption_interior(kernel)
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        absorption_analysis(kernel, 1)
+    assert absorption_analysis(kernel, 3).prob_absorb_at_n == 1.0
+    zero = np.zeros((2, 1))
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        banded_reference([0.0], [0.0, 1.0], [1.0], zero)
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        eliminated([0.0], [0.0, 1.0], [1.0], zero)
 
 
 def test_classify_drain_scan_matches_the_loop():

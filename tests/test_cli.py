@@ -127,6 +127,17 @@ RATIO_SWEEP = "\n[sweep]\nvariable = beta_ratio\nvalues = 1, 10\n"
 # A beta_ratio sweep overrides a Fermi rule's ratio; these rules have none.
 RATIO_OF_PROPORTIONAL = BASE.replace("type = fermi\nbeta_ratio = 1.0", "type = proportional") + RATIO_SWEEP
 RATIO_OF_ABSOLUTE = BASE.replace("beta_ratio = 1.0", "beta_absolute = 50") + RATIO_SWEEP
+UNANCHORED = BASE.replace("anchored_primary = 1", "anchored_primary = 0").replace(
+    "anchored_secondary = 1", "anchored_secondary = 0"
+)
+# An absorbing chain whose absorption system is singular in floats: the
+# moves 1 -> 2 and 2 -> 1 have probability 1/3 each and every other move out
+# of 1 or 2 less than 1e-28, so the second pivot rounds to exactly 0.
+SINGULAR_ABSORPTION = (
+    UNANCHORED.replace("n = 10", "n = 3")
+    .replace("target_share = 0.68", "target_share = 0.5")
+    .replace("beta_ratio = 1.0", "beta_absolute = 100000")
+)
 
 
 @pytest.mark.parametrize(
@@ -251,9 +262,7 @@ def test_stationary_noise_free_two_point_law(tmp_path):
 
 
 def test_stationary_absorbing_falls_back_to_absorption_report(tmp_path, capsys):
-    config = BASE.replace("anchored_primary = 1", "anchored_primary = 0")
-    config = config.replace("anchored_secondary = 1", "anchored_secondary = 0")
-    path = write_config(tmp_path, config)
+    path = write_config(tmp_path, UNANCHORED)
     out_dir = tmp_path / "res"
     assert main(["stationary", "--config", path, "--out", str(out_dir)]) == EXIT_OK
     assert "absorbing" in capsys.readouterr().out
@@ -547,10 +556,11 @@ def test_reproduce_all_with_gnuplot_stubs(tmp_path):
         ("sweep", BASE + "\n[sweep]\nvariable = n\nstart = 2\nstop = 1e300\nstep = 1\n", EXIT_CONFIG),
         ("sweep", RATIO_OF_PROPORTIONAL, EXIT_CONFIG),
         ("sweep", RATIO_OF_ABSOLUTE, EXIT_CONFIG),
+        ("stationary", SINGULAR_ABSORPTION, EXIT_ANALYSIS),
     ],
     ids=[
         "replicator-nan-rtol", "simulate-start-beyond-n", "sweep-infinite-n", "sweep-huge-grid",
-        "sweep-ratio-of-proportional", "sweep-ratio-of-absolute",
+        "sweep-ratio-of-proportional", "sweep-ratio-of-absolute", "stationary-singular-absorption",
     ],
 )
 def test_failed_command_leaves_no_output_directory(tmp_path, command, text, code):
@@ -593,23 +603,29 @@ def test_config_directory_beats_the_environment(tmp_path, monkeypatch):
 COLD_START = """
 import sys
 from netsel.cli import main
-config, out = sys.argv[1:]
+config, unanchored, out = sys.argv[1:]
 for command in ("equilibrium", "stationary", "sweep", "simulate"):
     assert main([command, "--config", config, "--out", out, "--quiet"]) == 0, command
+assert main(["stationary", "--config", unanchored, "--out", out, "--quiet"]) == 0
+assert main(["reproduce", "--figure", "all", "--out", out, "--quiet"]) == 0
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
 def test_numpy_only_commands_never_load_scipy(tmp_path):
-    # scipy serves the banded solves and the replicator ODE only; a fresh
-    # interpreter must not pay for its import anywhere else.
+    # Of the commands, only replicator (its ODE) loads scipy: absorption
+    # tables are solved without it and stationary_eigen, the one banded
+    # solve left, runs in no command.  A fresh interpreter must not pay for
+    # scipy's import anywhere else.
     path = write_config(tmp_path, SIM + "\n[sweep]\nvariable = lambda\nvalues = 30, 35\n")
+    unanchored = write_config(tmp_path, UNANCHORED, name="unanchored.ini")
     src = str(Path(netsel.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
-        [sys.executable, "-c", COLD_START, path, str(tmp_path / "res")],
+        [sys.executable, "-c", COLD_START, path, unanchored, str(tmp_path / "res")],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-    assert (tmp_path / "res" / "histogram.csv").exists()
+    for name in ("histogram.csv", "absorption.csv", "fig2a_absorption.csv"):
+        assert (tmp_path / "res" / name).exists(), name
