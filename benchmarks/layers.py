@@ -23,8 +23,10 @@ enough calls, by the warm-up's time, to last about SPAN_S (``calls`` in
 the row), so that the sampler, which fires every 10 ms, takes samples
 inside it; the row is then the median span divided by its calls.
 The absorption rows time ``absorption_table`` on the same chain without
-anchors at n = 10^3 to 10^5.  A kernel keeps its table once solved, so
-each call gets a fresh kernel, built outside the timed span.
+anchors at n = 10^3 to 10^5: the solve and the classification, since
+the table is handed out as the kernel's own (n+1, 3) array.  A kernel
+keeps its table once solved, so each call gets a fresh kernel, built
+outside the timed span.
 The Monte Carlo rows time ``montecarlo.run`` on the same chain at
 n = 100 (one replica of 2*10^5 events, untraced and traced at three
 decimations, and 2,000 replicas of 2*10^4 events), one replica of 2*10^6

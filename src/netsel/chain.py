@@ -53,6 +53,11 @@ class ChainStructureError(ValueError):
     """An analysis was asked of a kernel whose structure does not support it."""
 
 
+def _is_int(value) -> bool:
+    """True for a Python or numpy integer; bools are refused as counts."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PopulationConfig:
     """Genuine population size plus per-operator anchored users.
@@ -67,50 +72,50 @@ class PopulationConfig:
     anchored_secondary: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool) or self.n < 2:
+        if not _is_int(self.n) or self.n < 2:
             raise ValueError(f"population needs at least 2 genuine users, got n={self.n!r}")
         for name in ("anchored_primary", "anchored_secondary"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 0:
+            if not _is_int(v) or v < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionKernel:
     """Per-state move probabilities of the birth-death chain.
 
-    ``up``, ``down`` and ``stay`` are read-only vectors indexed by the
-    state k = 0..n; each row satisfies up + down + stay = 1 with the
-    structural zeros up[n] = down[0] = 0.  ``params``, ``population``
-    and ``rule`` record what the kernel was built from and stay None for
-    hand-made kernels.
+    ``up`` and ``down`` are read-only vectors indexed by the state
+    k = 0..n, with the structural zeros up[n] = down[0] = 0.  The kernel
+    derives the read-only ``stay = 1 - up - down`` (refused if negative)
+    and ``move = up + down`` from them.  ``params``, ``population`` and
+    ``rule`` record what the kernel was built from and stay None for
+    hand-made kernels.  Kernels compare by identity.
     """
 
     up: np.ndarray
     down: np.ndarray
-    stay: np.ndarray
     params: NetworkParams | None = None
     population: PopulationConfig | None = None
-    rule: ImitationRule | None = field(default=None, compare=False)
+    rule: ImitationRule | None = None
+    stay: np.ndarray = field(init=False, repr=False)
+    move: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         up = np.array(self.up, dtype=float)
         down = np.array(self.down, dtype=float)
-        stay = np.array(self.stay, dtype=float)
-        if not (up.shape == down.shape == stay.shape) or up.ndim != 1 or up.size < 3:
-            raise ValueError("up/down/stay must be equal-length vectors over k = 0..n with n >= 2")
-        for name, arr in (("up", up), ("down", down), ("stay", stay)):
+        if up.shape != down.shape or up.ndim != 1 or up.size < 3:
+            raise ValueError("up/down must be equal-length vectors over k = 0..n with n >= 2")
+        for name, arr in (("up", up), ("down", down)):
             if not np.isfinite(arr).all() or arr.min() < 0.0 or arr.max() > 1.0:
                 raise ValueError(f"{name} entries must be probabilities in [0, 1]")
-        if np.abs(up + down + stay - 1.0).max() > 1e-12:
-            raise ValueError("rows must sum to 1: stay must absorb what up and down leave")
+        stay = 1.0 - up - down
+        if stay.min() < 0.0:
+            raise ValueError("rows must sum to 1: up + down exceeds 1 at some state")
         if up[-1] != 0.0 or down[0] != 0.0:
             raise ValueError("structural zeros violated: need up[n] == 0 and down[0] == 0")
-        for arr in (up, down, stay):
+        for name, arr in (("up", up), ("down", down), ("stay", stay), ("move", up + down)):
             arr.flags.writeable = False
-        object.__setattr__(self, "up", up)
-        object.__setattr__(self, "down", down)
-        object.__setattr__(self, "stay", stay)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -155,13 +160,13 @@ class ChainClass:
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StationaryDistribution:
     """Probability vector over the states k = 0..n plus how it was obtained.
 
     kind is one of "two_point_noise_free", "product_form", "eigenvector"
     or "empirical".  The vector is validated (nonnegative, sums to 1
-    within 1e-9) and stored read-only.
+    within 1e-9) and stored read-only.  Laws compare by identity.
     """
 
     psi: np.ndarray
@@ -243,10 +248,7 @@ def build_kernel(
     gain = np.where(np.abs(gain) <= tie_snap * np.maximum(np.abs(pi_p), abs(pi_s)), 0.0, gain)
     up = ((n - k) * (k + a_p)) / denom * rule.probabilities(gain)
     down = (k * (n - k + a_s)) / denom * rule.probabilities(-gain)
-    stay = 1.0 - up - down
-    return TransitionKernel(
-        up=up, down=down, stay=stay, params=params, population=population, rule=rule
-    )
+    return TransitionKernel(up=up, down=down, params=params, population=population, rule=rule)
 
 
 def classify(kernel: TransitionKernel) -> ChainClass:
@@ -387,7 +389,7 @@ def _solve_balance_block(
         rhs[0] = -up[lo - 1]
     ab = np.zeros((3, hi - lo + 1))
     ab[0, 1:] = down[lo + 1 : hi + 1]
-    ab[1] = -(up[lo : hi + 1] + down[lo : hi + 1])
+    ab[1] = -kernel.move[lo : hi + 1]
     ab[2, :-1] = up[lo:hi]
     return solve_banded((1, 1), ab, rhs)
 
@@ -484,7 +486,7 @@ def _absorption_solve(kernel: TransitionKernel) -> np.ndarray:
     hit_n[-1] = float(up[n - 1])
     solved = _eliminate(
         (-down[2:n]).tolist(),
-        (up[1:n] + down[1:n]).tolist(),
+        kernel.move[1:n].tolist(),
         (-up[1 : n - 1]).tolist(),
         [hit_0, hit_n, [1.0] * (n - 1)],
     )
@@ -506,25 +508,23 @@ def absorption_analysis(kernel: TransitionKernel, initial: int) -> AbsorptionRes
     """
     _require(kernel, "absorbing", "absorption analysis")
     n = kernel.n
-    if (
-        not isinstance(initial, (int, np.integer))
-        or isinstance(initial, bool)
-        or not 0 <= initial <= n
-    ):
+    if not _is_int(initial) or not 0 <= initial <= n:
         raise ValueError(f"initial state must be an integer in 0..{n}, got {initial!r}")
     if initial in (0, n):  # absorbed at once, even when the interior solve would fail
         return AbsorptionResult(float(initial == 0), float(initial == n), 0.0)
     return AbsorptionResult(*kernel._absorption[initial].tolist())
 
 
-def absorption_table(kernel: TransitionKernel) -> list[AbsorptionResult]:
+def absorption_table(kernel: TransitionKernel) -> np.ndarray:
     """:func:`absorption_analysis` for every start state k0 = 0..n.
 
-    The table comes from one solve, which the kernel keeps: a second call,
-    or absorption_analysis on the same kernel, solves nothing again.
+    Row k0 of the read-only (n+1, 3) array holds the AbsorptionResult
+    fields prob_absorb_at_0, prob_absorb_at_n and expected_steps.  It is
+    the kernel's own table, solved once: a second call, or
+    absorption_analysis on the same kernel, solves nothing again.
     """
     _require(kernel, "absorbing", "absorption analysis")
-    return [AbsorptionResult(*row) for row in kernel._absorption.tolist()]
+    return kernel._absorption
 
 
 def long_run(kernel: TransitionKernel) -> tuple[ChainClass, StationaryDistribution | None]:

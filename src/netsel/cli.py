@@ -42,17 +42,20 @@ OUT_DIR_ENV = "NETSEL_OUT_DIR"
 # ---------------------------------------------------------------------------
 
 
-def _resolve_out_dir(args: argparse.Namespace, config: ExperimentConfig | None) -> Path:
+def _resolve_out_dir(
+    args: argparse.Namespace, config: ExperimentConfig | None, optional: bool = False
+) -> Path | None:
     """--out flag beats the config's [output] directory beats $NETSEL_OUT_DIR
-    beats the working directory.  The directory is made by the first file
-    written into it, so a command that fails leaves none behind."""
+    beats the working directory, or None instead when ``optional``.  The
+    directory is made by the first file written into it, so a command
+    that fails leaves none behind."""
     if getattr(args, "out", None):
         return Path(args.out)
     if config is not None and config.output_directory():
         return Path(config.output_directory())
     if os.environ.get(OUT_DIR_ENV):
         return Path(os.environ[OUT_DIR_ENV])
-    return Path.cwd()
+    return None if optional else Path.cwd()
 
 
 def _write_csv(
@@ -106,8 +109,8 @@ def cmd_equilibrium(config: ExperimentConfig, args: argparse.Namespace) -> int:
     _say(quiet, f"optimal share              = {x_opt!r}")
     _say(quiet, f"minimal welfare            = {s_min!r}")
     _say(quiet, f"price of anarchy           = {poa!r}")
-    if args.out or config.output_directory() or os.environ.get(OUT_DIR_ENV):
-        out_dir = _resolve_out_dir(args, config)
+    out_dir = _resolve_out_dir(args, config, optional=True)
+    if out_dir is not None:
         rows = [
             ("share_primary", info.share_primary),
             ("rate_primary", info.rate_primary),
@@ -131,10 +134,7 @@ def cmd_equilibrium(config: ExperimentConfig, args: argparse.Namespace) -> int:
 def _write_absorption(
     path: Path, kernel: chain.TransitionKernel, meta: dict[str, Any], quiet: bool
 ) -> None:
-    rows = [
-        (k0, r.prob_absorb_at_0, r.prob_absorb_at_n, r.expected_steps)
-        for k0, r in enumerate(chain.absorption_table(kernel))
-    ]
+    rows = [(k0, *row) for k0, row in enumerate(chain.absorption_table(kernel).tolist())]
     header = ("k0", "prob_absorb_at_0", "prob_absorb_at_n", "expected_steps")
     _write_csv(path, header, rows, meta, quiet)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import StationaryDistribution, TransitionKernel, _require
+from .chain import StationaryDistribution, TransitionKernel, _is_int, _require
 
 __all__ = [
     "SimulationSpec",
@@ -88,19 +88,19 @@ class SimulationSpec:
     initial_state: int | str = INITIAL_UNIFORM
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
-        if not isinstance(self.steps, (int, np.integer)) or self.steps < 1:
+        if not _is_int(self.steps) or self.steps < 1:
             raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
         if self.burn_in is not None:
-            if not isinstance(self.burn_in, (int, np.integer)) or self.burn_in < 0:
+            if not _is_int(self.burn_in) or self.burn_in < 0:
                 raise ValueError(f"burn_in must be a nonnegative integer, got {self.burn_in!r}")
             if self.burn_in >= self.steps:
                 raise ValueError(
                     f"burn_in ({self.burn_in}) must be smaller than steps ({self.steps}), "
                     "otherwise no events remain to count"
                 )
-        if not isinstance(self.replicas, (int, np.integer)) or self.replicas < 1:
+        if not _is_int(self.replicas) or self.replicas < 1:
             raise ValueError(f"replicas must be a positive integer, got {self.replicas!r}")
         if isinstance(self.initial_state, str):
             if self.initial_state != INITIAL_UNIFORM:
@@ -108,7 +108,7 @@ class SimulationSpec:
                     f"initial_state must be an integer or {INITIAL_UNIFORM!r}, "
                     f"got {self.initial_state!r}"
                 )
-        elif not isinstance(self.initial_state, (int, np.integer)) or self.initial_state < 0:
+        elif not _is_int(self.initial_state) or self.initial_state < 0:
             raise ValueError(f"initial_state must be a nonnegative state, got {self.initial_state!r}")
 
     def resolve_burn_in(self, n: int) -> int:
@@ -117,7 +117,7 @@ class SimulationSpec:
         return min(10 * n * n, self.steps // 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OccupancyHistogram:
     """Post-burn-in visit counts over the states k = 0..n."""
 
@@ -143,7 +143,7 @@ class OccupancyHistogram:
         return StationaryDistribution(psi=self.frequencies(), kind="empirical")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
     """Everything a run produced.
 
@@ -224,8 +224,8 @@ def _window(
 
     At any k in [lo, hi], a draw below every up[k] steps up, one at or
     past every move[k] stays, and one from the largest up[k] to below
-    the smallest move[k] steps down, as move = up + down rounds to at
-    least up.  Only the rest, the odd draws, need their state.  By
+    the smallest move[k] steps down, as the float sum move of up and
+    down >= 0 rounds to at least up.  Only the rest, the odd draws, need their state.  By
     induction on the events, these are the loop's states while they
     stay in the window.
     """
@@ -283,7 +283,7 @@ def _lockstep(
         keep = t >= burn or keep_burn_in
         for j in range(end - t):
             u = draws[:, j]
-            # move = up + down with down >= 0 rounds to at least up, so
+            # move, the float sum of up and down >= 0, is at least up, so
             # u < up implies u < move: this adds 2 - 1 where _walk moves
             # up, 0 - 1 where it moves down, and 0 where it stays.
             k += 2 * (u < up[k]) - (u < move[k])
@@ -308,15 +308,15 @@ def run(
     give the same bits.
     """
     d = trajectory_decimation
-    if d is not None and d < 1:
-        raise ValueError(f"trajectory_decimation must be >= 1, got {d}")
+    if d is not None and (not _is_int(d) or d < 1):
+        raise ValueError(f"trajectory_decimation must be an integer >= 1, got {d!r}")
     n = kernel.n
     burn = spec.resolve_burn_in(n)
-    up = kernel.up
-    move = kernel.up + kernel.down
-    lockstep = spec.replicas >= _LOCKSTEP
-    groups = -(-spec.replicas // _GROUP) if lockstep else spec.replicas
-    bounds = [spec.replicas * i // groups for i in range(groups + 1)]
+    up, move = kernel.up, kernel.move
+    replicas = int(spec.replicas)  # Philox.jumped overflows on numpy integer offsets
+    lockstep = replicas >= _LOCKSTEP
+    groups = -(-replicas // _GROUP) if lockstep else replicas
+    bounds = [replicas * i // groups for i in range(groups + 1)]
     traced = d is not None
     counts = np.zeros(n + 1, dtype=np.int64)
     finals = []
@@ -352,7 +352,7 @@ def run(
         events = np.append(np.arange(0, spec.steps, d, dtype=np.int64), spec.steps)
         path = np.append(np.concatenate(samples)[: events.size - 1], final_states[0])
         trajectory = np.column_stack((events, path))
-    histogram = OccupancyHistogram(counts=counts, events_counted=(spec.steps - burn) * spec.replicas)
+    histogram = OccupancyHistogram(counts=counts, events_counted=(spec.steps - burn) * replicas)
     return RunResult(histogram=histogram, final_states=final_states, trajectory=trajectory)
 
 
@@ -384,8 +384,7 @@ def absorption_frequency(spec: SimulationSpec, kernel: TransitionKernel) -> Abso
     absorbed_at[at_boundary] = states[at_boundary]
     active_idx = np.flatnonzero(~at_boundary)
     k = states[active_idx]
-    up = kernel.up
-    move = kernel.up + kernel.down
+    up, move = kernel.up, kernel.move
     t = 0
     while active_idx.size and t < spec.steps:
         t += 1

@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntegrationResult:
     """Outcome of following the flow: samples, endpoint, and whether it settled.
 

@@ -157,7 +157,7 @@ def _random_irreducible_kernel(rng, n, spread=120.0):
     down = np.zeros(n + 1)
     up[:n] = scale * np.minimum(1.0, ratios)
     down[1:] = scale * np.minimum(1.0, 1.0 / ratios)
-    return TransitionKernel(up=up, down=down, stay=1.0 - up - down)
+    return TransitionKernel(up=up, down=down)
 
 
 def test_criterion_06_three_stationary_routes_agree():

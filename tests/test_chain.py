@@ -73,7 +73,7 @@ def random_irreducible_kernel(rng, n, spread=120.0):
     down = np.zeros(n + 1)
     up[:n] = scale * np.minimum(1.0, ratios)
     down[1:] = scale * np.minimum(1.0, 1.0 / ratios)
-    return TransitionKernel(up=up, down=down, stay=1.0 - up - down)
+    return TransitionKernel(up=up, down=down)
 
 
 def reconstruct_detailed_balance(kernel):
@@ -200,24 +200,46 @@ def test_kernel_arrays_read_only():
 
 
 def test_kernel_validation_rejects_broken_rows():
-    up = np.array([0.0, 0.3, 0.0])
-    down = np.array([0.0, 0.3, 0.0])
+    up = np.array([0.0, 0.6, 0.0])
+    down = np.array([0.0, 0.5, 0.0])
     with pytest.raises(ValueError, match="sum"):
-        TransitionKernel(up=up, down=down, stay=np.array([1.0, 0.5, 1.0]))
+        TransitionKernel(up=up, down=down)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    st.integers(2, 60),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.floats(0.0, 1e4),
+    st.integers(0, 2**32 - 1),
+)
+def test_kernel_derives_stay_and_move_once(n, a_p, a_s, beta, seed):
+    built = build_kernel(calibrated_params(), PopulationConfig(n, a_p, a_s), Fermi(beta=beta))
+    rng = np.random.default_rng(seed)
+    up, down = rng.uniform(0.0, 0.5, n + 1), rng.uniform(0.0, 0.5, n + 1)
+    up[n] = down[0] = 0.0
+    hand = TransitionKernel(up=up, down=down)
+    halved = dataclasses.replace(hand, down=hand.down / 2)
+    for kernel in (built, hand, halved, dataclasses.replace(built, params=None)):
+        assert kernel.stay.tobytes() == (1.0 - kernel.up - kernel.down).tobytes()
+        assert kernel.move.tobytes() == (kernel.up + kernel.down).tobytes()
+        assert not kernel.stay.flags.writeable and not kernel.move.flags.writeable
+    assert halved.move.tobytes() == (up + down / 2).tobytes()
 
 
 def test_kernel_validation_rejects_bad_structural_zeros():
     up = np.array([0.2, 0.2, 0.1])
     down = np.array([0.0, 0.2, 0.1])
     with pytest.raises(ValueError, match="structural"):
-        TransitionKernel(up=up, down=down, stay=1.0 - up - down)
+        TransitionKernel(up=up, down=down)
 
 
 def test_kernel_validation_rejects_negative_probabilities():
     up = np.array([0.2, -0.1, 0.0])
     down = np.array([0.0, 0.2, 0.1])
     with pytest.raises(ValueError):
-        TransitionKernel(up=up, down=down, stay=1.0 - up - down)
+        TransitionKernel(up=up, down=down)
 
 
 # -- classification -------------------------------------------------------------
@@ -263,7 +285,7 @@ def test_classify_frozen_interior_is_other():
     # Both boundaries trap but the middle cannot move at all: not absorbing.
     up = np.array([0.0, 0.0, 0.0, 0.0])
     down = np.array([0.0, 0.0, 0.0, 0.0])
-    kernel = TransitionKernel(up=up, down=down, stay=np.ones(4))
+    kernel = TransitionKernel(up=up, down=down)
     assert classify(kernel).kind == "other"
 
 
@@ -525,7 +547,7 @@ def test_absorption_symmetric_walk_closed_form():
     # k0 (n - k0) / (2p) = 8 events.
     up = np.array([0.0, 0.25, 0.25, 0.25, 0.0])
     down = np.array([0.0, 0.25, 0.25, 0.25, 0.0])
-    kernel = TransitionKernel(up=up, down=down, stay=1.0 - up - down)
+    kernel = TransitionKernel(up=up, down=down)
     result = absorption_analysis(kernel, 2)
     assert result.prob_absorb_at_0 == pytest.approx(0.5, rel=1e-12)
     assert result.prob_absorb_at_n == pytest.approx(0.5, rel=1e-12)
@@ -574,15 +596,17 @@ def test_kernel_classifies_and_solves_its_absorption_table_once(monkeypatch):
 
         monkeypatch.setattr(chain, name, spy)
     assert chain.long_run(kernel)[1] is None
-    rows = [absorption_analysis(kernel, k0) for k0 in range(13)]
-    assert absorption_table(kernel) == rows
+    rows = np.array([dataclasses.astuple(absorption_analysis(kernel, k0)) for k0 in range(13)])
+    table = absorption_table(kernel)
+    assert table is kernel._absorption and table.shape == (13, 3)
+    assert table.tobytes() == rows.tobytes()
     assert calls == {"classify": 1, "_eliminate": 1}
-    assert not kernel._absorption.flags.writeable
+    assert not table.flags.writeable
     with pytest.raises(ValueError):
-        kernel._absorption[5, 0] = 0.0
+        table[5, 0] = 0.0
     fresh = dataclasses.replace(kernel, params=None)
     assert "_structure" not in vars(fresh) and "_absorption" not in vars(fresh)
-    assert absorption_table(fresh) == rows
+    assert absorption_table(fresh).tobytes() == rows.tobytes()
     assert calls == {"classify": 2, "_eliminate": 2}
 
 
@@ -756,7 +780,7 @@ def test_zero_pivot_is_singular_on_both_sides():
     # 0.5 + 1e-20 rounds to 0.5, so the second, 0.5 - 0.5 * 0.5 / 0.5, is 0.
     up = np.array([0.0, 0.5, 0.0, 0.0])
     down = np.array([0.0, 1e-20, 0.5, 0.0])
-    kernel = TransitionKernel(up=up, down=down, stay=1.0 - up - down)
+    kernel = TransitionKernel(up=up, down=down)
     assert classify(kernel).kind == "absorbing"
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
         loop_absorption_interior(kernel)
@@ -778,7 +802,7 @@ def test_classify_drain_scan_matches_the_loop():
         up = np.where(rng.random(n + 1) < 0.7, 0.2, 0.0)
         down = np.where(rng.random(n + 1) < 0.7, 0.3, 0.0)
         up[0] = up[n] = down[0] = down[n] = 0.0
-        kernel = TransitionKernel(up=up, down=down, stay=1.0 - up - down)
+        kernel = TransitionKernel(up=up, down=down)
         expected = "absorbing" if loop_drains(up, down) else "other"
         assert classify(kernel).kind == expected
         seen.add(expected)

@@ -54,7 +54,7 @@ def gambler_kernel():
     average and splits evenly."""
     up = np.array([0.0, 0.25, 0.25, 0.25, 0.0])
     down = np.array([0.0, 0.25, 0.25, 0.25, 0.0])
-    return TransitionKernel(up=up, down=down, stay=1.0 - up - down)
+    return TransitionKernel(up=up, down=down)
 
 
 def step(kernel, state, rng):
@@ -87,11 +87,28 @@ def step(kernel, state, rng):
         dict(seed=0, steps=10, replicas=0),
         dict(seed=0, steps=10, initial_state="everywhere"),
         dict(seed=0, steps=10, initial_state=-3),
+        dict(seed=True, steps=10),
+        dict(seed=0, steps=True),
+        dict(seed=0, steps=10.0),
+        dict(seed=0, steps=10, burn_in=True),
+        dict(seed=0, steps=10, replicas=True),
+        dict(seed=0, steps=10, initial_state=True),
+        dict(seed=0, steps=10, initial_state=4.0),
     ],
 )
 def test_spec_rejects_bad_fields(kwargs):
     with pytest.raises(ValueError):
         SimulationSpec(**kwargs)
+
+
+def test_spec_takes_numpy_integers():
+    spec = SimulationSpec(
+        seed=np.uint64(3), steps=np.int64(50), burn_in=np.int32(5), replicas=np.int64(2),
+        initial_state=np.int64(4),
+    )  # fmt: skip
+    plain = SimulationSpec(seed=3, steps=50, burn_in=5, replicas=2, initial_state=4)
+    kernel = fermi_kernel()
+    assert run(spec, kernel).final_states.tolist() == run(plain, kernel).final_states.tolist()
 
 
 def test_burn_in_resolution():
@@ -265,8 +282,11 @@ def test_full_path_trajectory():
 def test_run_rejects_bad_decimation_and_start():
     kernel = fermi_kernel()
     spec = SimulationSpec(seed=0, steps=10, initial_state=5)
-    with pytest.raises(ValueError):
-        run(spec, kernel, trajectory_decimation=0)
+    for decimation in (0, 2.5, True, np.float64(2.0)):
+        with pytest.raises(ValueError, match="trajectory_decimation"):
+            run(spec, kernel, trajectory_decimation=decimation)
+    traced = run(spec, kernel, trajectory_decimation=np.int64(2)).trajectory
+    assert traced.tolist() == run(spec, kernel, trajectory_decimation=2).trajectory.tolist()
     with pytest.raises(ValueError, match="exceeds"):
         run(SimulationSpec(seed=0, steps=10, initial_state=11), kernel)
 
@@ -490,8 +510,8 @@ def test_window_refuses_states_it_cannot_decide():
     # would read row 2 without an error.
     up = np.array([0.5, 0.2, 0.4, 0.1, 0.0])
     down = np.array([0.0, 0.3, 0.1, 0.3, 0.5])
-    kernel = TransitionKernel(up=up, down=down, stay=1.0 - up - down)
-    move = kernel.up + kernel.down
+    kernel = TransitionKernel(up=up, down=down)
+    move = kernel.move
     assert montecarlo._window(kernel.up, move, 0, 0, 1, np.array([0.1, 0.1, 0.3])) is None
     assert montecarlo._window(kernel.up, move, 1, 1, 2, np.array([0.45, 0.3])) is None
     whole = montecarlo._window(kernel.up, move, 0, 0, 4, np.array([0.1, 0.1, 0.3]))
