@@ -222,8 +222,8 @@ def build_kernel(
         up[k]   = (n-k)/n * (k + a_p) / (n - 1 + a_p + a_s) * q(pi_p(k) - pi_s)
         down[k] = k/n * (n-k + a_s) / (n - 1 + a_p + a_s) * q(pi_s - pi_p(k))
 
-    All states are built in one array pass, one ``rule.probabilities``
-    call per direction.  The counting numerators are multiplied in int64
+    All states are built in one array pass, with one ``rule.pair`` call
+    for both directions.  The counting numerators are multiplied in int64
     before the single division, so symmetric weights cancel exactly (a
     fair-coin rule on an anchored chain gives a *bitwise* uniform law).
     The counts must convert to float exactly: ValueError when
@@ -246,8 +246,9 @@ def build_kernel(
     gain = pi_p - pi_s
     tie_snap = 32.0 * np.finfo(float).eps
     gain = np.where(np.abs(gain) <= tie_snap * np.maximum(np.abs(pi_p), abs(pi_s)), 0.0, gain)
-    up = ((n - k) * (k + a_p)) / denom * rule.probabilities(gain)
-    down = (k * (n - k + a_s)) / denom * rule.probabilities(-gain)
+    q_up, q_down = rule.pair(gain)
+    up = ((n - k) * (k + a_p)) / denom * q_up
+    down = (k * (n - k + a_s)) / denom * q_down
     return TransitionKernel(up=up, down=down, params=params, population=population, rule=rule)
 
 

@@ -264,8 +264,9 @@ def expected_poa(params: NetworkParams, distribution) -> float:
     k = 0..n (anything exposing a ``psi`` attribute, or an array-like of
     length n + 1).  Returns sum_k S(k/n) * psi_k / S_min, which is >= 1
     for every distribution because S >= S_min pointwise.  Rejects vectors
-    that fail to sum to 1 within 1e-9 or carry negative mass.  S comes
-    from one array call of :func:`social_welfare`, bitwise the scalar values.
+    that carry negative or non-finite mass or fail to sum to 1 within
+    1e-9.  S comes from one array call of :func:`social_welfare`,
+    bitwise the scalar values.
     """
     psi = np.asarray(getattr(distribution, "psi", distribution), dtype=float)
     if psi.ndim != 1 or psi.size < 2:
@@ -273,6 +274,8 @@ def expected_poa(params: NetworkParams, distribution) -> float:
     if psi.min() < -1e-12:
         raise ValueError(f"distribution has negative mass: min entry {psi.min()!r}")
     total = float(psi.sum())
+    if not math.isfinite(total):  # a NaN entry passes the sign test and the tolerance below
+        raise ValueError(f"distribution has non-finite mass: entries sum to {total!r}")
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"distribution is not normalised: entries sum to {total!r}")
     n = psi.size - 1

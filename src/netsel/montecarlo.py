@@ -369,15 +369,12 @@ def absorption_frequency(spec: SimulationSpec, kernel: TransitionKernel) -> Abso
     """
     _require(kernel, "absorbing", "absorption sampling")
     n = kernel.n
-    total = spec.replicas
+    total = int(spec.replicas)
     gen = np.random.Generator(np.random.Philox(key=spec.seed))
     if isinstance(spec.initial_state, str):
         states = gen.integers(1, n, size=total).astype(np.int64)
-    else:
-        k0 = int(spec.initial_state)
-        if k0 > n:
-            raise ValueError(f"initial_state {k0} exceeds the largest state {n}")
-        states = np.full(total, k0, dtype=np.int64)
+    else:  # a given start draws nothing
+        states = np.full(total, _resolve_initial(spec, n, gen), dtype=np.int64)
     absorbed_at = np.full(total, -1, dtype=np.int64)
     steps_taken = np.zeros(total, dtype=np.int64)
     at_boundary = (states == 0) | (states == n)

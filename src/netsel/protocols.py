@@ -33,17 +33,18 @@ __all__ = [
 class ImitationRule(abc.ABC):
     """Nondecreasing map from a payoff difference to a switch probability.
 
-    Subclasses define :meth:`probability` on one float; :meth:`probabilities`
-    maps it over a vector and may be overridden by bitwise-equal array code.
+    Subclasses define :meth:`pair` on a vector: a chain needs q at the
+    gain of each state to climb and at its negation to descend, and a
+    rule may share work between the two.  :meth:`probability` is derived.
     """
 
     @abc.abstractmethod
+    def pair(self, payoff_diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(q(z), q(-z)) for each element z of a float vector."""
+
     def probability(self, payoff_diff: float) -> float:
         """Probability of copying the opponent given the payoff difference."""
-
-    def probabilities(self, payoff_diffs: np.ndarray) -> np.ndarray:
-        """:meth:`probability` of each element of a vector, passed as a Python float."""
-        return np.fromiter(map(self.probability, np.asarray(payoff_diffs, float).tolist()), float)
+        return float(self.pair(np.array([payoff_diff], dtype=float))[0][0])
 
 
 @dataclass(frozen=True)
@@ -62,14 +63,9 @@ class PairwiseProportional(ImitationRule):
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
-    def probability(self, payoff_diff: float) -> float:
-        if payoff_diff <= 0.0:
-            return 0.0
-        return min(1.0, self.scale * payoff_diff)
-
-    def probabilities(self, payoff_diffs: np.ndarray) -> np.ndarray:
+    def pair(self, payoff_diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z = np.asarray(payoff_diffs, dtype=float)
-        return np.where(z <= 0.0, 0.0, np.minimum(1.0, self.scale * z))
+        return tuple(np.where(d <= 0.0, 0.0, np.minimum(1.0, self.scale * d)) for d in (z, -z))
 
 
 @dataclass(frozen=True)
@@ -81,8 +77,11 @@ class Fermi(ImitationRule):
     the noise-free step function.  q is strictly positive everywhere and
     satisfies q(z) + q(-z) = 1.
 
-    :meth:`probabilities` takes each exponential from ``math.exp`` too:
-    numpy's vectorised ``exp`` may differ from libm in the last ulp.
+    Both directions share e = exp(-|beta * z|): q is 1 / (1 + e) on the
+    side where beta * z >= 0 and e / (1 + e) on the other, so large |z|
+    saturates to 0/1 instead of overflowing.  Each exponential comes from
+    ``math.exp``, once per element: numpy's vectorised ``exp`` may differ
+    from libm in the last ulp.
     """
 
     beta: float
@@ -91,19 +90,11 @@ class Fermi(ImitationRule):
         if not (math.isfinite(self.beta) and self.beta >= 0):
             raise ValueError(f"beta must be nonnegative and finite, got {self.beta}")
 
-    def probability(self, payoff_diff: float) -> float:
-        z = self.beta * payoff_diff
-        # Evaluate through exp of a nonpositive argument only, so large
-        # |z| saturates to 0/1 instead of overflowing.
-        if z >= 0.0:
-            return 1.0 / (1.0 + math.exp(-z))
-        e = math.exp(z)
-        return e / (1.0 + e)
-
-    def probabilities(self, payoff_diffs: np.ndarray) -> np.ndarray:
+    def pair(self, payoff_diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z = self.beta * np.asarray(payoff_diffs, dtype=float)
         e = np.fromiter(map(math.exp, (-np.abs(z)).tolist()), float, z.size)
-        return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        high, low = 1.0 / (1.0 + e), e / (1.0 + e)
+        return np.where(z >= 0.0, high, low), np.where(z <= 0.0, high, low)
 
 
 @dataclass(frozen=True)
@@ -133,8 +124,9 @@ class CustomRule(ImitationRule):
             if b < a - 1e-12:
                 raise ValueError("rule is not nondecreasing on the check grid")
 
-    def probability(self, payoff_diff: float) -> float:
-        return float(self.fn(payoff_diff))
+    def pair(self, payoff_diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        z = np.asarray(payoff_diffs, dtype=float)
+        return tuple(np.fromiter(map(self.fn, d.tolist()), float, d.size) for d in (z, -z))
 
 
 def beta_reference(params: NetworkParams, n: int) -> float:

@@ -86,8 +86,8 @@ def mean_dynamics_rhs(rule: ImitationRule, params: NetworkParams, share: float) 
     if not 0.0 <= share <= 1.0:
         raise ValueError(f"share must lie in [0, 1], got {share}")
     diff = model.utility_primary_at_share(params, share) - model.utility_secondary(params)
-    net = rule.probability(diff) - rule.probability(-diff)
-    return share * (1.0 - share) * net
+    q_up, q_down = rule.pair(np.array([diff]))
+    return share * (1.0 - share) * float(q_up[0] - q_down[0])
 
 
 def integrate(

@@ -37,6 +37,7 @@ from netsel.model import (
     utility_secondary,
 )
 from netsel.protocols import CustomRule, Fermi, PairwiseProportional, fermi_from_ratio
+from test_protocols import scalar_q
 
 
 def calibrated_params(arrival=30.0, target=0.68):
@@ -828,7 +829,8 @@ def test_sliced_banded_assembly_matches_the_loop():
 # -- loop references for the array kernel and expected PoA -------------------------------
 #
 # build_kernel and expected_poa evaluate every state in one array pass;
-# the per-state loops they replaced are the reference, bit for bit.
+# the per-state loops they replaced are the reference, bit for bit.  The
+# loop takes q from the rule's scalar formula, not from the rule object.
 
 
 def loop_kernel(params, population, rule):
@@ -848,8 +850,8 @@ def loop_kernel(params, population, rule):
         if abs(gain) <= tie_snap * max(abs(pi_p), abs(pi_s)):
             gain = 0.0
             snapped.append(k)
-        up[k] = ((n - k) * (k + a_p)) / denom * rule.probability(gain)
-        down[k] = (k * (n - k + a_s)) / denom * rule.probability(-gain)
+        up[k] = ((n - k) * (k + a_p)) / denom * scalar_q(rule, gain)
+        down[k] = (k * (n - k + a_s)) / denom * scalar_q(rule, -gain)
     return up, down, 1.0 - up - down, snapped
 
 

@@ -382,3 +382,9 @@ def test_expected_poa_rejects_negative_mass():
     psi[1] -= 2.0 / 11.0
     with pytest.raises(ValueError, match="negative"):
         expected_poa(p, psi)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_expected_poa_rejects_non_finite_mass(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        expected_poa(calibrated_params(), np.array([bad, 0.5, 0.5]))

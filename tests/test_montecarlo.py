@@ -666,3 +666,11 @@ def test_absorption_sampling_rejects_foreign_starts():
         absorption_frequency(
             SimulationSpec(seed=0, steps=10, initial_state=9), gambler_kernel()
         )
+
+
+def test_absorption_sampling_reports_replicas_as_a_python_int():
+    kernel = gambler_kernel()
+    plain = absorption_frequency(SimulationSpec(seed=3, steps=100, replicas=300), kernel)
+    numpy = absorption_frequency(SimulationSpec(seed=3, steps=100, replicas=np.int64(300)), kernel)
+    assert type(numpy.replicas) is int
+    assert repr(numpy) == repr(plain)

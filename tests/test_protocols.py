@@ -21,6 +21,19 @@ from netsel.protocols import (
 )
 
 
+def scalar_q(rule, z):
+    """The rule's formula on one Python float: the reference for ``pair``."""
+    if isinstance(rule, PairwiseProportional):
+        return 0.0 if z <= 0.0 else min(1.0, rule.scale * z)
+    if isinstance(rule, Fermi):
+        z = rule.beta * z
+        if z >= 0.0:
+            return 1.0 / (1.0 + math.exp(-z))
+        e = math.exp(z)
+        return e / (1.0 + e)
+    return float(rule.fn(z))
+
+
 def calibrated_params():
     gap = calibrate_price_gap(100.0, 30.0, 1.0, 0.68)
     return NetworkParams(100.0, 30.0, 1.0, gap, 0.0)
@@ -145,26 +158,47 @@ def test_rule_arrays_match_the_scalar_rule_bitwise(rule):
     zs = np.concatenate(
         [EDGE_DIFFS, rng.normal(scale=1e-3, size=500), rng.normal(scale=3.0, size=500)]
     )
-    expected = np.array([rule.probability(z) for z in zs.tolist()])
-    got = rule.probabilities(zs)
-    assert got.dtype == np.float64 and got.shape == zs.shape
-    assert got.tobytes() == expected.tobytes()
+    q_up, q_down = rule.pair(zs)
+    for got, diffs in ((q_up, zs.tolist()), (q_down, (-zs).tolist())):
+        assert got.dtype == np.float64 and got.shape == zs.shape
+        assert got.tobytes() == np.array([scalar_q(rule, z) for z in diffs]).tobytes()
+    assert np.array([rule.probability(z) for z in zs.tolist()]).tobytes() == q_up.tobytes()
+
+
+def step(z):
+    return 1.0 if z > 0.0 else 0.0
 
 
 class Step(ImitationRule):
-    """A third-party rule that defines the scalar method only."""
+    """A third-party rule that defines the scalar method only, so it stays abstract."""
 
     def probability(self, payoff_diff):
-        return 1.0 if payoff_diff > 0.0 else 0.0
+        return step(payoff_diff)
 
 
 def test_scalar_only_rule_builds_a_kernel():
-    rule = Step()
-    assert rule.probabilities(np.array([-1.0, 0.0, 2.0])).tolist() == [0.0, 0.0, 1.0]
+    with pytest.raises(TypeError, match="pair"):
+        Step()
+    # The same scalar map comes in through CustomRule instead.
+    rule = CustomRule(fn=step)
+    assert [a.tolist() for a in rule.pair(np.array([-1.0, 0.0, 2.0]))] == [
+        [0.0, 0.0, 1.0],
+        [1.0, 0.0, 0.0],
+    ]
     kernel = build_kernel(calibrated_params(), PopulationConfig(n=10), rule)
     # Noise-free one-way flow: climbs only below k* = 7, descends only from it.
     assert np.flatnonzero(kernel.up).tolist() == list(range(1, 7))
     assert np.flatnonzero(kernel.down).tolist() == list(range(7, 10))
+
+
+def test_fermi_kernel_takes_each_exponential_once(monkeypatch):
+    calls = []
+    exp = math.exp
+    monkeypatch.setattr(math, "exp", lambda x: calls.append(x) or exp(x))
+    n = 1000
+    build_kernel(calibrated_params(), PopulationConfig(n, 1, 1), Fermi(beta=0.3))
+    # One exponential per state serves both directions.
+    assert len(calls) == n + 1
 
 
 # -- payoff scale ------------------------------------------------------------------
