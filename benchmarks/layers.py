@@ -44,9 +44,9 @@ from the README's start share 0.2 with the default settings, as
 ``netsel replicator`` runs it, with the number of samples it returns.
 The launch rows time fresh interpreters as a user starts them: ``import
 netsel.cli`` alone, ``netsel reproduce --figure all``, and ``netsel
-simulate`` and ``netsel stationary`` on the README's example config, the
-latter also without anchors (an absorption table), each with the peak
-resident memory of the process.
+simulate``, ``netsel replicator`` and ``netsel stationary`` on the
+README's example config, the last also without anchors (an absorption
+table), each with the peak resident memory of the process.
 BLAS runs on one thread, as in ``perfbench``: on a small machine a
 threaded dot product of 10^4 elements waits milliseconds for its
 helper threads, which would hide the layer's own cost.
@@ -87,7 +87,7 @@ LONG_WALK_N, LONG_WALK_EVENTS = 1_000, 2_000_000
 REPLICAS, REPLICA_EVENTS = 2_000, 20_000
 ABSORB_REPLICAS = 10_000
 ENGINE_REPLICAS = (32, 64, 128, 256, 2_000)
-# The README's example config: what ``netsel simulate`` runs by default.
+# The README's example config: what ``netsel simulate`` and ``netsel replicator`` run.
 README_CONFIG = """\
 [network]
 capacity = 100
@@ -109,6 +109,9 @@ steps = 20000
 replicas = 2
 initial_state = 5
 trajectory_decimation = 500
+
+[replicator]
+initial_share = 0.2
 """
 # Samples the machine's speed while main() runs.
 SPEED = Speedometer()
@@ -312,6 +315,9 @@ def launch_rows() -> dict[str, dict[str, float]]:
             "import_netsel_cli": ["-c", "import netsel.cli"],
             "reproduce_all": ["-m", "netsel.cli", "reproduce", "--figure", "all", "--out", "figs"],
             "simulate_readme": ["-m", "netsel.cli", "simulate", "--config", str(config), "--out", "sim"],
+            "replicator_readme": [
+                "-m", "netsel.cli", "replicator", "--config", str(config), "--out", "ode"
+            ],
             "stationary_unanchored": [
                 "-m", "netsel.cli", "stationary", "--config", str(unanchored), "--out", "abs"
             ],
@@ -392,7 +398,7 @@ def main(argv: list[str]) -> None:
             "speedup": "walk_ms / lockstep_ms",
         },
         "launches": {
-            "what": "fresh interpreters; reproduce and simulate through python -m netsel.cli",
+            "what": "fresh interpreters; the commands through python -m netsel.cli",
             "rows": launches,
         },
         "src_lines": src_lines(),

@@ -101,8 +101,10 @@ def integrate(
 
     Runs an adaptive Runge-Kutta pair and stops once |dx/dt| falls below
     rtol * gain — a derivative criterion, so a trajectory crawling slowly
-    toward a boundary is not mistaken for a settled one.  The start must
-    be strictly interior (the boundaries are fixed points; integrating
+    toward a boundary is not mistaken for a settled one.  The pair and the
+    location of the stop are scipy 1.17.1's RK45 and brentq, ported below,
+    so the samples do not depend on the installed scipy version.  The start
+    must be strictly interior (the boundaries are fixed points; integrating
     from one would be a constant).  Samples are clipped to [0, 1] against
     integrator round-off.
     """
@@ -117,31 +119,155 @@ def integrate(
         raise ValueError(f"rtol must be positive and finite, got {rtol}")
     if not (math.isfinite(gain) and gain > 0):
         raise ValueError(f"gain must be positive and finite, got {gain}")
-    from scipy.integrate import solve_ivp  # scipy loads only when a solve needs it
-
     threshold = rtol * gain
 
-    def field(_t: float, y: np.ndarray) -> list[float]:
-        return [replicator_rhs(params, min(max(float(y[0]), 0.0), 1.0), gain)]
+    def drift(y: np.ndarray) -> float:
+        return replicator_rhs(params, min(max(float(y[0]), 0.0), 1.0), gain)
 
-    def settled(t: float, y: np.ndarray) -> float:
-        return abs(field(t, y)[0]) - threshold
+    def settled(y: np.ndarray) -> float:
+        return abs(drift(y)) - threshold
 
-    settled.terminal = True  # type: ignore[attr-defined]
-
-    if abs(field(0.0, np.array([initial_share]))[0]) <= threshold:
+    start = np.array([initial_share], dtype=float)
+    if settled(start) <= 0:
         return IntegrationResult(np.array([[0.0, initial_share]]), converged=True)
+    times, states, converged = _rk45(lambda y: np.array([drift(y)]), settled, start, float(horizon))
+    shares = np.clip(np.concatenate(states), 0.0, 1.0)
+    return IntegrationResult(np.column_stack((times, shares)), converged=converged)
 
-    solution = solve_ivp(
-        field,
-        (0.0, horizon),
-        [initial_share],
-        method="RK45",
-        rtol=1e-12,
-        atol=1e-14,
-        events=settled,
-    )
-    shares = np.clip(solution.y[0], 0.0, 1.0)
-    return IntegrationResult(
-        np.column_stack((solution.t, shares)), converged=bool(solution.status == 1)
-    )
+
+# The rest of this module is scipy 1.17.1's solve_ivp(method="RK45",
+# rtol=1e-12, atol=1e-14) with one terminal event of direction 0, cut down
+# to one dimension, forward time and an autonomous field (so the tableau's
+# stage times C drop out) and ported operation for operation: the
+# Dormand-Prince 5(4) pair and its quartic dense output (J. Comput. Appl.
+# Math. 6, 1980), and scipy's C brentq for the event (Brent, Algorithms for
+# Minimization Without Derivatives, 1973, ch. 4).  The numpy calls keep
+# scipy's shapes, so both take the same BLAS path and give the same bits.
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.  All rights
+# reserved.  Used under the BSD 3-Clause licence; its conditions and
+# disclaimer are in LICENSES/scipy.txt at the root of the repository.
+
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])  # fmt: skip
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])  # fmt: skip
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])  # fmt: skip
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])  # fmt: skip
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _rk45(rate, event, y: np.ndarray, t_bound: float) -> tuple[list, list, bool]:
+    """solve_ivp's times, states and whether the event fired; ``event(y)`` > 0 at
+    the start.  A step below ten ulps of t ends the run unsettled (status -1)."""
+    rtol, atol = 1e-12, 1e-14
+    f = rate(y)
+    scale = atol + np.abs(y) * rtol  # select_initial_step
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound)
+    d2 = _rms((rate(y + h0 * f) - f) / scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, t_bound)
+    t, g, times, states = 0.0, event(y), [0.0], [y]
+    K = np.empty((7, 1))
+    while True:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)  # RungeKutta._step_impl
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if h_abs < min_step:
+                return times, states, False
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s in range(1, 6):
+                K[s] = rate(y + np.dot(K[:s].T, _A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _B)
+            K[-1] = f_new = rate(y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(K.T, _E) * h / scale)
+            if error_norm < 1:
+                factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** -0.2)
+            rejected = True
+        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+        g_new = event(y)
+        if g <= 0 <= g_new or g_new <= 0 <= g:  # find_active_events, direction 0
+            Q = K.T.dot(_P)
+
+            def dense(at: float) -> np.ndarray:  # RkDenseOutput
+                return h * np.dot(Q, np.cumprod(np.tile((at - t_old) / h, 4))) + y_old
+
+            root = _brentq(lambda at: event(dense(at)), t_old, t)
+            return times + [root], states + [dense(root)], True
+        times.append(t)
+        states.append(y)
+        if t >= t_bound:
+            return times, states, False
+        g = g_new
+
+
+def _brentq(f, xa: float, xb: float) -> float:
+    """scipy's brentq(f, xa, xb, xtol=4 eps, rtol=4 eps, maxiter=100), errors included."""
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if np.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xtol = rtol = 4 * float(np.finfo(float).eps)
+    xpre, xcur = xa, xb
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic step
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError("Failed to converge after 100 iterations.")

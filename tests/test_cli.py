@@ -604,7 +604,7 @@ COLD_START = """
 import sys
 from netsel.cli import main
 config, unanchored, out = sys.argv[1:]
-for command in ("equilibrium", "stationary", "sweep", "simulate"):
+for command in ("equilibrium", "stationary", "sweep", "simulate", "replicator"):
     assert main([command, "--config", config, "--out", out, "--quiet"]) == 0, command
 assert main(["stationary", "--config", unanchored, "--out", out, "--quiet"]) == 0
 assert main(["reproduce", "--figure", "all", "--out", out, "--quiet"]) == 0
@@ -613,11 +613,14 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 
 
 def test_numpy_only_commands_never_load_scipy(tmp_path):
-    # Of the commands, only replicator (its ODE) loads scipy: absorption
-    # tables are solved without it and stationary_eigen, the one banded
-    # solve left, runs in no command.  A fresh interpreter must not pay for
-    # scipy's import anywhere else.
-    path = write_config(tmp_path, SIM + "\n[sweep]\nvariable = lambda\nvalues = 30, 35\n")
+    # No command loads scipy: the replicator ODE runs on the in-package
+    # RK45, absorption tables are solved without it, and stationary_eigen,
+    # the one banded solve left, runs in no command.  A fresh interpreter
+    # must not pay for scipy's import anywhere.
+    path = write_config(
+        tmp_path,
+        SIM + "\n[sweep]\nvariable = lambda\nvalues = 30, 35\n[replicator]\ninitial_share = 0.2\n",
+    )
     unanchored = write_config(tmp_path, UNANCHORED, name="unanchored.ini")
     src = str(Path(netsel.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -627,5 +630,5 @@ def test_numpy_only_commands_never_load_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-    for name in ("histogram.csv", "absorption.csv", "fig2a_absorption.csv"):
+    for name in ("histogram.csv", "absorption.csv", "fig2a_absorption.csv", "replicator.csv"):
         assert (tmp_path / "res" / name).exists(), name

@@ -136,14 +136,16 @@ def test_custom_rule_rejects_bad_check_range():
 
 # -- array evaluation --------------------------------------------------------------
 
+# Explicit ids: a rule's repr names a lambda by its memory address, which
+# changes from run to run.
 RULES = [
-    PairwiseProportional(),
-    PairwiseProportional(scale=1e-3),
-    PairwiseProportional(scale=7.5),
-    Fermi(beta=0.0),
-    Fermi(beta=2.5),
-    Fermi(beta=1e3),
-    CustomRule(fn=lambda z: 0.5 + 0.4 * math.tanh(z)),
+    pytest.param(PairwiseProportional(), id="PairwiseProportional(scale=1.0)"),
+    pytest.param(PairwiseProportional(scale=1e-3), id="PairwiseProportional(scale=0.001)"),
+    pytest.param(PairwiseProportional(scale=7.5), id="PairwiseProportional(scale=7.5)"),
+    pytest.param(Fermi(beta=0.0), id="Fermi(beta=0.0)"),
+    pytest.param(Fermi(beta=2.5), id="Fermi(beta=2.5)"),
+    pytest.param(Fermi(beta=1e3), id="Fermi(beta=1000.0)"),
+    pytest.param(CustomRule(fn=lambda z: 0.5 + 0.4 * math.tanh(z)), id="CustomRule(tanh)"),
 ]
 
 EDGE_DIFFS = [
@@ -152,7 +154,7 @@ EDGE_DIFFS = [
 ]  # fmt: skip
 
 
-@pytest.mark.parametrize("rule", RULES, ids=repr)
+@pytest.mark.parametrize("rule", RULES)
 def test_rule_arrays_match_the_scalar_rule_bitwise(rule):
     rng = np.random.default_rng(21)
     zs = np.concatenate(

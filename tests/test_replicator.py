@@ -1,11 +1,24 @@
 """Mean dynamics: vector fields and trajectory integration."""
 
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from netsel.model import NetworkParams, calibrate_price_gap, equilibrium
 from netsel.protocols import Fermi, PairwiseProportional
-from netsel.replicator import integrate, mean_dynamics_rhs, replicator_rhs
+from netsel.replicator import (
+    IntegrationResult,
+    _brentq,
+    integrate,
+    mean_dynamics_rhs,
+    replicator_rhs,
+)
 
 
 def calibrated_params(target=0.68):
@@ -160,3 +173,113 @@ def test_times_and_shares_views_align():
     assert len(result.times) == len(result.shares) == len(result.trajectory)
     assert result.times[0] == 0.0
     assert result.shares[0] == pytest.approx(0.4)
+
+
+# -- the ported integrator against scipy ---------------------------------------
+
+
+def solve_ivp_integrate(params, initial_share, horizon, rtol, gain):
+    """integrate as it ran on scipy.integrate.solve_ivp: the port's reference."""
+    threshold = rtol * gain
+
+    def field(_t, y):
+        return [replicator_rhs(params, min(max(float(y[0]), 0.0), 1.0), gain)]
+
+    def settled(t, y):
+        return abs(field(t, y)[0]) - threshold
+
+    settled.terminal = True
+    if abs(field(0.0, np.array([initial_share]))[0]) <= threshold:
+        return IntegrationResult(np.array([[0.0, initial_share]]), converged=True)
+    solution = solve_ivp(
+        field, (0.0, horizon), [initial_share], method="RK45", rtol=1e-12, atol=1e-14,
+        events=settled,
+    )  # fmt: skip
+    shares = np.clip(solution.y[0], 0.0, 1.0)
+    return IntegrationResult(
+        np.column_stack((solution.t, shares)), converged=bool(solution.status == 1)
+    )
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+# A start of None is the economy's own rest point: the one-sample exit.
+# rtol stays above 1e-10 on random economies: settling needs |x - x*| <
+# rtol / |f'(x*)|, and near capacity with rtol ~ 1e-12 that is finer than
+# the integrator resolves, so both codes would walk to the horizon in tiny
+# steps.  The examples take rtol to 1e-12 on the calibrated economy.
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    capacity=log_uniform(1.0, 1e3),
+    load=st.floats(0.01, 0.9),
+    target=st.floats(0.02, 0.98),
+    delay_weight=log_uniform(0.1, 10.0),
+    start=st.one_of(st.floats(1e-3, 1.0 - 1e-3), st.none()),
+    rtol=log_uniform(1e-10, 1e-4),
+    gain=st.one_of(st.just(1.0), log_uniform(0.1, 10.0)),
+    horizon=st.one_of(st.just(1e6), log_uniform(1e-3, 1e6)),
+)
+@example(100.0, 0.3, 0.68, 1.0, None, 1e-8, 1.0, 1e6)  # at rest: one sample
+@example(100.0, 0.3, 0.68, 1.0, 0.1, 1e-10, 1.0, 1e-3)  # ends at the horizon
+@example(100.0, 0.3, 0.68, 1.0, 0.2, 1e-8, 7.5, 1e6)  # settles, gain 7.5
+@example(100.0, 0.3, 0.68, 1.0, 0.9, 1e-12, 0.5, 1e6)  # the tightest rtol
+@example(100.0, 0.3, 1.0, 1.0, 0.2, 1e-10, 1.0, 1e6)  # crawls toward the boundary
+@example(100.0, 0.3, 0.68, 1.0, 0.05, 0.5, 1.0, 1e6)  # a loose rtol
+# Found by search: the last step starts below horizon / 2, so t + (horizon
+# - t) is not the horizon; a step rejected by the 0.2 floor on its factor;
+# and a first step set by d2 > d1, where 0.01 * d0 / d1's rounding counts.
+@example(68.0844390577417, 0.2102255513556266, 0.798538117290815, 0.2705473416433432,
+         0.45408623093588474, 1.83255304014085e-05, 1.0, 6.711733050463759)
+@example(82.08695617064049, 0.8455190500015711, 0.099441998506699, 0.16280086646496003,
+         0.8057437380520379, 1.682063190105569e-06, 1.0, 4382.345337510398)
+@example(11.789962249062372, 0.8397251347972863, 0.35578537333196875, 5.183142676414256,
+         0.9839648121404437, 6.928917932009013e-10, 1.5896242565211598, 1e6)
+def test_integrate_matches_solve_ivp_bitwise(
+    capacity, load, target, delay_weight, start, rtol, gain, horizon
+):
+    gap = calibrate_price_gap(capacity, load * capacity, delay_weight, target)
+    params = NetworkParams(capacity, load * capacity, delay_weight, gap, 0.0)
+    if start is None:
+        start = equilibrium(params).share_primary
+        assume(0.0 < start < 1.0)
+    got = integrate(params, start, horizon=horizon, rtol=rtol, gain=gain)
+    want = solve_ivp_integrate(params, start, horizon, rtol, gain)
+    assert got.converged == want.converged
+    assert got.trajectory.tobytes() == want.trajectory.tobytes()
+
+
+EPS4 = 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize(
+    "f, a, b",
+    [
+        (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),  # takes inverse quadratic steps
+        (lambda x: math.cos(x) - x, 0.0, 1.0),  # so does this one
+        (lambda x: math.atan(x - 0.7) * 1e-250, 0.0, 1.0),  # secant steps only
+        (lambda x: 1.0 if x > 1.0 / 3.0 else -1.0, 0.0, 1.0),  # bisection only
+        (lambda x: -0.0 if x == 0.0 else -1.0, 0.0, 1.0),  # a zero at the left end
+    ],
+    ids=["cubic", "cosine", "tiny-atan", "step", "zero-at-a"],
+)
+def test_ported_brentq_matches_scipy_bitwise(f, a, b):
+    want = brentq(f, a, b, xtol=EPS4, rtol=EPS4)
+    assert _brentq(f, a, b).hex() == want.hex()
+
+
+@pytest.mark.parametrize(
+    "f, a, b",
+    [
+        (lambda x: 1e-200, 0.0, 1.0),  # same sign, though the product underflows
+        (lambda x: math.nan, 0.0, 1.0),
+        (lambda x: (x - 0.3) ** 3, 0.0, 1.0),  # does not converge in 100 iterations
+    ],
+    ids=["same-sign", "nan", "no-convergence"],
+)
+def test_ported_brentq_raises_as_scipy_does(f, a, b):
+    with pytest.raises((ValueError, RuntimeError)) as want:
+        brentq(f, a, b, xtol=EPS4, rtol=EPS4)
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        _brentq(f, a, b)
