@@ -1,16 +1,22 @@
 """Time the layers of netsel and write BENCH_<number>.json.
 
 Usage, from the repository root, with the number of the revision being
-recorded as the one argument:
+recorded as the first argument:
 
-    python benchmarks/layers.py 9      # writes BENCH_9.json
+    python benchmarks/layers.py 9                       # writes BENCH_9.json
+    python benchmarks/layers.py 13 --baseline ../prev   # and compares stationary_eigen
 
-It imports netsel from the ``src/`` next to this directory and times one
+It imports netsel from the ``src/`` next to this directory (or from the
+source tree the environment variable NETSEL_SRC names) and times one
 anchored Fermi chain per population size: ratio 1, one anchor per side,
 on the calibrated economy of the figures (C = 100, lambda = 30,
 x* = 0.68).  Each layer is timed in REPEATS spans at each size after one
 warm-up call, and the median wall time of a call is recorded in
 milliseconds, next to the Python, numpy and scipy versions.
+A row whose raw median is under 1 ms says ``"comparable": false``: the
+speed sampler fires every 10 ms, so such rows swing by tens of percent
+between runs of the same code, rescaled or not, and no change between
+two records of them means anything.
 Every timed row is recorded twice: ``ms`` is the raw median, and
 ``scaled_ms`` the median of the same calls rescaled by
 ``perfbench/speed.py``'s ``Speedometer`` to its reference speed.  On a
@@ -46,7 +52,15 @@ The launch rows time fresh interpreters as a user starts them: ``import
 netsel.cli`` alone, ``netsel reproduce --figure all``, and ``netsel
 simulate``, ``netsel replicator`` and ``netsel stationary`` on the
 README's example config, the last also without anchors (an absorption
-table), each with the peak resident memory of the process.
+table), and a script that builds the anchored chain at n = 10^5 and
+calls ``stationary_eigen`` once, each with the peak resident memory of
+the process.
+With ``--baseline DIR``, DIR being a checkout of another revision, the
+``stationary_eigen`` rows at every size and that last launch are timed
+again for both revisions, each in ROUNDS fresh interpreters that
+alternate which revision goes first, and recorded side by side under
+``baseline`` with the median over the rounds and this revision's ratio
+to the baseline.
 BLAS runs on one thread, as in ``perfbench``: on a small machine a
 threaded dot product of 10^4 elements waits milliseconds for its
 helper threads, which would hide the layer's own cost.
@@ -69,11 +83,13 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+SRC = Path(os.environ.get("NETSEL_SRC", ROOT / "src")).resolve()
+sys.path[:0] = [str(SRC), str(ROOT / "perfbench")]
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
+from importlib.metadata import PackageNotFoundError, version  # noqa: E402
+
 import numpy as np  # noqa: E402
-import scipy  # noqa: E402
 from speed import Speedometer  # noqa: E402
 
 from netsel import chain, model, montecarlo, protocols, replicator  # noqa: E402
@@ -87,6 +103,7 @@ LONG_WALK_N, LONG_WALK_EVENTS = 1_000, 2_000_000
 REPLICAS, REPLICA_EVENTS = 2_000, 20_000
 ABSORB_REPLICAS = 10_000
 ENGINE_REPLICAS = (32, 64, 128, 256, 2_000)
+ROUNDS = 3
 # The README's example config: what ``netsel simulate`` and ``netsel replicator`` run.
 README_CONFIG = """\
 [network]
@@ -122,7 +139,8 @@ def rescaled(spans: list[tuple[float, float]], digits: int, calls: int = 1) -> d
     call, raw and at the reference speed."""
     raw = statistics.median(end - start for start, end in spans) / calls
     scaled = statistics.median(SPEED.seconds(start, end) for start, end in spans) / calls
-    return {"ms": round(1e3 * raw, digits), "scaled_ms": round(1e3 * scaled, digits)}
+    row = {"ms": round(1e3 * raw, digits), "scaled_ms": round(1e3 * scaled, digits)}
+    return row if raw >= 1e-3 else {**row, "comparable": False}
 
 
 def median_ms(fn, digits: int = 2, fresh=tuple) -> dict[str, float]:
@@ -282,12 +300,20 @@ start = time.perf_counter()
 code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode
 print(time.perf_counter() - start, code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
+# One balance solve in a fresh interpreter, on the layer rows' chain at n = 10^5.
+EIGEN_LAUNCH = """
+from netsel import chain, model, protocols
+params = model.NetworkParams(100.0, 30.0, 1.0, model.calibrate_price_gap(100.0, 30.0, 1.0, 0.68), 0.0)
+population = chain.PopulationConfig(n=100_000, anchored_primary=1, anchored_secondary=1)
+rule = protocols.fermi_from_ratio(params, 100_000, 1.0)
+chain.stationary_eigen(chain.build_kernel(params, population, rule))
+"""
 
 
 def launch(argv: list[str], cwd: str) -> tuple[tuple[float, float], float]:
     """The (start, end) span, shortened to the child's own wall time, and
     the peak RSS in MB of one fresh interpreter."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
     start = time.perf_counter()
     out = subprocess.run(
         [sys.executable, "-c", LAUNCHER, sys.executable, *argv],
@@ -299,8 +325,18 @@ def launch(argv: list[str], cwd: str) -> tuple[tuple[float, float], float]:
     return (start, start + wall), peak_kb / 1024
 
 
+def launch_row(argv: list[str], cwd: str) -> dict[str, float]:
+    """Median wall time and peak RSS of one launch, after one warm-up."""
+    launch(argv, cwd)
+    runs = [launch(argv, cwd) for _ in range(REPEATS)]
+    return {
+        **rescaled([span for span, _ in runs], 1),
+        "peak_rss_mb": round(statistics.median(rss for _, rss in runs), 1),
+    }
+
+
 def launch_rows() -> dict[str, dict[str, float]]:
-    """Median wall time and peak RSS of each launch, after one warm-up."""
+    """Each launch's launch_row."""
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "experiment.ini"
         config.write_text(README_CONFIG, encoding="utf-8")
@@ -321,16 +357,65 @@ def launch_rows() -> dict[str, dict[str, float]]:
             "stationary_unanchored": [
                 "-m", "netsel.cli", "stationary", "--config", str(unanchored), "--out", "abs"
             ],
+            "stationary_eigen_1e5": ["-c", EIGEN_LAUNCH],
         }
-        rows = {}
-        for name, argv in launches.items():
-            launch(argv, tmp)
-            runs = [launch(argv, tmp) for _ in range(REPEATS)]
-            rows[name] = {
-                **rescaled([span for span, _ in runs], 1),
-                "peak_rss_mb": round(statistics.median(rss for _, rss in runs), 1),
-            }
+        return {name: launch_row(argv, tmp) for name, argv in launches.items()}
+
+
+def eigen_rows() -> dict[str, dict[str, float]]:
+    """``stationary_eigen`` at each size, and its launch row, from SRC."""
+    params = economy()
+    rows = {}
+    with SPEED:
+        time.sleep(0.1)
+        for n in SIZES:
+            kernel = fermi_kernel(params, n)
+            rows[f"stationary_eigen/{n}"] = median_ms(lambda: chain.stationary_eigen(kernel), 4)
+        with tempfile.TemporaryDirectory() as tmp:
+            rows["launch/stationary_eigen_1e5"] = launch_row(["-c", EIGEN_LAUNCH], tmp)
     return rows
+
+
+def revision(checkout: Path) -> str:
+    """The short git revision of a checkout, or its directory name."""
+    out = subprocess.run(
+        ["git", "-C", str(checkout), "rev-parse", "--short", "HEAD"],
+        capture_output=True, text=True,
+    )
+    return out.stdout.strip() or checkout.name
+
+
+def baseline_rows(baseline: Path) -> dict:
+    """eigen_rows of this revision and of the checkout ``baseline``, ROUNDS
+    fresh interpreters each, alternating which goes first."""
+    sources = {"baseline": baseline.resolve() / "src", "this": SRC}
+    runs: dict[str, list[dict]] = {"baseline": [], "this": []}
+    for r in range(ROUNDS):
+        for name in ("baseline", "this") if r % 2 == 0 else ("this", "baseline"):
+            env = {**os.environ, "NETSEL_SRC": str(sources[name])}
+            out = subprocess.run(
+                [sys.executable, __file__, "--eigen"], env=env, capture_output=True, text=True,
+                check=True,
+            ).stdout
+            runs[name].append(json.loads(out))
+
+    def median_of(name: str, row: str) -> dict[str, float]:
+        cells = [run[row] for run in runs[name]]
+        keys = [key for key in ("ms", "scaled_ms", "peak_rss_mb") if key in cells[0]]
+        median = {key: statistics.median(cell[key] for cell in cells) for key in keys}
+        return median if median["ms"] >= 1 else {**median, "comparable": False}
+
+    rows = {}
+    for row in runs["this"][0]:
+        pair = {name: median_of(name, row) for name in runs}
+        pair["ratio"] = round(pair["this"]["ms"] / pair["baseline"]["ms"], 3)
+        rows[row] = pair
+    return {
+        "revision": revision(baseline),
+        "what": f"median over {ROUNDS} fresh interpreters per revision, alternating which "
+        "ran first; ratio = this ms / baseline ms",
+        "rows": rows,
+    }
 
 
 def src_lines() -> dict[str, int]:
@@ -341,8 +426,15 @@ def src_lines() -> dict[str, int]:
 
 
 def main(argv: list[str]) -> None:
-    if len(argv) != 1 or not argv[0].isdigit():
-        sys.exit("usage: python benchmarks/layers.py <number>   (writes BENCH_<number>.json)")
+    if argv == ["--eigen"]:
+        os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])
+        print(json.dumps(eigen_rows()))
+        return
+    if not (len(argv) in (1, 3) and argv[0].isdigit() and argv[1:2] in ([], ["--baseline"])):
+        sys.exit(
+            "usage: python benchmarks/layers.py <number> [--baseline DIR]"
+            "   (writes BENCH_<number>.json)"
+        )
     out = ROOT / f"BENCH_{argv[0]}.json"
     # One core for the work, the speed samples and every launched process.
     os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])
@@ -355,11 +447,16 @@ def main(argv: list[str]) -> None:
         windows = window_rows()
         engines = engine_rows()
         launches = launch_rows()
+    baseline = baseline_rows(Path(argv[2])) if len(argv) == 3 else None
+    try:
+        scipy_version = version("scipy")
+    except PackageNotFoundError:
+        scipy_version = None
     record = {
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": scipy_version,
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
             "openblas_threads": os.environ["OPENBLAS_NUM_THREADS"],
@@ -403,6 +500,8 @@ def main(argv: list[str]) -> None:
         },
         "src_lines": src_lines(),
     }
+    if baseline is not None:
+        record["baseline"] = baseline
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     for layer, row in record["layers"].items():
         print(f"{layer:20s}" + "".join(f"{v['ms']:>10.3f}/{v['scaled_ms']:<8.3f}" for v in row.values()))
@@ -420,6 +519,10 @@ def main(argv: list[str]) -> None:
               f"{row['speedup']:>8.2f}x")
     for name, row in launches.items():
         print(f"{name:22s}{row['ms']:>12.1f}/{row['scaled_ms']:<10.1f} ms{row['peak_rss_mb']:>10.1f} MB")
+    if baseline is not None:
+        for name, pair in baseline["rows"].items():
+            print(f"{name:38s}{pair['baseline']['ms']:>10.3f} ->{pair['this']['ms']:>10.3f} ms"
+                  f"{pair['ratio']:>8.3f}x")
     print(f"src lines {record['src_lines']['total']:>12d}")
     print(f"wrote {out}")
 

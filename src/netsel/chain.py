@@ -379,20 +379,65 @@ def _solve_balance_block(
     kernel: TransitionKernel, lo: int, hi: int, anchor_above: bool
 ) -> np.ndarray:
     """Solve the global-balance equations for psi[lo..hi] with one
-    neighbouring state pinned to weight 1 (above hi or below lo)."""
-    from scipy.linalg import solve_banded  # scipy loads only when this route runs
+    neighbouring state pinned to weight 1 (above hi or below lo).
 
-    up, down = kernel.up, kernel.down
-    rhs = np.zeros(hi - lo + 1)
+    Row s reads move[s] psi[s] - up[s-1] psi[s-1] - down[s+1] psi[s+1] = 0,
+    with the pinned neighbour's inflow on the right of the row next to
+    it and couplings past the other end dropped.  The rows are solved
+    by odd-even cyclic reduction (Hockney, J. ACM 12, 1965) in whole-array
+    steps: each level eliminates the even rows from the odd ones, halving
+    the system, and back substitution fills them in again.  The block is
+    reversed for a pin below lo, so the one nonzero right-hand side is the
+    last row.  A level of even size gets one identity row in front, so
+    every level has odd size, its last row is even and the forward sweep
+    carries that right-hand side as one scalar.  (Padding the block once
+    to 2^L - 1 rows does the same, but touches up to twice the memory.)
+    The block is column diagonally dominant, its column sums being zero
+    except at the pinned end, which keeps every multiplier in [0, 1] and
+    the reduction stable (Heller, SIAM J. Numer. Anal. 13, 1976).
+    """
+    size = hi - lo + 1
+    diag, before, after = kernel.move[lo : hi + 1], kernel.up[lo:hi], kernel.down[lo + 1 : hi + 1]
     if anchor_above:
-        rhs[-1] = -down[hi + 1]
+        pin = kernel.down[hi + 1]
     else:
-        rhs[0] = -up[lo - 1]
-    ab = np.zeros((3, hi - lo + 1))
-    ab[0, 1:] = down[lo + 1 : hi + 1]
-    ab[1] = -kernel.move[lo : hi + 1]
-    ab[2, :-1] = up[lo:hi]
-    return solve_banded((1, 1), ab, rhs)
+        diag, before, after, pin = diag[::-1], after[::-1], before[::-1], kernel.up[lo - 1]
+    lead = 1 - size % 2
+    b, p, q = np.zeros((3, size + lead))
+    b[0] = 1.0  # an identity row, overwritten unless lead
+    b[lead:] = diag
+    p[lead + 1 :] = before  # coupling to the row before
+    q[lead:-1] = after  # coupling to the row after
+    levels = []
+    d = float(pin)
+    while b.size > 1:
+        # An even row's couplings to the odd rows after and before it.
+        levels.append((b[::2], q[:-1:2], p[2::2], d, lead))
+        half = b.size // 2
+        lead = 1 - half % 2
+        rows = np.empty((3, half + lead))
+        rows[:, 0] = 1.0, 0.0, 0.0  # likewise
+        nb, alpha, gamma = rows[:, lead:]
+        np.divide(p[1::2], b[:-1:2], out=alpha)
+        np.divide(q[1::2], b[2::2], out=gamma)
+        np.multiply(alpha, q[:-1:2], out=nb)
+        np.subtract(b[1::2], nb, out=nb)
+        nb -= gamma * p[2::2]
+        d = float(gamma[-1]) * d
+        alpha *= p[:-1:2]
+        gamma *= q[2::2]
+        b, p, q = rows
+    x = np.array([d / b[0]])
+    for b, to_next, to_prev, d, lead in reversed(levels):
+        full = np.empty(2 * x.size + 1)
+        full[1::2] = x
+        even = full[::2]
+        np.multiply(to_next, x, out=even[:-1])
+        even[-1] = d
+        even[1:] += to_prev * x
+        even /= b
+        x = full[lead:]
+    return x if anchor_above else x[::-1]
 
 
 def stationary_eigen(kernel: TransitionKernel) -> StationaryDistribution:
@@ -400,13 +445,15 @@ def stationary_eigen(kernel: TransitionKernel) -> StationaryDistribution:
 
     Pins the state where the one-step drift ratios peak, then solves the
     two tridiagonal blocks of the global balance equations on either side
-    with a banded LU factorisation.  Anchoring at the likeliest state
-    keeps every unknown at or below the anchor's scale, so the solve is
-    overflow-free at any population size.
+    by cyclic reduction (see :func:`_solve_balance_block`).  Anchoring at
+    the likeliest state keeps every unknown at or below the anchor's
+    scale, so the solve is overflow-free at any population size.
 
     The route is deliberately independent of the product form in
-    :func:`stationary_product` (the peak location is the only thing
-    shared, and it only selects the anchor, never the values).
+    :func:`stationary_product`: the solve reads only the kernel's ``up``,
+    ``down`` and ``move`` and never forms a ratio up[k-1]/down[k] or its
+    running product.  The peak location is the only thing shared, and it
+    only selects the anchor, never the values.
     """
     _require(kernel, "irreducible", "eigenvector route")
     n = kernel.n

@@ -124,12 +124,10 @@ def integrate(
     def drift(y: np.ndarray) -> float:
         return replicator_rhs(params, min(max(float(y[0]), 0.0), 1.0), gain)
 
-    def settled(y: np.ndarray) -> float:
-        return abs(drift(y)) - threshold
+    def settled(f: np.ndarray) -> float:
+        return abs(float(f[0])) - threshold
 
     start = np.array([initial_share], dtype=float)
-    if settled(start) <= 0:
-        return IntegrationResult(np.array([[0.0, initial_share]]), converged=True)
     times, states, converged = _rk45(lambda y: np.array([drift(y)]), settled, start, float(horizon))
     shares = np.clip(np.concatenate(states), 0.0, 1.0)
     return IntegrationResult(np.column_stack((times, shares)), converged=converged)
@@ -173,17 +171,20 @@ def _rms(x: np.ndarray) -> float:
 
 
 def _rk45(rate, event, y: np.ndarray, t_bound: float) -> tuple[list, list, bool]:
-    """solve_ivp's times, states and whether the event fired; ``event(y)`` > 0 at
-    the start.  A step below ten ulps of t ends the run unsettled (status -1)."""
+    """solve_ivp's times, states and whether ``event(rate(y))`` crossed 0 (the start
+    alone if it is <= 0 there); each step reuses the rate at its end for the event.
+    A step below ten ulps of t ends the run unsettled (status -1)."""
     rtol, atol = 1e-12, 1e-14
     f = rate(y)
+    t, g, times, states = 0.0, event(f), [0.0], [y]
+    if g <= 0:
+        return times, states, True
     scale = atol + np.abs(y) * rtol  # select_initial_step
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound)
     d2 = _rms((rate(y + h0 * f) - f) / scale) / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
     h_abs = min(100 * h0, h1, t_bound)
-    t, g, times, states = 0.0, event(y), [0.0], [y]
     K = np.empty((7, 1))
     while True:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)  # RungeKutta._step_impl
@@ -208,14 +209,14 @@ def _rk45(rate, event, y: np.ndarray, t_bound: float) -> tuple[list, list, bool]
             h_abs *= max(0.2, 0.9 * error_norm ** -0.2)
             rejected = True
         t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
-        g_new = event(y)
+        g_new = event(f)
         if g <= 0 <= g_new or g_new <= 0 <= g:  # find_active_events, direction 0
             Q = K.T.dot(_P)
 
             def dense(at: float) -> np.ndarray:  # RkDenseOutput
                 return h * np.dot(Q, np.cumprod(np.tile((at - t_old) / h, 4))) + y_old
 
-            root = _brentq(lambda at: event(dense(at)), t_old, t)
+            root = _brentq(lambda at: event(rate(dense(at))), t_old, t)
             return times + [root], states + [dense(root)], True
         times.append(t)
         states.append(y)

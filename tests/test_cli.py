@@ -608,15 +608,25 @@ for command in ("equilibrium", "stationary", "sweep", "simulate", "replicator"):
     assert main([command, "--config", config, "--out", out, "--quiet"]) == 0, command
 assert main(["stationary", "--config", unanchored, "--out", out, "--quiet"]) == 0
 assert main(["reproduce", "--figure", "all", "--out", out, "--quiet"]) == 0
+from netsel import chain, model, montecarlo, protocols, replicator
+params = model.NetworkParams(100.0, 30.0, 1.0, model.calibrate_price_gap(100.0, 30.0, 1.0, 0.68), 0.0)
+def kernel(n, anchors):
+    population = chain.PopulationConfig(n=n, anchored_primary=anchors, anchored_secondary=anchors)
+    return chain.build_kernel(params, population, protocols.fermi_from_ratio(params, n, 1.0))
+assert chain.stationary_eigen(kernel(1000, 1)).kind == "eigenvector"
+assert chain.absorption_table(kernel(50, 0)).shape == (51, 3)
+montecarlo.run(montecarlo.SimulationSpec(seed=1, steps=2000, replicas=2), kernel(20, 1))
+assert replicator.integrate(params, 0.2).converged
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
 def test_numpy_only_commands_never_load_scipy(tmp_path):
-    # No command loads scipy: the replicator ODE runs on the in-package
-    # RK45, absorption tables are solved without it, and stationary_eigen,
-    # the one banded solve left, runs in no command.  A fresh interpreter
-    # must not pay for scipy's import anywhere.
+    # Nothing in netsel loads scipy: the replicator ODE runs on the
+    # in-package RK45, absorption tables are solved by its own elimination
+    # and stationary_eigen's balance blocks by its own cyclic reduction.  A
+    # fresh interpreter that runs every command and then each of those
+    # library routes must not pay for scipy's import anywhere.
     path = write_config(
         tmp_path,
         SIM + "\n[sweep]\nvariable = lambda\nvalues = 30, 35\n[replicator]\ninitial_share = 0.2\n",

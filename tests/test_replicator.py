@@ -250,6 +250,46 @@ def test_integrate_matches_solve_ivp_bitwise(
     assert got.trajectory.tobytes() == want.trajectory.tobytes()
 
 
+def test_each_step_attempt_takes_six_field_values(monkeypatch):
+    # Dormand-Prince takes six new field values per step attempt (its
+    # seventh stage is the next step's first) and two to choose the first
+    # step; the settle event is read from the value at the step's end, so
+    # only brentq, on the dense output, evaluates the field again.  Each
+    # attempt takes one error norm, after the three of the first step.
+    from netsel import replicator
+
+    calls = {"rhs": 0, "brentq": 0, "rms": 0}
+    real_rhs, real_brentq, real_rms = replicator_rhs, _brentq, replicator._rms
+
+    def rhs(*args, **kwargs):
+        calls["rhs"] += 1
+        return real_rhs(*args, **kwargs)
+
+    def brentq_spy(f, xa, xb):
+        def counted(x):
+            calls["brentq"] += 1
+            return f(x)
+
+        return real_brentq(counted, xa, xb)
+
+    def rms(x):
+        calls["rms"] += 1
+        return real_rms(x)
+
+    monkeypatch.setattr(replicator, "replicator_rhs", rhs)
+    monkeypatch.setattr(replicator, "_brentq", brentq_spy)
+    monkeypatch.setattr(replicator, "_rms", rms)
+    result = integrate(calibrated_params(), 0.2)
+    attempts = calls["rms"] - 3
+    assert result.converged and attempts >= len(result.trajectory) - 1
+    assert calls["rhs"] == 2 + 6 * attempts + calls["brentq"]
+    # The README run: 287 accepted and 5 rejected attempts, 21 brentq values.
+    assert (calls["rhs"], attempts, calls["brentq"]) == (1775, 292, 21)
+    calls.update(rhs=0, brentq=0, rms=0)
+    at_rest = integrate(calibrated_params(), 0.68, rtol=1e-4)
+    assert len(at_rest.trajectory) == 1 and calls == {"rhs": 1, "brentq": 0, "rms": 0}
+
+
 EPS4 = 4 * np.finfo(float).eps
 
 
