@@ -4,7 +4,7 @@ Usage, from the repository root, with the number of the revision being
 recorded as the first argument:
 
     python benchmarks/layers.py 9                       # writes BENCH_9.json
-    python benchmarks/layers.py 13 --baseline ../prev   # and compares stationary_eigen
+    python benchmarks/layers.py 13 --baseline ../prev   # and compares eigen and memory
 
 It imports netsel from the ``src/`` next to this directory (or from the
 source tree the environment variable NETSEL_SRC names) and times one
@@ -55,12 +55,22 @@ README's example config, the last also without anchors (an absorption
 table), and a script that builds the anchored chain at n = 10^5 and
 calls ``stationary_eigen`` once, each with the peak resident memory of
 the process.
+The memory rows are taken in a fresh interpreter per revision (``--memory``):
+the peak of each large-n stage (``build_kernel``, ``stationary_product``,
+``stationary_eigen``, ``expected_poa`` and ``stationary_noise_free``) at
+n = 10^5 and 10^6, read with tracemalloc as the most memory held at once
+during the call beyond what was held before it, result included, in units
+of one float64 vector over the n + 1 states; the minor page faults
+(``ru_minflt``) of perfbench's ``analytic`` ``large`` pass, the median of
+FAULT_PASSES passes after a warm-up one, per pass and per analysis; and a
+launch row, a fresh interpreter that builds the anchored chain at
+n = 10^6 and runs ``long_run``, ``expected_poa`` and ``stationary_eigen``.
 With ``--baseline DIR``, DIR being a checkout of another revision, the
-``stationary_eigen`` rows at every size and that last launch are timed
+``stationary_eigen`` rows at every size and the eigen launch are timed
 again for both revisions, each in ROUNDS fresh interpreters that
 alternate which revision goes first, and recorded side by side under
 ``baseline`` with the median over the rounds and this revision's ratio
-to the baseline.
+to the baseline; the memory rows are taken for both revisions as well.
 BLAS runs on one thread, as in ``perfbench``: on a small machine a
 threaded dot product of 10^4 elements waits milliseconds for its
 helper threads, which would hide the layer's own cost.
@@ -75,11 +85,13 @@ import json
 import math
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -104,6 +116,8 @@ REPLICAS, REPLICA_EVENTS = 2_000, 20_000
 ABSORB_REPLICAS = 10_000
 ENGINE_REPLICAS = (32, 64, 128, 256, 2_000)
 ROUNDS = 3
+MEMORY_SIZES = (10**5, 10**6)
+FAULT_PASSES = 15
 # The README's example config: what ``netsel simulate`` and ``netsel replicator`` run.
 README_CONFIG = """\
 [network]
@@ -310,6 +324,18 @@ chain.stationary_eigen(chain.build_kernel(params, population, rule))
 """
 
 
+# One large analysis in a fresh interpreter, at the north star's largest size.
+LARGE_LAUNCH = """
+from netsel import chain, model, protocols
+params = model.NetworkParams(100.0, 30.0, 1.0, model.calibrate_price_gap(100.0, 30.0, 1.0, 0.68), 0.0)
+population = chain.PopulationConfig(n=1_000_000, anchored_primary=1, anchored_secondary=1)
+kernel = chain.build_kernel(params, population, protocols.fermi_from_ratio(params, 1_000_000, 1.0))
+_, law = chain.long_run(kernel)
+model.expected_poa(params, law)
+chain.stationary_eigen(kernel)
+"""
+
+
 def launch(argv: list[str], cwd: str) -> tuple[tuple[float, float], float]:
     """The (start, end) span, shortened to the child's own wall time, and
     the peak RSS in MB of one fresh interpreter."""
@@ -376,6 +402,90 @@ def eigen_rows() -> dict[str, dict[str, float]]:
     return rows
 
 
+def peak_arrays(n: int, fn, *args):
+    """fn(*args), and the tracemalloc peak of the call in float64 vectors of n + 1."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, round((peak - before) / (8 * (n + 1)), 3)
+
+
+def stage_peaks(n: int) -> dict[str, float]:
+    """Each large-n stage's peak on the layer rows' chain at size n."""
+    params = economy()
+    population = chain.PopulationConfig(n=n, anchored_primary=1, anchored_secondary=1)
+    rule = protocols.fermi_from_ratio(params, n, 1.0)
+    kernel, build = peak_arrays(n, chain.build_kernel, params, population, rule)
+    chain.stationary_product(kernel)  # the kernel keeps its class: classify stays outside
+    law, product = peak_arrays(n, chain.stationary_product, kernel)
+    return {
+        "build_kernel": build,
+        "stationary_product": product,
+        "stationary_eigen": peak_arrays(n, chain.stationary_eigen, kernel)[1],
+        "expected_poa": peak_arrays(n, model.expected_poa, params, law)[1],
+        "stationary_noise_free": peak_arrays(n, chain.stationary_noise_free, params, population)[1],
+    }
+
+
+def large_faults() -> dict[str, float]:
+    """Minor page faults of perfbench's analytic ``large`` pass, after a warm-up pass."""
+    import analytic
+
+    state = analytic.setup(0, None)
+    analytic._large(state, [])
+    faults = []
+    for _ in range(FAULT_PASSES):
+        out = []
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        analytic._large(state, out)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    per_pass = statistics.median(faults)
+    return {"per_pass": per_pass, "per_analysis": per_pass / len(analytic.LARGE_LOADS)}
+
+
+def memory_rows() -> dict:
+    """The memory rows of SRC, in this interpreter; the faults first, before
+    the large stages leave a heap that later passes would not fault in."""
+    faults = large_faults()
+    with SPEED, tempfile.TemporaryDirectory() as tmp:
+        time.sleep(0.1)
+        launch_1e6 = launch_row(["-c", LARGE_LAUNCH], tmp)
+    return {
+        "stage_peaks": {str(n): stage_peaks(n) for n in MEMORY_SIZES},
+        "large_faults": faults,
+        "launch/large_analysis_1e6": launch_1e6,
+    }
+
+
+def memory_runs(baseline: Path | None) -> dict:
+    """memory_rows of this revision, and of the checkout ``baseline`` if given,
+    each in fresh interpreters: ROUNDS of them alternating with the baseline, or one."""
+    sources = {"this": SRC}
+    if baseline is not None:
+        sources["baseline"] = baseline.resolve() / "src"
+    runs: dict[str, list[dict]] = {name: [] for name in sources}
+    for r in range(ROUNDS if baseline is not None else 1):
+        for name in sorted(sources, reverse=r % 2 == 1):
+            env = {**os.environ, "NETSEL_SRC": str(sources[name])}
+            out = subprocess.run(
+                [sys.executable, __file__, "--memory"], env=env, capture_output=True, text=True,
+                check=True,
+            ).stdout
+            runs[name].append(json.loads(out))
+
+    def median(cells: list):
+        if isinstance(cells[0], dict):
+            return {key: median([cell[key] for cell in cells]) for key in cells[0]}
+        return statistics.median(cells)
+
+    return {name: median(rows) for name, rows in runs.items()}
+
+
 def revision(checkout: Path) -> str:
     """The short git revision of a checkout, or its directory name."""
     out = subprocess.run(
@@ -426,9 +536,9 @@ def src_lines() -> dict[str, int]:
 
 
 def main(argv: list[str]) -> None:
-    if argv == ["--eigen"]:
+    if argv in (["--eigen"], ["--memory"]):
         os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])
-        print(json.dumps(eigen_rows()))
+        print(json.dumps(eigen_rows() if argv == ["--eigen"] else memory_rows()))
         return
     if not (len(argv) in (1, 3) and argv[0].isdigit() and argv[1:2] in ([], ["--baseline"])):
         sys.exit(
@@ -448,6 +558,7 @@ def main(argv: list[str]) -> None:
         engines = engine_rows()
         launches = launch_rows()
     baseline = baseline_rows(Path(argv[2])) if len(argv) == 3 else None
+    memory = memory_runs(Path(argv[2]) if len(argv) == 3 else None)
     try:
         scipy_version = version("scipy")
     except PackageNotFoundError:
@@ -498,6 +609,18 @@ def main(argv: list[str]) -> None:
             "what": "fresh interpreters; the commands through python -m netsel.cli",
             "rows": launches,
         },
+        "memory": {
+            "chain": "the layer rows' chain",
+            "stage_peaks": "tracemalloc peak of one call, result included, in float64 vectors "
+            "over the n + 1 states",
+            "large_faults": f"ru_minflt of analytic's large pass, median of {FAULT_PASSES} "
+            "passes after a warm-up pass; per_analysis = per_pass / 4",
+            "launch/large_analysis_1e6": "fresh interpreter: build the chain at n = 10^6, "
+            "long_run, expected_poa, stationary_eigen",
+            "rounds": f"median over {ROUNDS} fresh interpreters per revision with --baseline, "
+            "else one",
+            **memory,
+        },
         "src_lines": src_lines(),
     }
     if baseline is not None:
@@ -523,6 +646,13 @@ def main(argv: list[str]) -> None:
         for name, pair in baseline["rows"].items():
             print(f"{name:38s}{pair['baseline']['ms']:>10.3f} ->{pair['this']['ms']:>10.3f} ms"
                   f"{pair['ratio']:>8.3f}x")
+    for name, rows in memory.items():
+        for n, peaks in rows["stage_peaks"].items():
+            cells = "  ".join(f"{stage} {arrays:.2f}" for stage, arrays in peaks.items())
+            print(f"{name:8s} peaks at n = {n:>7s} {cells}")
+        launched = rows["launch/large_analysis_1e6"]
+        print(f"{name:8s} large pass {rows['large_faults']['per_pass']:>8.0f} minor faults;"
+              f" n = 10^6 launch {launched['ms']:.1f} ms, {launched['peak_rss_mb']:.1f} MB")
     print(f"src lines {record['src_lines']['total']:>12d}")
     print(f"wrote {out}")
 

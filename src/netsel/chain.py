@@ -80,16 +80,28 @@ class PopulationConfig:
                 raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
 
 
+def _frozen(values) -> np.ndarray:
+    """``values`` if a read-only float64 array owning its data, else a float copy."""
+    owned = isinstance(values, np.ndarray) and values.flags.owndata and not values.flags.writeable
+    return values if owned and values.dtype == float else np.array(values, dtype=float)
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class TransitionKernel:
     """Per-state move probabilities of the birth-death chain.
 
     ``up`` and ``down`` are read-only vectors indexed by the state
     k = 0..n, with the structural zeros up[n] = down[0] = 0.  The kernel
-    derives the read-only ``stay = 1 - up - down`` (refused if negative)
-    and ``move = up + down`` from them.  ``params``, ``population`` and
-    ``rule`` record what the kernel was built from and stay None for
-    hand-made kernels.  Kernels compare by identity.
+    holds them and the read-only ``move = up + down``, and derives the
+    read-only ``stay = 1 - up - down`` (refused if negative) on first use.
+    ``params``, ``population`` and ``rule`` record what the kernel was
+    built from and stay None for hand-made kernels.  Kernels compare by
+    identity.
     """
 
     up: np.ndarray
@@ -97,25 +109,25 @@ class TransitionKernel:
     params: NetworkParams | None = None
     population: PopulationConfig | None = None
     rule: ImitationRule | None = None
-    stay: np.ndarray = field(init=False, repr=False)
     move: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        up = np.array(self.up, dtype=float)
-        down = np.array(self.down, dtype=float)
+        up, down = _frozen(self.up), _frozen(self.down)
         if up.shape != down.shape or up.ndim != 1 or up.size < 3:
             raise ValueError("up/down must be equal-length vectors over k = 0..n with n >= 2")
         for name, arr in (("up", up), ("down", down)):
             if not np.isfinite(arr).all() or arr.min() < 0.0 or arr.max() > 1.0:
                 raise ValueError(f"{name} entries must be probabilities in [0, 1]")
-        stay = 1.0 - up - down
-        if stay.min() < 0.0:
+        if (1.0 - up - down).min() < 0.0:
             raise ValueError("rows must sum to 1: up + down exceeds 1 at some state")
         if up[-1] != 0.0 or down[0] != 0.0:
             raise ValueError("structural zeros violated: need up[n] == 0 and down[0] == 0")
-        for name, arr in (("up", up), ("down", down), ("stay", stay), ("move", up + down)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        for name, arr in (("up", up), ("down", down), ("move", up + down)):
+            object.__setattr__(self, name, _readonly(arr))
+
+    @cached_property
+    def stay(self) -> np.ndarray:
+        return _readonly(1.0 - self.up - self.down)
 
     @property
     def n(self) -> int:
@@ -141,9 +153,7 @@ class TransitionKernel:
 
     @cached_property
     def _absorption(self) -> np.ndarray:
-        table = _absorption_solve(self)
-        table.flags.writeable = False
-        return table
+        return _readonly(_absorption_solve(self))
 
 
 @dataclass(frozen=True)
@@ -175,7 +185,7 @@ class StationaryDistribution:
     def __post_init__(self) -> None:
         if self.kind not in _DISTRIBUTION_KINDS:
             raise ValueError(f"kind must be one of {_DISTRIBUTION_KINDS}, got {self.kind!r}")
-        psi = np.array(self.psi, dtype=float)
+        psi = _frozen(self.psi)
         if psi.ndim != 1 or psi.size < 2:
             raise ValueError("psi must be a vector over at least two states")
         if not np.isfinite(psi).all():
@@ -186,8 +196,7 @@ class StationaryDistribution:
             psi = np.clip(psi, 0.0, None)
         if abs(float(psi.sum()) - 1.0) > 1e-9:
             raise ValueError(f"psi must sum to 1, got {float(psi.sum())!r}")
-        psi.flags.writeable = False
-        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "psi", _readonly(psi))
 
     @property
     def n(self) -> int:
@@ -223,11 +232,11 @@ def build_kernel(
         down[k] = k/n * (n-k + a_s) / (n - 1 + a_p + a_s) * q(pi_s - pi_p(k))
 
     All states are built in one array pass, with one ``rule.pair`` call
-    for both directions.  The counting numerators are multiplied in int64
-    before the single division, so symmetric weights cancel exactly (a
-    fair-coin rule on an anchored chain gives a *bitwise* uniform law).
-    The counts must convert to float exactly: ValueError when
-    n * (n - 1 + a_p + a_s) exceeds 2**53.
+    for both directions.  Each counting numerator is a product of
+    integers no larger than n * (n - 1 + a_p + a_s), so it is exact in
+    float64 before the single division, and symmetric weights cancel
+    exactly (a fair-coin rule on an anchored chain gives a *bitwise*
+    uniform law).  ValueError when that bound exceeds 2**53.
     Payoff differences within a few ulps of zero are snapped to an exact
     tie: when the equilibrium share falls exactly on a lattice point k/n,
     the difference there is zero in exact arithmetic, and propagating its
@@ -240,15 +249,22 @@ def build_kernel(
     denom = n * (n - 1 + a_p + a_s)
     if denom > 2**53:
         raise ValueError(f"n*(n-1+a_p+a_s) = {denom} exceeds 2**53, the limit of exact weights")
-    k = np.arange(n + 1)
+    k = np.arange(n + 1.0)
     pi_p = model.utility_primary_at_share(params, k / n)
     pi_s = model.utility_secondary(params)
     gain = pi_p - pi_s
-    tie_snap = 32.0 * np.finfo(float).eps
-    gain = np.where(np.abs(gain) <= tie_snap * np.maximum(np.abs(pi_p), abs(pi_s)), 0.0, gain)
+    tie = np.maximum(np.abs(pi_p, out=pi_p), abs(pi_s), out=pi_p)
+    tie *= 32.0 * np.finfo(float).eps
+    gain[np.abs(gain) <= tie] = 0.0
     q_up, q_down = rule.pair(gain)
-    up = ((n - k) * (k + a_p)) / denom * q_up
-    down = (k * (n - k + a_s)) / denom * q_down
+    del gain  # the rule may keep it; the buffers of pi_p and k take up and down
+    up = np.subtract(n, k, out=tie)
+    up *= k + a_p
+    down = np.multiply(k, n + a_s - k, out=k)
+    for rate, q in ((up, q_up), (down, q_down)):
+        rate /= denom
+        rate *= q
+        _readonly(rate)
     return TransitionKernel(up=up, down=down, params=params, population=population, rule=rule)
 
 
@@ -351,8 +367,7 @@ def _two_point(kernel: TransitionKernel, params: NetworkParams) -> StationaryDis
 
 def _log_profile(kernel: TransitionKernel) -> np.ndarray:
     """log psi up to a constant: cumulative sum of log(up[k-1]/down[k])."""
-    log_ratio = np.log(kernel.up[:-1]) - np.log(kernel.down[1:])
-    return np.concatenate(([0.0], np.cumsum(log_ratio)))
+    return np.concatenate(([0.0], np.cumsum(np.log(kernel.up[:-1]) - np.log(kernel.down[1:]))))
 
 
 def stationary_product(kernel: TransitionKernel) -> StationaryDistribution:
@@ -368,11 +383,11 @@ def stationary_product(kernel: TransitionKernel) -> StationaryDistribution:
 
 
 def _product_form(kernel: TransitionKernel) -> StationaryDistribution:
-    log_psi = _log_profile(kernel)
-    log_psi -= log_psi.max()
-    psi = np.exp(log_psi)
+    psi = _log_profile(kernel)
+    psi -= psi.max()
+    np.exp(psi, out=psi)
     psi /= psi.sum()
-    return StationaryDistribution(psi=psi, kind="product_form")
+    return StationaryDistribution(psi=_readonly(psi), kind="product_form")
 
 
 def _solve_balance_block(
@@ -428,13 +443,14 @@ def _solve_balance_block(
         gamma *= q[2::2]
         b, p, q = rows
     x = np.array([d / b[0]])
-    for b, to_next, to_prev, d, lead in reversed(levels):
+    while levels:  # each level is dropped once it is filled in
+        b, to_next, to_prev, d, lead = levels.pop()
         full = np.empty(2 * x.size + 1)
         full[1::2] = x
         even = full[::2]
         np.multiply(to_next, x, out=even[:-1])
         even[-1] = d
-        even[1:] += to_prev * x
+        even[1:] += np.multiply(to_prev, x, out=x)  # x is copied into full already
         even /= b
         x = full[lead:]
     return x if anchor_above else x[::-1]
@@ -452,21 +468,48 @@ def stationary_eigen(kernel: TransitionKernel) -> StationaryDistribution:
     The route is deliberately independent of the product form in
     :func:`stationary_product`: the solve reads only the kernel's ``up``,
     ``down`` and ``move`` and never forms a ratio up[k-1]/down[k] or its
-    running product.  The peak location is the only thing shared, and it
-    only selects the anchor, never the values.
+    running product.  The log profile is the only thing shared: it selects
+    the anchor and refuses a second mode past a deep valley (see
+    :func:`_pin`), but never sets a value.
     """
     _require(kernel, "irreducible", "eigenvector route")
-    n = kernel.n
-    anchor = int(np.argmax(_log_profile(kernel)))
-    psi = np.zeros(n + 1)
-    psi[anchor] = 1.0
-    if anchor > 0:
-        psi[:anchor] = _solve_balance_block(kernel, 0, anchor - 1, anchor_above=True)
-    if anchor < n:
-        psi[anchor + 1 :] = _solve_balance_block(kernel, anchor + 1, n, anchor_above=False)
-    psi = np.clip(psi, 0.0, None)
+    anchor, n = _pin(kernel), kernel.n
+    below = _solve_balance_block(kernel, 0, anchor - 1, anchor_above=True) if anchor else []
+    above = _solve_balance_block(kernel, anchor + 1, n, anchor_above=False) if anchor < n else []
+    psi = np.concatenate((below, [1.0], above))
+    np.clip(psi, 0.0, None, out=psi)
     psi /= psi.sum()
-    return StationaryDistribution(psi=psi, kind="eigenvector")
+    return StationaryDistribution(psi=_readonly(psi), kind="eigenvector")
+
+
+# The balance solve carries its rounding, about eps near the pin, through
+# each valley of the law: beyond a valley the law rises again by a factor
+# e^r, and so does that error.  On a law with two equal modes the error
+# in total variation read about 50 * eps * e^r, 1.4e-9 at r = 12.
+_MAX_RISE = 12.0
+
+
+def _pin(kernel: TransitionKernel) -> int:
+    """The state where log psi peaks, which :func:`stationary_eigen` pins.
+
+    ChainStructureError when, on either side of it, log psi rises again by
+    more than _MAX_RISE after a valley: the solve pinned at the peak would
+    lose the second mode (its weight could come out as zero).
+    """
+    log_psi = _log_profile(kernel)
+    anchor = int(np.argmax(log_psi))
+    for side in (log_psi[anchor:], log_psi[anchor::-1]):
+        if not (side[1:] > side[:-1]).any():  # falls all the way: no valley
+            continue
+        rise = np.minimum.accumulate(side)  # the valley so far, then the rise above it
+        j = int(np.subtract(side, rise, out=rise).argmax())
+        if rise[j] > _MAX_RISE:
+            raise ChainStructureError(
+                f"log psi falls {side[0] - side[j] + rise[j]:.1f} from its peak at k={anchor} "
+                f"into a valley and rises {rise[j]:.1f} past it, more than the {_MAX_RISE:g} "
+                "that a balance solve pinned at the peak resolves; use the product form"
+            )
+    return anchor
 
 
 def _eliminate(

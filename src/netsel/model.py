@@ -265,8 +265,8 @@ def expected_poa(params: NetworkParams, distribution) -> float:
     length n + 1).  Returns sum_k S(k/n) * psi_k / S_min, which is >= 1
     for every distribution because S >= S_min pointwise.  Rejects vectors
     that carry negative or non-finite mass or fail to sum to 1 within
-    1e-9.  S comes from one array call of :func:`social_welfare`,
-    bitwise the scalar values.
+    1e-9.  S comes from array calls of :func:`social_welfare` over a few
+    thousand states each, bitwise the scalar values.
     """
     psi = np.asarray(getattr(distribution, "psi", distribution), dtype=float)
     if psi.ndim != 1 or psi.size < 2:
@@ -279,6 +279,8 @@ def expected_poa(params: NetworkParams, distribution) -> float:
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"distribution is not normalised: entries sum to {total!r}")
     n = psi.size - 1
-    welfare = social_welfare(params, np.arange(n + 1) / n)
+    welfare = np.empty(n + 1)
+    for lo in range(0, n + 1, 4096):  # so that the temporaries stay small
+        welfare[lo : lo + 4096] = social_welfare(params, np.arange(lo, min(lo + 4096, n + 1)) / n)
     _, s_min = social_optimum(params)
     return float(np.dot(welfare, psi)) / s_min

@@ -29,6 +29,8 @@ __all__ = [
     "fermi_from_ratio",
 ]
 
+_EXP_CHUNK = 4096  # 128 kB of Python floats, not 32 MB at n = 10^6
+
 
 class ImitationRule(abc.ABC):
     """Nondecreasing map from a payoff difference to a switch probability.
@@ -64,8 +66,11 @@ class PairwiseProportional(ImitationRule):
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
     def pair(self, payoff_diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z = np.asarray(payoff_diffs, dtype=float)
-        return tuple(np.where(d <= 0.0, 0.0, np.minimum(1.0, self.scale * d)) for d in (z, -z))
+        q_up = self.scale * np.asarray(payoff_diffs, dtype=float)
+        q_down = -q_up  # scale * -z, bit for bit
+        for q in (q_up, q_down):  # min(1, scale * d), zeroed where scale * d <= 0, i.e. d <= 0
+            q[np.minimum(q, 1.0, out=q) <= 0.0] = 0.0
+        return q_up, q_down
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,8 @@ class Fermi(ImitationRule):
     side where beta * z >= 0 and e / (1 + e) on the other, so large |z|
     saturates to 0/1 instead of overflowing.  Each exponential comes from
     ``math.exp``, once per element: numpy's vectorised ``exp`` may differ
-    from libm in the last ulp.
+    from libm in the last ulp.  That pass holds a Python float and its list
+    slot, 32 bytes, per element, so it runs in chunks of _EXP_CHUNK.
     """
 
     beta: float
@@ -91,10 +97,15 @@ class Fermi(ImitationRule):
             raise ValueError(f"beta must be nonnegative and finite, got {self.beta}")
 
     def pair(self, payoff_diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z = self.beta * np.asarray(payoff_diffs, dtype=float)
-        e = np.fromiter(map(math.exp, (-np.abs(z)).tolist()), float, z.size)
-        high, low = 1.0 / (1.0 + e), e / (1.0 + e)
-        return np.where(z >= 0.0, high, low), np.where(z <= 0.0, high, low)
+        diffs = np.asarray(payoff_diffs, dtype=float)
+        q_up, q_down = np.empty(diffs.size), np.empty(diffs.size)
+        for lo in range(0, diffs.size, _EXP_CHUNK):
+            z = self.beta * diffs[lo : lo + _EXP_CHUNK]
+            e = np.fromiter(map(math.exp, (-np.abs(z)).tolist()), float, z.size)
+            high, low = 1.0 / (1.0 + e), e / (1.0 + e)
+            q_up[lo : lo + _EXP_CHUNK] = np.where(z >= 0.0, high, low)
+            q_down[lo : lo + _EXP_CHUNK] = np.where(z <= 0.0, high, low)
+        return q_up, q_down
 
 
 @dataclass(frozen=True)

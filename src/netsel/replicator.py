@@ -101,12 +101,14 @@ def integrate(
 
     Runs an adaptive Runge-Kutta pair and stops once |dx/dt| falls below
     rtol * gain — a derivative criterion, so a trajectory crawling slowly
-    toward a boundary is not mistaken for a settled one.  The pair and the
-    location of the stop are scipy 1.17.1's RK45 and brentq, ported below,
-    so the samples do not depend on the installed scipy version.  The start
-    must be strictly interior (the boundaries are fixed points; integrating
-    from one would be a constant).  Samples are clipped to [0, 1] against
-    integrator round-off.
+    toward a boundary is not mistaken for a settled one.  An rtol below the
+    drift the pair resolves at the rest point is refused (ValueError), as
+    such a run would never settle.  The pair and the location of the stop
+    are scipy 1.17.1's RK45 and brentq, ported below, so the samples do not
+    depend on the installed scipy version.  The start must be strictly
+    interior (the boundaries are fixed points; integrating from one would
+    be a constant).  Samples are clipped to [0, 1] against integrator
+    round-off.
     """
     if not 0.0 < initial_share < 1.0:
         raise ValueError(
@@ -119,6 +121,22 @@ def integrate(
         raise ValueError(f"rtol must be positive and finite, got {rtol}")
     if not (math.isfinite(gain) and gain > 0):
         raise ValueError(f"gain must be positive and finite, got {gain}")
+    try:
+        rest = model.equilibrium(params).share_primary
+    except ValueError:  # degenerate prices: pi_P < pi_S at every share, so the flow ends at 0
+        rest = 0.0
+    # |dx/dt| near the rest point x* is |f'(x*)| |x - x*|, and the RK45 below
+    # places x only to about _RTOL * x* + _ATOL: below that drift it never
+    # settles and samples until the horizon (gigabytes at rtol 1e-13 near
+    # capacity).  Runs settled from 0.3 of it, not at 0.1: a safety factor of 1.
+    advantage = model.utility_primary_at_share(params, rest) - model.utility_secondary(params)
+    slope = params.delay_weight * params.arrival / (params.capacity - params.arrival * rest) ** 2
+    floor = abs((1 - 2 * rest) * advantage - rest * (1 - rest) * slope) * (_RTOL * rest + _ATOL)
+    if rtol < floor:
+        raise ValueError(
+            f"rtol = {rtol!r} is below {floor:.3g}, the settling drift the integrator resolves "
+            f"at the rest point x* = {rest:.6g}; such a run would never settle"
+        )
     threshold = rtol * gain
 
     def drift(y: np.ndarray) -> float:
@@ -145,6 +163,7 @@ def integrate(
 # reserved.  Used under the BSD 3-Clause licence; its conditions and
 # disclaimer are in LICENSES/scipy.txt at the root of the repository.
 
+_RTOL, _ATOL = 1e-12, 1e-14
 _A = np.array([
     [0, 0, 0, 0, 0],
     [1/5, 0, 0, 0, 0],
@@ -174,7 +193,7 @@ def _rk45(rate, event, y: np.ndarray, t_bound: float) -> tuple[list, list, bool]
     """solve_ivp's times, states and whether ``event(rate(y))`` crossed 0 (the start
     alone if it is <= 0 there); each step reuses the rate at its end for the event.
     A step below ten ulps of t ends the run unsettled (status -1)."""
-    rtol, atol = 1e-12, 1e-14
+    rtol, atol = _RTOL, _ATOL
     f = rate(y)
     t, g, times, states = 0.0, event(f), [0.0], [y]
     if g <= 0:

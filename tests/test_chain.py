@@ -200,6 +200,17 @@ def test_kernel_arrays_read_only():
         kernel.up[0] = 0.5
 
 
+def test_kernel_copies_a_writable_array_and_takes_a_read_only_one():
+    up, down = np.array([0.0, 0.3, 0.0]), np.array([0.0, 0.2, 0.0])
+    kernel = TransitionKernel(up=up, down=down)
+    up[1] = 0.9  # the caller's array stays the caller's
+    assert kernel.up[1] == 0.3 and up.flags.writeable
+    again = TransitionKernel(up=kernel.up, down=kernel.down)
+    assert again.up is kernel.up and again.down is kernel.down
+    view = kernel.up[:]  # read-only, but its data is another array's
+    assert TransitionKernel(up=view, down=kernel.down).up is not view
+
+
 def test_kernel_validation_rejects_broken_rows():
     up = np.array([0.0, 0.6, 0.0])
     down = np.array([0.0, 0.5, 0.0])
@@ -609,6 +620,36 @@ def test_eigen_on_flat_laws_against_extended_precision(arrival, target, ratio, a
     exact = np.exp(log_psi - log_psi.max())
     exact /= exact.sum()
     assert float(0.5 * np.abs(stationary_eigen(kernel).psi - exact).sum()) <= 1e-10
+
+
+def two_mode_kernel(depth, n=300):
+    """Two equal modes at k = 0 and k = n, split by a valley e^-depth deep at n / 2."""
+    x = np.arange(n + 1) / n
+    ratios = np.exp(np.diff(-depth * np.exp(-(((x - 0.5) / 0.1) ** 2)) + 1e-3 * x))
+    up, down = np.zeros(n + 1), np.zeros(n + 1)
+    up[:n] = 0.3 * np.minimum(1.0, ratios)
+    down[1:] = 0.3 * np.minimum(1.0, 1.0 / ratios)
+    return TransitionKernel(up=up, down=down)
+
+
+def test_eigen_refuses_a_second_mode_past_a_deep_valley():
+    # Pinned at one mode, the solve carries its rounding through the valley
+    # and the other mode comes out as zero: 0.5 off in TV, with no error.
+    kernel = two_mode_kernel(40.0)
+    with pytest.raises(ChainStructureError, match=r"falls 40\.0 .* rises 40\.0 past it"):
+        stationary_eigen(kernel)
+    assert stationary_product(kernel).kind == "product_form"
+
+
+def test_eigen_still_solves_a_shallow_second_mode():
+    # The solve reads 3.3e-10 in TV from the long-double law here, 1.3e-12
+    # at depth 5; the bound on the rise, 12, lets it reach about 1.4e-9.
+    kernel = two_mode_kernel(10.0)
+    up, down = kernel.up.astype(np.longdouble), kernel.down.astype(np.longdouble)
+    log_psi = np.concatenate(([0.0], np.cumsum(np.log(up[:-1] / down[1:]))))
+    exact = np.exp(log_psi - log_psi.max())
+    exact /= exact.sum()
+    assert float(0.5 * np.abs(stationary_eigen(kernel).psi - exact).sum()) <= 1e-9
 
 
 def test_eigen_rejects_absorbing_kernel():

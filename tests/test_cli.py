@@ -487,6 +487,18 @@ def test_replicator_bad_tolerance_is_a_config_error(tmp_path, capsys, rtol):
     assert not (out_dir / "replicator.csv").exists()
 
 
+def test_replicator_with_an_unresolvable_rtol_is_a_config_error(tmp_path, capsys):
+    # Near capacity no run at this rtol could settle; it used to grow past 2 GB.
+    text = BASE.replace("capacity = 100\narrival = 30\ntarget_share = 0.68", (
+        "capacity = 1\narrival = 0.99\ndelay_weight = 10\ntarget_share = 0.5"
+    )) + "\n[replicator]\ninitial_share = 0.2\nrtol = 1e-13\n"
+    out_dir = tmp_path / "res"
+    path = write_config(tmp_path, text)
+    assert main(["replicator", "--config", path, "--out", str(out_dir), "--quiet"]) == EXIT_CONFIG
+    assert "rtol = 1e-13 is below" in capsys.readouterr().err
+    assert not (out_dir / "replicator.csv").exists()
+
+
 # -- reproduce ----------------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -165,6 +166,48 @@ def test_integration_rejects_a_tolerance_that_cannot_stop_it_honestly(rtol):
     # inf would report the start as settled; 0, negatives and nan never stop.
     with pytest.raises(ValueError, match="rtol"):
         integrate(calibrated_params(), 0.2, rtol=rtol)
+
+
+# Two runs that could never settle: near capacity the RK45 (rtol 1e-12,
+# atol 1e-14) places x only to about 1e-12 * x*, so |dx/dt| stays above
+# rtol * gain and the run samples until the horizon.  The first had 4,145
+# samples by t = 100; the second grew past 2 GB.  Both are refused at once.
+NEVER_SETTLE = [(1.0, 0.9, 0.98, 1e-12, 10.0), (1.0, 0.99, 0.5, 1e-13, 1.0)]
+
+
+def near_capacity(capacity, arrival, target):
+    gap = calibrate_price_gap(capacity, arrival, 10.0, target)
+    return NetworkParams(capacity, arrival, 10.0, gap, 0.0)
+
+
+def resolvable_drift(params, x):
+    """|f'(x*)| (1e-12 x* + 1e-14) at gain 1, the refusal's floor."""
+    slope = params.delay_weight * params.arrival / (params.capacity - params.arrival * x) ** 2
+    return x * (1.0 - x) * slope * (1e-12 * x + 1e-14)
+
+
+@pytest.mark.parametrize("capacity, arrival, target, rtol, gain", NEVER_SETTLE)
+def test_an_rtol_the_integrator_cannot_resolve_is_refused_at_once(
+    capacity, arrival, target, rtol, gain
+):
+    params = near_capacity(capacity, arrival, target)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^rtol = .* is below .* never settle$"):
+        integrate(params, 0.2, rtol=rtol, gain=gain)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("capacity, arrival, target, rtol, gain", NEVER_SETTLE)
+def test_an_rtol_just_above_the_floor_settles(capacity, arrival, target, rtol, gain):
+    # Runs settle from about 0.3 of the floor, so at 1.01 of it they settle
+    # in a few hundred samples from every start.
+    params = near_capacity(capacity, arrival, target)
+    floor = resolvable_drift(params, equilibrium(params).share_primary)
+    for start in (0.05, 0.2, 0.5, 0.9, 0.999):
+        result = integrate(params, start, rtol=1.01 * floor, gain=gain)
+        assert result.converged and len(result.trajectory) < 1000
+    with pytest.raises(ValueError, match="rtol"):
+        integrate(params, 0.2, rtol=0.99 * floor, gain=gain)
 
 
 def test_times_and_shares_views_align():
