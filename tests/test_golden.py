@@ -7,7 +7,9 @@ values were recorded before the long-run dispatch moved into
 ``chain.long_run``; a refactor that keeps them keeps every output.
 Each file is also pinned on its own, by the same digest over a set of
 one file, so a change that moves an output on purpose shows which files
-moved and which did not.
+moved and which did not.  The console lines are pinned too: SHA-256 of
+what each run prints without ``--quiet``, with its output directory
+replaced by ``<out>``.
 """
 
 import hashlib
@@ -152,6 +154,22 @@ REPRODUCE_ALL_FILES = {
     "fig3b_summary.meta.json": "78fa5abbd4ab1c072049561b8c9f0001ec4f10ec8ee8fd37fc69d6360a902240",
 }
 REPRODUCE_ALL_SHA256 = "ca02eb470eab47c1968149c5567836b2c7e1ebcf42641595570df95de9d9f849"
+# the six .gp files of ``reproduce --figure all --gnuplot``
+GNUPLOT_STUBS_SHA256 = "34364d0540991af898ecb74237c7ee3b57e582cd0e1e505709be81f1b2038ad4"
+
+# RUNS name, or a reproduce form -> digest of its stdout
+STDOUT_SHA256 = {
+    "equilibrium": "a1a95bac412c9fc3185a7d0c77427e0edd32e29e00720a8b9f7b852c68521815",
+    "replicator": "fa476bd2bc319ec180e7db17829e650ea905ddc550db6da267ea3e2e9f66d058",
+    "replicator_at_rest": "091ce7053300d093541b660d2504cdf4da2582a66d41e04d3ae16cd7360a6bb5",
+    "simulate": "1b34c3360a2a56d05b73e5decfa409479da3988269980a882d5896a76d173267",
+    "stationary_anchored_fermi": "41f892eb6c91fb075946f728b9d0036720f81819c4a2f5dd294c55a0f705e5f1",
+    "stationary_proportional": "9b3afc4af2de4dd73838576e0370515416b89c1a120da4da8843646e4656b9c5",
+    "stationary_unanchored_fermi": "154c02780c9c804fe6c77734ea764448d9e3c4efcbc2cca7f529677d22cb1b5d",
+    "sweep": "d0631b73e898ccf26bada244cb74fce4ddea44dd34cc62951bd5df905583b85c",
+    "reproduce": "bce526892241ad9a6aa302cb238f393addc241408af0695f622f202e7c96e1f6",
+    "reproduce_gnuplot": "90e38d3be881cb27dde14acfed0fd66a0c2581e1255029056897b0249e127b51",
+}
 
 
 def digest(paths):
@@ -159,6 +177,11 @@ def digest(paths):
     for path in sorted(paths):
         h.update(path.name.encode() + b"\0" + path.read_bytes())
     return h.hexdigest()
+
+
+def stdout_digest(capsys, out):
+    text = capsys.readouterr().out.replace(str(out), "<out>")
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def assert_pinned(out, files, sha):
@@ -187,3 +210,21 @@ def test_cli_output_bytes_are_pinned(tmp_path, name):
     out = tmp_path / "out"
     assert main([command, "--config", str(config), "--out", str(out), "--quiet"]) == EXIT_OK
     assert_pinned(out, files, sha)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_cli_console_lines_are_pinned(tmp_path, capsys, name):
+    command, text, _, _ = RUNS[name]
+    config = tmp_path / "experiment.ini"
+    config.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_OK
+    assert stdout_digest(capsys, out) == STDOUT_SHA256[name]
+
+
+@pytest.mark.parametrize("name, extra", [("reproduce", []), ("reproduce_gnuplot", ["--gnuplot"])])
+def test_reproduce_console_lines_are_pinned(tmp_path, capsys, name, extra):
+    out = tmp_path / "figs"
+    assert main(["reproduce", "--figure", "all", *extra, "--out", str(out)]) == EXIT_OK
+    assert stdout_digest(capsys, out) == STDOUT_SHA256[name]
+    assert digest(out.glob("*.gp")) == (GNUPLOT_STUBS_SHA256 if extra else digest([]))
