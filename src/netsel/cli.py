@@ -38,7 +38,7 @@ OUT_DIR_ENV = "NETSEL_OUT_DIR"
 
 
 # ---------------------------------------------------------------------------
-# Output helpers
+# Output
 # ---------------------------------------------------------------------------
 
 
@@ -58,33 +58,63 @@ def _resolve_out_dir(
     return None if optional else Path.cwd()
 
 
-def _write_csv(
-    path: Path,
-    header: Sequence[str],
-    rows: Iterable[Sequence[Any]],
-    meta: dict[str, Any],
-    quiet: bool,
+def _sidecar(
+    command: str,
+    config: ExperimentConfig | None,
+    params: NetworkParams | None = None,
+    population: PopulationConfig | None = None,
+    **extra: Any,
+) -> dict[str, Any]:
+    """A ``.meta.json`` body: package, command, the parsed config, the
+    economy with its price gap and the population, then ``extra``."""
+    meta = {"package": "netsel", "version": __version__, "command": command, **extra}
+    if config is not None:
+        meta["config"] = config.as_dict()
+    if params is not None:
+        meta["network"] = {**dataclasses.asdict(params), "price_gap": params.price_gap}
+    if population is not None:
+        meta["population"] = dataclasses.asdict(population)
+    return meta
+
+
+def _emit(
+    args: argparse.Namespace,
+    config: ExperimentConfig | None,
+    lines: Iterable[str],
+    files: Iterable[tuple[str, Any]],
 ) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-    meta_path = path.with_name(path.stem + ".meta.json")
-    payload = {"package": "netsel", "version": __version__, **meta}
-    meta_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    if not quiet:
-        print(f"wrote {path}")
+    """The one output path, once a command has computed everything: print
+    ``lines``, then write each (name, gnuplot stub) or (name, (header, rows,
+    sidecar)) of ``files`` into the output directory and say so; --quiet
+    silences the console.  An unwritable location is a ConfigError."""
+    for line in lines:
+        if not args.quiet:
+            print(line)
+    out_dir = _resolve_out_dir(args, config)
+    for name, body in files:
+        path = out_dir / name
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if isinstance(body, str):
+                path.write_text(body, encoding="utf-8")
+            else:
+                header, rows, meta = body
+                with open(path, "w", newline="", encoding="utf-8") as fh:
+                    writer = csv.writer(fh, lineterminator="\n")
+                    writer.writerow(header)
+                    writer.writerows(rows)
+                text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
+                path.with_name(path.stem + ".meta.json").write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from None
+        if not args.quiet:
+            print(f"wrote {path}")
 
 
-def _params_meta(params: NetworkParams) -> dict[str, Any]:
-    return {**dataclasses.asdict(params), "price_gap": params.price_gap}
-
-
-def _say(quiet: bool, message: str) -> None:
-    if not quiet:
-        print(message)
+def _absorption(kernel: chain.TransitionKernel, meta: dict[str, Any]) -> tuple:
+    """The exact absorption report of an absorbing chain, one row per start."""
+    rows = [(k0, *row) for k0, row in enumerate(chain.absorption_table(kernel).tolist())]
+    return ("k0", "prob_absorb_at_0", "prob_absorb_at_n", "expected_steps"), rows, meta
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +122,7 @@ def _say(quiet: bool, message: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_equilibrium(config: ExperimentConfig, args: argparse.Namespace) -> int:
+def cmd_equilibrium(config: ExperimentConfig, args: argparse.Namespace) -> None:
     params = config.network_params()
     population = config.population()
     info = model.equilibrium(params)
@@ -100,135 +130,94 @@ def cmd_equilibrium(config: ExperimentConfig, args: argparse.Namespace) -> int:
     welfare_eq = model.social_welfare(params, info.share_primary)
     x_opt, s_min = model.social_optimum(params)
     poa = model.poa_at(params, info.share_primary)
-    quiet = args.quiet
-    _say(quiet, f"equilibrium share x_p      = {info.share_primary!r}")
-    _say(quiet, f"equilibrium rate           = {info.rate_primary!r}")
-    _say(quiet, f"boundary equilibrium       = {info.boundary}")
-    _say(quiet, f"critical state k* (n={population.n})  = {k_star}")
-    _say(quiet, f"welfare at equilibrium     = {welfare_eq!r}")
-    _say(quiet, f"optimal share              = {x_opt!r}")
-    _say(quiet, f"minimal welfare            = {s_min!r}")
-    _say(quiet, f"price of anarchy           = {poa!r}")
-    out_dir = _resolve_out_dir(args, config, optional=True)
-    if out_dir is not None:
-        rows = [
-            ("share_primary", info.share_primary),
-            ("rate_primary", info.rate_primary),
-            ("boundary", int(info.boundary)),
-            ("critical_state", k_star),
-            ("welfare_equilibrium", welfare_eq),
-            ("optimal_share", x_opt),
-            ("welfare_minimum", s_min),
-            ("poa", poa),
-        ]
-        meta = {
-            "command": "equilibrium",
-            "network": _params_meta(params),
-            "population": dataclasses.asdict(population),
-            "config": config.as_dict(),
-        }
-        _write_csv(out_dir / "equilibrium.csv", ("quantity", "value"), rows, meta, quiet)
-    return EXIT_OK
+    lines = [
+        f"equilibrium share x_p      = {info.share_primary!r}",
+        f"equilibrium rate           = {info.rate_primary!r}",
+        f"boundary equilibrium       = {info.boundary}",
+        f"critical state k* (n={population.n})  = {k_star}",
+        f"welfare at equilibrium     = {welfare_eq!r}",
+        f"optimal share              = {x_opt!r}",
+        f"minimal welfare            = {s_min!r}",
+        f"price of anarchy           = {poa!r}",
+    ]
+    rows = [
+        ("share_primary", info.share_primary),
+        ("rate_primary", info.rate_primary),
+        ("boundary", int(info.boundary)),
+        ("critical_state", k_star),
+        ("welfare_equilibrium", welfare_eq),
+        ("optimal_share", x_opt),
+        ("welfare_minimum", s_min),
+        ("poa", poa),
+    ]
+    meta = _sidecar("equilibrium", config, params, population)
+    # Written only where an output location is given.
+    table = ("equilibrium.csv", (("quantity", "value"), rows, meta))
+    _emit(args, config, lines, [table] if _resolve_out_dir(args, config, optional=True) else [])
 
 
-def _write_absorption(
-    path: Path, kernel: chain.TransitionKernel, meta: dict[str, Any], quiet: bool
-) -> None:
-    rows = [(k0, *row) for k0, row in enumerate(chain.absorption_table(kernel).tolist())]
-    header = ("k0", "prob_absorb_at_0", "prob_absorb_at_n", "expected_steps")
-    _write_csv(path, header, rows, meta, quiet)
-
-
-def cmd_stationary(config: ExperimentConfig, args: argparse.Namespace) -> int:
+def cmd_stationary(config: ExperimentConfig, args: argparse.Namespace) -> None:
     params = config.network_params()
     population = config.population()
-    quiet = args.quiet
-    out_dir = _resolve_out_dir(args, config)
     kernel = chain.build_kernel(params, population, config.rule(params, population.n))
     structure, distribution = chain.long_run(kernel)
-    base_meta = {
-        "command": "stationary",
-        "network": _params_meta(params),
-        "population": dataclasses.asdict(population),
-        "rule": repr(kernel.rule),
-        "chain_class": structure.kind,
-        "config": config.as_dict(),
-    }
+    meta = _sidecar(
+        "stationary", config, params, population, rule=repr(kernel.rule), chain_class=structure.kind
+    )
     if distribution is None:
         # No stationary law: report exact absorption behaviour instead.
-        _say(
-            quiet,
-            "chain is absorbing: no stationary law exists; writing absorption report instead",
-        )
-        meta = {**base_meta, "note": "absorbing chain; rows give exact absorption from each start"}
-        _write_absorption(out_dir / "absorption.csv", kernel, meta, quiet)
-        return EXIT_OK
+        meta["note"] = "absorbing chain; rows give exact absorption from each start"
+        line = "chain is absorbing: no stationary law exists; writing absorption report instead"
+        _emit(args, config, [line], [("absorption.csv", _absorption(kernel, meta))])
+        return
     mode = chain.distribution_mode(distribution)
     poa_e = model.expected_poa(params, distribution)
-    _say(quiet, f"stationary law kind = {distribution.kind}")
-    _say(quiet, f"mode states         = {list(mode)}")
-    _say(quiet, f"expected poa        = {poa_e!r}")
-    meta = {
-        **base_meta,
-        "distribution_kind": distribution.kind,
-        "mode": list(mode),
-        "expected_poa": poa_e,
-    }
+    meta.update(distribution_kind=distribution.kind, mode=list(mode), expected_poa=poa_e)
+    lines = [
+        f"stationary law kind = {distribution.kind}",
+        f"mode states         = {list(mode)}",
+        f"expected poa        = {poa_e!r}",
+    ]
     rows = [(k, float(p)) for k, p in enumerate(distribution.psi)]
-    _write_csv(out_dir / "stationary.csv", ("k", "psi"), rows, meta, quiet)
-    return EXIT_OK
+    _emit(args, config, lines, [("stationary.csv", (("k", "psi"), rows, meta))])
 
 
-def _sweep_point(
-    config: ExperimentConfig, variable: str, value: float
-) -> tuple[str, float]:
+def _sweep_point(config: ExperimentConfig) -> tuple[str, float]:
     """Evaluate one sweep point; returns (metric name, metric value)."""
-    params = config.network_params(arrival=value if variable == "lambda" else None)
-    population = config.population(n=int(value) if variable == "n" else None)
-    rule = config.rule(params, population.n, beta_ratio=value if variable == "beta_ratio" else None)
+    params = config.network_params()
+    population = config.population()
+    rule = config.rule(params, population.n)
     _, distribution = chain.long_run(chain.build_kernel(params, population, rule))
     if distribution is None:
         return "poa_absorbing", model.poa_absorbing(params)
     return "poa_expected", model.expected_poa(params, distribution)
 
 
-def cmd_sweep(config: ExperimentConfig, args: argparse.Namespace) -> int:
+def cmd_sweep(config: ExperimentConfig, args: argparse.Namespace) -> None:
     sweep = config.sweep()
     if sweep is None:
-        print("config error: sweep command needs a [sweep] section", file=sys.stderr)
-        return EXIT_CONFIG
-    out_dir = _resolve_out_dir(args, config)
+        raise ConfigError("sweep command needs a [sweep] section")
     rows: list[tuple[Any, ...]] = []
-    successes = 0
     for value in sweep.values:
         try:
-            metric, result = _sweep_point(config, sweep.variable, value)
-            rows.append((value, metric, result))
-            successes += 1
+            rows.append((value, *_sweep_point(config.swept(sweep.variable, value))))
         except (ConfigError, ValueError) as exc:
             rows.append((value, "error", str(exc)))
-    meta = {
-        "command": "sweep",
-        "variable": sweep.variable,
-        "points": len(sweep.values),
-        "failed_points": len(sweep.values) - successes,
-        "config": config.as_dict(),
-    }
-    _write_csv(out_dir / "sweep.csv", ("sweep_value", "metric", "value"), rows, meta, args.quiet)
-    if successes == 0:
-        print("analysis error: every sweep point failed", file=sys.stderr)
-        return EXIT_ANALYSIS
-    return EXIT_OK
+    failed = sum(row[1] == "error" for row in rows)
+    meta = _sidecar(
+        "sweep", config, variable=sweep.variable, points=len(rows), failed_points=failed
+    )
+    _emit(args, config, [], [("sweep.csv", (("sweep_value", "metric", "value"), rows, meta))])
+    if failed == len(rows):
+        raise ValueError("every sweep point failed")
 
 
-def cmd_simulate(config: ExperimentConfig, args: argparse.Namespace) -> int:
+def cmd_simulate(config: ExperimentConfig, args: argparse.Namespace) -> None:
     params = config.network_params()
     population = config.population()
     rule = config.rule(params, population.n)
     spec = config.simulation_spec(seed_override=args.seed)
     decimation = config.trajectory_decimation()
-    quiet = args.quiet
-    out_dir = _resolve_out_dir(args, config)
     kernel = chain.build_kernel(params, population, rule)
     result = montecarlo.run(spec, kernel, trajectory_decimation=decimation)
     try:
@@ -237,63 +226,56 @@ def cmd_simulate(config: ExperimentConfig, args: argparse.Namespace) -> int:
     except ValueError:
         # long_run refuses only chains that are neither irreducible nor absorbing.
         chain_class, analytic = "other", None
-    tv: float | None = None
-    if analytic is not None:
-        tv = chain.total_variation(result.histogram.to_distribution(), analytic)
-        _say(quiet, f"tv distance to analytic law = {tv!r}")
+    if analytic is None:
+        tv, line = None, "no analytic stationary law for this chain; skipping TV comparison"
     else:
-        _say(quiet, "no analytic stationary law for this chain; skipping TV comparison")
-    base_meta = {
-        "command": "simulate",
-        "network": _params_meta(params),
-        "population": dataclasses.asdict(population),
-        "rule": repr(rule),
-        "chain_class": chain_class,
-        "seed": spec.seed,
-        "steps": spec.steps,
-        "burn_in": spec.resolve_burn_in(population.n),
-        "replicas": spec.replicas,
-        "initial_state": spec.initial_state,
-        "trajectory_decimation": decimation,
-        "tv_to_analytic": tv,
-        "final_states": result.final_states.tolist(),
-        "config": config.as_dict(),
-    }
+        tv = chain.total_variation(result.histogram.to_distribution(), analytic)
+        line = f"tv distance to analytic law = {tv!r}"
+    meta = _sidecar(
+        "simulate",
+        config,
+        params,
+        population,
+        rule=repr(rule),
+        chain_class=chain_class,
+        seed=spec.seed,
+        steps=spec.steps,
+        burn_in=spec.resolve_burn_in(population.n),
+        replicas=spec.replicas,
+        initial_state=spec.initial_state,
+        trajectory_decimation=decimation,
+        tv_to_analytic=tv,
+        final_states=result.final_states.tolist(),
+    )
     freqs = result.histogram.frequencies()
     hist_rows = [
         (k, int(c), float(f))
         for k, (c, f) in enumerate(zip(result.histogram.counts, freqs))
     ]
-    _write_csv(
-        out_dir / "histogram.csv", ("k", "count", "frequency"), hist_rows, base_meta, quiet
-    )
+    files = [("histogram.csv", (("k", "count", "frequency"), hist_rows, meta))]
     if result.trajectory is not None:
-        _write_csv(out_dir / "trajectory.csv", ("event", "k"), result.trajectory.tolist(), base_meta, quiet)
-    return EXIT_OK
+        files.append(("trajectory.csv", (("event", "k"), result.trajectory.tolist(), meta)))
+    _emit(args, config, [line], files)
 
 
-def cmd_replicator(config: ExperimentConfig, args: argparse.Namespace) -> int:
+def cmd_replicator(config: ExperimentConfig, args: argparse.Namespace) -> None:
     params = config.network_params()
     settings = config.replicator_settings()
-    quiet = args.quiet
-    out_dir = _resolve_out_dir(args, config)
     try:
         result = replicator.integrate(params, **settings)
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    _say(quiet, f"fixed point = {result.fixed_point!r}")
-    _say(quiet, f"converged   = {result.converged}")
-    meta = {
-        "command": "replicator",
-        "network": _params_meta(params),
-        "settings": settings,
-        "fixed_point": result.fixed_point,
-        "converged": result.converged,
-        "config": config.as_dict(),
-    }
-    _write_csv(out_dir / "replicator.csv", ("time", "x_p"), result.trajectory.tolist(), meta, quiet)
-    return EXIT_OK
+        raise ConfigError(str(exc)) from None
+    lines = [f"fixed point = {result.fixed_point!r}", f"converged   = {result.converged}"]
+    meta = _sidecar(
+        "replicator",
+        config,
+        params,
+        settings=settings,
+        fixed_point=result.fixed_point,
+        converged=result.converged,
+    )
+    table = (("time", "x_p"), result.trajectory.tolist(), meta)
+    _emit(args, config, lines, [("replicator.csv", table)])
 
 
 # ---------------------------------------------------------------------------
@@ -311,47 +293,39 @@ _NOISE_FREE = PairwiseProportional()
 
 
 def _figure_params(arrival: float = _FIG_ARRIVAL) -> NetworkParams:
-    gap = model.calibrate_price_gap(
-        _FIG_CAPACITY, arrival, _FIG_DELAY_WEIGHT, _FIG_TARGET_SHARE
-    )
-    return NetworkParams(
-        capacity=_FIG_CAPACITY,
-        arrival=arrival,
-        delay_weight=_FIG_DELAY_WEIGHT,
-        price_primary=gap,
-        price_secondary=0.0,
-    )
+    gap = model.calibrate_price_gap(_FIG_CAPACITY, arrival, _FIG_DELAY_WEIGHT, _FIG_TARGET_SHARE)
+    return NetworkParams(_FIG_CAPACITY, arrival, _FIG_DELAY_WEIGHT, price_primary=gap)
 
 
-def _figure_meta(params: NetworkParams, **extra: Any) -> dict[str, Any]:
-    return {
-        "command": "reproduce",
-        "network": _params_meta(params),
-        "target_share": _FIG_TARGET_SHARE,
-        "note": "price gap calibrated so the equilibrium share is 0.68",
+def _figure_meta(population: PopulationConfig | None = None, **extra: Any) -> dict[str, Any]:
+    return _sidecar(
+        "reproduce",
+        None,
+        _figure_params(),
+        population,
+        target_share=_FIG_TARGET_SHARE,
+        note="price gap calibrated so the equilibrium share is 0.68",
         **extra,
-    }
+    )
 
 
-def _fig1a(out_dir: Path, quiet: bool) -> None:
+def _fig1a() -> list[tuple[str, Any]]:
     """Two-point noise-free law over 10 users, with the equilibrium marker."""
     params = _figure_params()
     population = PopulationConfig(n=10)
     _, distribution = chain.long_run(chain.build_kernel(params, population, _NOISE_FREE))
-    k_star = model.critical_state(params, population.n)
     rows = [(k, float(p)) for k, p in enumerate(distribution.psi)]
     meta = _figure_meta(
-        params,
+        population,
         figure="fig1a",
-        population=dataclasses.asdict(population),
         rule="proportional (noise-free)",
-        critical_state=k_star,
+        critical_state=model.critical_state(params, population.n),
         equilibrium_marker=population.n * model.equilibrium(params).share_primary,
     )
-    _write_csv(out_dir / "fig1a.csv", ("k", "psi"), rows, meta, quiet)
+    return [("fig1a.csv", (("k", "psi"), rows, meta))]
 
 
-def _fig1b(out_dir: Path, quiet: bool) -> None:
+def _fig1b() -> list[tuple[str, Any]]:
     """Expected PoA of the noise-free law vs. arrival, n = 10 and n = 100.
 
     The price gap is recalibrated at every arrival so the equilibrium
@@ -367,16 +341,15 @@ def _fig1b(out_dir: Path, quiet: bool) -> None:
             rows.append((float(arrival), f"poa_expected_n{n}", poa_e))
         rows.append((float(arrival), "poa_nash", model.poa_at(params, _FIG_TARGET_SHARE)))
     meta = _figure_meta(
-        _figure_params(),
         figure="fig1b",
         rule="proportional (noise-free)",
         populations=[10, 100],
         note_sweep="gap recalibrated per arrival to hold the equilibrium share at 0.68",
     )
-    _write_csv(out_dir / "fig1b.csv", ("sweep_value", "metric", "value"), rows, meta, quiet)
+    return [("fig1b.csv", (("sweep_value", "metric", "value"), rows, meta))]
 
 
-def _fig2a(out_dir: Path, quiet: bool) -> None:
+def _fig2a() -> list[tuple[str, Any]]:
     """Absorbing-case illustration: exact absorption report for the
     unanchored noisy chain, plus the all-primary point mass it ends in."""
     params = _figure_params()
@@ -385,30 +358,43 @@ def _fig2a(out_dir: Path, quiet: bool) -> None:
     rule = fermi_from_ratio(params, population.n, ratio)
     kernel = chain.build_kernel(params, population, rule)
     meta = _figure_meta(
-        params,
+        population,
         figure="fig2a",
-        population=dataclasses.asdict(population),
         rule=repr(rule),
         beta_ratio=ratio,
         note_rule="noise intensity ratio 1.0 chosen for the illustration and recorded here",
     )
-    _write_absorption(out_dir / "fig2a_absorption.csv", kernel, meta, quiet)
     # The illustrated long-run outcome: everyone on the primary network.
     point_mass = [(k, 1.0 if k == population.n else 0.0) for k in range(population.n + 1)]
-    _write_csv(out_dir / "fig2a_distribution.csv", ("k", "psi"), point_mass, meta, quiet)
+    return [
+        ("fig2a_absorption.csv", _absorption(kernel, meta)),
+        ("fig2a_distribution.csv", (("k", "psi"), point_mass, meta)),
+    ]
 
 
-def _fig2b(out_dir: Path, quiet: bool) -> None:
+def _fig2b() -> list[tuple[str, Any]]:
     """Closed-form absorbing-case PoA as the arrival rate fills the channel."""
     rows = []
     for arrival in np.arange(1.0, 100.0, 1.0):
         params = _figure_params(arrival=float(arrival))
         rows.append((float(arrival), "poa_absorbing", model.poa_absorbing(params)))
-    meta = _figure_meta(_figure_params(), figure="fig2b")
-    _write_csv(out_dir / "fig2b.csv", ("sweep_value", "metric", "value"), rows, meta, quiet)
+    meta = _figure_meta(figure="fig2b")
+    return [("fig2b.csv", (("sweep_value", "metric", "value"), rows, meta))]
 
 
-def _fig3a(out_dir: Path, quiet: bool) -> None:
+def _law_summary(value: float, params: NetworkParams, distribution: Any, *moments: Any) -> list:
+    """The fig3 summary rows of one law: its expected PoA, the (name,
+    value) ``moments``, then the low and high ends of its mode."""
+    mode = chain.distribution_mode(distribution)
+    return [
+        (value, "poa_expected", model.expected_poa(params, distribution)),
+        *((value, name, moment) for name, moment in moments),
+        (value, "mode_low", mode[0]),
+        (value, "mode_high", mode[-1]),
+    ]
+
+
+def _fig3a() -> list[tuple[str, Any]]:
     """Anchored stationary laws at noise ratios 0, 1, 10 over 10 users."""
     params = _figure_params()
     population = PopulationConfig(n=10, anchored_primary=1, anchored_secondary=1)
@@ -418,25 +404,21 @@ def _fig3a(out_dir: Path, quiet: bool) -> None:
     for ratio in ratios:
         rule = fermi_from_ratio(params, population.n, ratio)
         _, distribution = chain.long_run(chain.build_kernel(params, population, rule))
-        for k, p in enumerate(distribution.psi):
-            dist_rows.append((ratio, k, float(p)))
-        poa_e = model.expected_poa(params, distribution)
-        mode = chain.distribution_mode(distribution)
-        summary_rows.append((ratio, "poa_expected", poa_e))
-        summary_rows.append((ratio, "mode_low", mode[0]))
-        summary_rows.append((ratio, "mode_high", mode[-1]))
+        dist_rows += [(ratio, k, float(p)) for k, p in enumerate(distribution.psi)]
+        summary_rows += _law_summary(ratio, params, distribution)
     meta = _figure_meta(
-        params,
+        population,
         figure="fig3a",
-        population=dataclasses.asdict(population),
         beta_ratios=list(ratios),
         beta_reference=beta_reference(params, population.n),
     )
-    _write_csv(out_dir / "fig3a_distributions.csv", ("beta_ratio", "k", "psi"), dist_rows, meta, quiet)
-    _write_csv(out_dir / "fig3a_summary.csv", ("sweep_value", "metric", "value"), summary_rows, meta, quiet)
+    return [
+        ("fig3a_distributions.csv", (("beta_ratio", "k", "psi"), dist_rows, meta)),
+        ("fig3a_summary.csv", (("sweep_value", "metric", "value"), summary_rows, meta)),
+    ]
 
 
-def _fig3b(out_dir: Path, quiet: bool) -> None:
+def _fig3b() -> list[tuple[str, Any]]:
     """Anchored stationary laws at ratio 1 for n = 10, 100, 1000, with a
     matched-moment Gaussian overlay per population size."""
     sizes = (10, 100, 1000)
@@ -453,31 +435,19 @@ def _fig3b(out_dir: Path, quiet: bool) -> None:
         var = float(np.dot((states - mean) ** 2, distribution.psi))
         sd = math.sqrt(var)
         gauss = np.exp(-((states - mean) ** 2) / (2.0 * var)) / (sd * math.sqrt(2.0 * math.pi))
-        for k in states:
-            dist_rows.append((n, int(k), float(distribution.psi[k]), float(gauss[k])))
-        poa_e = model.expected_poa(params, distribution)
-        mode = chain.distribution_mode(distribution)
-        summary_rows.append((n, "poa_expected", poa_e))
-        summary_rows.append((n, "mean", mean))
-        summary_rows.append((n, "sd", sd))
-        summary_rows.append((n, "mode_low", mode[0]))
-        summary_rows.append((n, "mode_high", mode[-1]))
+        dist_rows += [(n, int(k), float(distribution.psi[k]), float(gauss[k])) for k in states]
+        summary_rows += _law_summary(n, params, distribution, ("mean", mean), ("sd", sd))
     meta = _figure_meta(
-        _figure_params(),
         figure="fig3b",
         beta_ratio=ratio,
         populations=list(sizes),
         anchored=[1, 1],
         note_gauss="gaussian_fit matches the law's mean and variance, scaled as a density",
     )
-    _write_csv(
-        out_dir / "fig3b_distributions.csv",
-        ("n", "k", "psi", "gaussian_fit"),
-        dist_rows,
-        meta,
-        quiet,
-    )
-    _write_csv(out_dir / "fig3b_summary.csv", ("sweep_value", "metric", "value"), summary_rows, meta, quiet)
+    return [
+        ("fig3b_distributions.csv", (("n", "k", "psi", "gaussian_fit"), dist_rows, meta)),
+        ("fig3b_summary.csv", (("sweep_value", "metric", "value"), summary_rows, meta)),
+    ]
 
 
 # name -> (dataset builder, gnuplot stub)
@@ -491,21 +461,14 @@ _FIGURES = {
 }
 
 
-def cmd_reproduce(args: argparse.Namespace) -> int:
-    if args.figure == "all":
-        figures = list(_FIGURES)
-    else:
-        figures = [args.figure]
-    out_dir = _resolve_out_dir(args, None)
-    for figure in figures:
+def cmd_reproduce(args: argparse.Namespace) -> None:
+    files: list[tuple[str, Any]] = []
+    for figure in _FIGURES if args.figure == "all" else [args.figure]:
         build, stub = _FIGURES[figure]
-        build(out_dir, args.quiet)
+        files += build()
         if args.gnuplot:
-            stub_path = out_dir / f"{figure}.gp"
-            stub_path.write_text(stub, encoding="utf-8")
-            if not args.quiet:
-                print(f"wrote {stub_path}")
-    return EXIT_OK
+            files.append((f"{figure}.gp", stub))
+    _emit(args, None, [], files)
 
 
 # ---------------------------------------------------------------------------
@@ -560,12 +523,13 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command: the one place that reports an error and picks the exit code."""
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "reproduce":
-            return cmd_reproduce(args)
-        config = parse_config(args.config)
-        return _COMMANDS[args.command](config, args)
+            cmd_reproduce(args)
+        else:
+            _COMMANDS[args.command](parse_config(args.config), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -573,6 +537,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # Domain errors of the analysis, ChainStructureError among them.
         print(f"analysis error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
+    return EXIT_OK
 
 
 def entry() -> None:

@@ -76,7 +76,10 @@ _SCHEMA: dict[str, dict[str, type]] = {
     },
 }
 
-SWEEP_VARIABLES = ("lambda", "beta_ratio", "n")
+# sweep variable -> the (section, key) it sets
+SWEEP_VARIABLES = {
+    "lambda": ("network", "arrival"), "beta_ratio": ("rule", "beta_ratio"), "n": ("population", "n")
+}
 
 # A start/stop/step grid spans fewer steps than this; 10^9 points take 8 GB.
 _SWEEP_STEPS = 10**6
@@ -156,19 +159,23 @@ class ExperimentConfig:
         """Deep copy of the parsed sections, for run metadata."""
         return {name: dict(body) for name, body in self._sections.items()}
 
+    def swept(self, variable: str, value: float) -> "ExperimentConfig":
+        """This experiment at one sweep point: the swept key set to ``value``."""
+        section, key = SWEEP_VARIABLES[variable]
+        return ExperimentConfig({**self._sections, section: {**self._section(section), key: value}})
+
     # -- network ---------------------------------------------------------
 
-    def network_params(self, arrival: float | None = None) -> NetworkParams:
-        """Build NetworkParams; ``arrival`` overrides the file (for sweeps).
+    def network_params(self) -> NetworkParams:
+        """Build NetworkParams.
 
-        With ``target_share`` present, the primary premium is recalibrated
-        against the effective arrival, so sweeping the arrival keeps the
-        equilibrium share pinned rather than drifting to a boundary.
+        With ``target_share`` present, the primary premium is calibrated
+        against the arrival, so sweeping the arrival keeps the equilibrium
+        share pinned rather than drifting to a boundary.
         """
         net = self._section("network")
         capacity = self._require("network", "capacity")
-        if arrival is None:
-            arrival = self._require("network", "arrival")
+        arrival = self._require("network", "arrival")
         delay_weight = net.get("delay_weight", 1.0)
         if "target_share" in net:
             if "price_primary" in net or "price_secondary" in net:
@@ -198,13 +205,11 @@ class ExperimentConfig:
 
     # -- population ------------------------------------------------------
 
-    def population(self, n: int | None = None) -> PopulationConfig:
+    def population(self) -> PopulationConfig:
         pop = self._section("population")
-        if n is None:
-            n = self._require("population", "n")
         try:
             return PopulationConfig(
-                n=int(n),
+                n=int(self._require("population", "n")),
                 anchored_primary=pop.get("anchored_primary", 0),
                 anchored_secondary=pop.get("anchored_secondary", 0),
             )
@@ -213,13 +218,8 @@ class ExperimentConfig:
 
     # -- rule --------------------------------------------------------------
 
-    def rule(
-        self,
-        params: NetworkParams,
-        n: int,
-        beta_ratio: float | None = None,
-    ) -> ImitationRule:
-        """Build the imitation rule; ``beta_ratio`` overrides the file.
+    def rule(self, params: NetworkParams, n: int) -> ImitationRule:
+        """Build the imitation rule.
 
         Fermi intensities come either as ``beta_ratio`` (in units of the
         population's largest payoff difference — comparable across
@@ -237,7 +237,7 @@ class ExperimentConfig:
         if kind == "fermi":
             if "scale" in sec:
                 raise ConfigError("[rule] fermi takes beta keys, not 'scale'")
-            ratio = beta_ratio if beta_ratio is not None else sec.get("beta_ratio")
+            ratio = sec.get("beta_ratio")
             absolute = sec.get("beta_absolute")
             if (ratio is None) == (absolute is None):
                 raise ConfigError(

@@ -200,12 +200,13 @@ def calibrate_price_gap(
         raise ValueError(f"target_share must lie in (0, 1], got {target_share}")
     # Route the remaining validation through the parameter type.
     NetworkParams(capacity=capacity, arrival=arrival, delay_weight=delay_weight)
-    return (
-        delay_weight
-        * arrival
-        * (1.0 - target_share)
-        / ((capacity - arrival) * (capacity - target_share * arrival))
-    )
+    denom = (capacity - arrival) * (capacity - target_share * arrival)
+    if not 0.0 < denom < math.inf:
+        raise ValueError(
+            "the calibration denominator (capacity - arrival) * (capacity - target_share * "
+            f"arrival) = {denom!r} leaves the float range"
+        )
+    return delay_weight * arrival * (1.0 - target_share) / denom
 
 
 def social_welfare(params: NetworkParams, share_primary: float | np.ndarray) -> float | np.ndarray:
@@ -235,10 +236,20 @@ def social_optimum(params: NetworkParams) -> tuple[float, float]:
     return x_opt, s_min
 
 
+def _minimal_welfare(params: NetworkParams) -> float:
+    """S_min, the denominator of every price of anarchy; refused where it rounds to 0."""
+    _, s_min = social_optimum(params)
+    if s_min == 0.0:
+        raise ValueError(
+            "the minimal welfare S_min rounds to 0 (arrival negligible against capacity): "
+            "the price of anarchy is undefined"
+        )
+    return s_min
+
+
 def poa_at(params: NetworkParams, share_primary: float) -> float:
     """Price of anarchy of a fixed split: S(share) / S_min, always >= 1."""
-    _, s_min = social_optimum(params)
-    return social_welfare(params, share_primary) / s_min
+    return social_welfare(params, share_primary) / _minimal_welfare(params)
 
 
 def poa_absorbing(params: NetworkParams) -> float:
@@ -254,7 +265,13 @@ def poa_absorbing(params: NetworkParams) -> float:
     """
     cap, lam = params.capacity, params.arrival
     root_slack = math.sqrt(cap - lam)
-    return lam / (2.0 * root_slack * (math.sqrt(cap) - root_slack))
+    denom = 2.0 * root_slack * (math.sqrt(cap) - root_slack)
+    if denom == 0.0:
+        raise ValueError(
+            "the absorbing price of anarchy's denominator "
+            "2 sqrt(capacity - arrival) (sqrt(capacity) - sqrt(capacity - arrival)) rounds to 0"
+        )
+    return lam / denom
 
 
 def expected_poa(params: NetworkParams, distribution) -> float:
@@ -282,5 +299,4 @@ def expected_poa(params: NetworkParams, distribution) -> float:
     welfare = np.empty(n + 1)
     for lo in range(0, n + 1, 4096):  # so that the temporaries stay small
         welfare[lo : lo + 4096] = social_welfare(params, np.arange(lo, min(lo + 4096, n + 1)) / n)
-    _, s_min = social_optimum(params)
-    return float(np.dot(welfare, psi)) / s_min
+    return float(np.dot(welfare, psi)) / _minimal_welfare(params)

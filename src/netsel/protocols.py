@@ -166,4 +166,7 @@ def fermi_from_ratio(params: NetworkParams, n: int, ratio: float) -> Fermi:
         raise ValueError(f"ratio must be nonnegative and finite, got {ratio}")
     if ratio == 0.0:
         return Fermi(beta=0.0)
-    return Fermi(beta=ratio / beta_reference(params, n))
+    reference = beta_reference(params, n)
+    if reference == 0.0:
+        raise ValueError("beta_reference is 0: no payoff difference to quote the ratio against")
+    return Fermi(beta=ratio / reference)

@@ -130,7 +130,11 @@ def integrate(
     # settles and samples until the horizon (gigabytes at rtol 1e-13 near
     # capacity).  Runs settled from 0.3 of it, not at 0.1: a safety factor of 1.
     advantage = model.utility_primary_at_share(params, rest) - model.utility_secondary(params)
-    slope = params.delay_weight * params.arrival / (params.capacity - params.arrival * rest) ** 2
+    slack = params.capacity - params.arrival * rest
+    try:
+        slope = params.delay_weight * params.arrival / slack**2
+    except (OverflowError, ZeroDivisionError):  # slack**2 over- or underflows, the slope need not
+        slope = params.delay_weight * (params.arrival / slack) / slack
     floor = abs((1 - 2 * rest) * advantage - rest * (1 - rest) * slope) * (_RTOL * rest + _ATOL)
     if rtol < floor:
         raise ValueError(

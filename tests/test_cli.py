@@ -5,10 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import netsel
 from netsel.cli import EXIT_ANALYSIS, EXIT_CONFIG, EXIT_OK, main
@@ -582,6 +585,35 @@ def test_failed_command_leaves_no_output_directory(tmp_path, command, text, code
     assert not out_dir.exists()
 
 
+def test_failed_figure_leaves_no_output_directory(tmp_path, monkeypatch, capsys):
+    # Every figure is computed before the first file is written.
+    import netsel.cli
+
+    def fail(*_):
+        raise ValueError("figure failed")
+
+    last = list(netsel.cli._FIGURES)[-1]
+    monkeypatch.setitem(netsel.cli._FIGURES, last, (fail, netsel.cli._FIGURES[last][1]))
+    out_dir = tmp_path / "figs"
+    assert main(["reproduce", "--figure", "all", "--out", str(out_dir)]) == EXIT_ANALYSIS
+    assert capsys.readouterr() == ("", "analysis error: figure failed\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file-exists", "not-a-directory"])
+@pytest.mark.parametrize(
+    "argv", [["stationary", "--config"], ["reproduce", "--figure", "fig1a"]], ids=["config", "reproduce"]
+)
+def test_unwritable_output_location_is_a_config_error(tmp_path, capsys, argv, below):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory", encoding="utf-8")
+    if argv[0] == "stationary":
+        argv = [*argv, write_config(tmp_path, BASE)]
+    assert main([*argv, "--out", str(blocker / below), "--quiet"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {blocker / below}")
+    assert blocker.read_text(encoding="utf-8") == "not a directory"
+
+
 def test_environment_variable_sets_the_output_directory(tmp_path, monkeypatch):
     env_dir = tmp_path / "from_env"
     monkeypatch.setenv("NETSEL_OUT_DIR", str(env_dir))
@@ -608,6 +640,65 @@ def test_config_directory_beats_the_environment(tmp_path, monkeypatch):
     assert main(["stationary", "--config", path, "--quiet"]) == EXIT_OK
     assert (cfg_dir / "stationary.csv").exists()
     assert not (env_dir / "stationary.csv").exists()
+
+
+# -- extreme economies ----------------------------------------------------------------
+
+
+def economy_text(network, rule, n, anchors):
+    """A config for every command over one economy; the sweep halves its arrival.
+
+    At rtol 1e300 the replicator computes and checks its rtol floor, then
+    settles at its start: a full run near capacity can take half a minute.
+    """
+    return (
+        "[network]\n" + "".join(f"{key} = {value!r}\n" for key, value in network.items())
+        + f"[population]\nn = {n}\nanchored_primary = {anchors}\nanchored_secondary = {anchors}\n"
+        + f"[rule]\n{rule}\n[simulation]\nsteps = 200\n[replicator]\ninitial_share = 0.2\nrtol = 1e300\n"
+        + f"[sweep]\nvariable = lambda\nvalues = {network['arrival']!r}, {network['arrival'] / 2!r}\n"
+    )
+
+
+def powers_of_ten(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@st.composite
+def extreme_economies(draw):
+    capacity = draw(powers_of_ten(-300, 300))
+    load = draw(st.one_of(powers_of_ten(-300, 0), powers_of_ten(-15, 0).map(lambda e: 1.0 - e)))
+    network = {
+        "capacity": capacity,
+        "arrival": capacity * min(load, 1.0 - 1e-15),
+        "delay_weight": draw(powers_of_ten(-300, 300)),
+    }
+    if draw(st.booleans()):
+        network["target_share"] = draw(st.floats(1e-6, 1.0))
+    else:
+        network["price_primary"] = draw(st.sampled_from([-1.0, 1.0])) * draw(powers_of_ten(-300, 300))
+    ratio = draw(st.sampled_from([None, 0.0, 1.0, 2000.0]))
+    rule = "type = proportional" if ratio is None else f"type = fermi\nbeta_ratio = {ratio!r}"
+    return economy_text(network, rule, draw(st.integers(2, 12)), draw(st.integers(0, 1)))
+
+
+FERMI = "type = fermi\nbeta_ratio = 1.0"
+
+
+# S_min, the calibration denominator and beta_reference round to 0; the
+# replicator's squared slack underflows.  Each used to end in a traceback.
+@settings(max_examples=200, deadline=None, database=None)
+@given(extreme_economies())
+@example(economy_text({"capacity": 100.0, "arrival": 1e-14, "target_share": 0.68}, FERMI, 10, 1))
+@example(economy_text({"capacity": 1e-300, "arrival": 5e-301, "target_share": 0.68}, FERMI, 10, 1))
+@example(economy_text({"capacity": 1e-200, "arrival": 5e-201, "price_primary": 1e-200}, FERMI, 10, 1))
+@example(economy_text({"capacity": 1.0, "arrival": 1e-17}, FERMI, 10, 1))
+@example(economy_text({"capacity": 1.0, "arrival": 1e-17}, FERMI, 10, 0))
+def test_every_command_exits_with_a_code_on_extreme_economies(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_config(Path(tmp), text)
+        for command in ("equilibrium", "stationary", "sweep", "simulate", "replicator"):
+            code = main([command, "--config", config, "--out", str(Path(tmp) / "out"), "--quiet"])
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_ANALYSIS), command
 
 
 # -- cold start -----------------------------------------------------------------------

@@ -246,6 +246,13 @@ def test_calibrate_gap_rejects_bad_network():
         calibrate_price_gap(100.0, 120.0, 1.0, 0.5)
 
 
+@pytest.mark.parametrize("capacity, arrival", [(1e-300, 5e-301), (1e200, 3e199)])
+def test_calibrate_gap_names_a_denominator_outside_the_float_range(capacity, arrival):
+    # It underflows to 0, or overflows to inf and would give a zero gap.
+    with pytest.raises(ValueError, match="calibration denominator .* leaves the float range"):
+        calibrate_price_gap(capacity, arrival, 1.0, 0.68)
+
+
 # -- welfare ------------------------------------------------------------------
 
 
@@ -327,6 +334,16 @@ def test_poa_absorbing_matches_boundary_welfare():
 def test_poa_absorbing_light_traffic_limit():
     p = NetworkParams(100.0, 1e-6, 1.0, 0.0, 0.0)
     assert abs(poa_absorbing(p) - 1.0) < 1e-6
+
+
+def test_poa_names_a_denominator_that_rounds_to_zero():
+    p = NetworkParams(100.0, 1e-14, 1.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="minimal welfare S_min rounds to 0"):
+        poa_at(p, 0.5)
+    with pytest.raises(ValueError, match="minimal welfare S_min rounds to 0"):
+        expected_poa(p, [0.5, 0.5])
+    with pytest.raises(ValueError, match="absorbing price of anarchy's denominator"):
+        poa_absorbing(p)
 
 
 # -- expected price of anarchy ------------------------------------------------

@@ -277,3 +277,12 @@ def test_fermi_from_ratio_scales_by_reference():
 def test_fermi_from_ratio_rejects_negative():
     with pytest.raises(ValueError):
         fermi_from_ratio(calibrated_params(), 10, -1.0)
+
+
+def test_fermi_from_ratio_names_a_zero_payoff_scale():
+    # The arrival is below an ulp of the capacity, so no state moves a payoff.
+    p = NetworkParams(1.0, 1e-17)
+    assert beta_reference(p, 10) == 0.0
+    assert fermi_from_ratio(p, 10, 0.0).beta == 0.0
+    with pytest.raises(ValueError, match="beta_reference is 0"):
+        fermi_from_ratio(p, 10, 1.0)

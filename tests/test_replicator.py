@@ -210,6 +210,21 @@ def test_an_rtol_just_above_the_floor_settles(capacity, arrival, target, rtol, g
         integrate(params, 0.2, rtol=0.99 * floor, gain=gain)
 
 
+@pytest.mark.parametrize(
+    "capacity, price, settled",
+    # At capacity 1e200 the field is below rtol everywhere, so the start is settled.
+    [(1e-200, 1e-200, 1.0), (1e-200, 1e200, 0.0), (1e200, 1e-200, 0.2)],
+)
+def test_the_rtol_floor_holds_where_the_squared_slack_leaves_the_float_range(
+    capacity, price, settled
+):
+    # The squared slack underflows to 0 at capacity 1e-200 and overflows at
+    # 1e200; the floor then divides by the slack twice.
+    result = integrate(NetworkParams(capacity, capacity / 2, 1.0, price, 0.0), 0.2)
+    assert result.converged
+    assert result.fixed_point == pytest.approx(settled, abs=1e-12)
+
+
 def test_times_and_shares_views_align():
     p = calibrated_params()
     result = integrate(p, 0.4, rtol=1e-9)
