@@ -66,11 +66,13 @@ FAULT_PASSES passes after a warm-up one, per pass and per analysis; and a
 launch row, a fresh interpreter that builds the anchored chain at
 n = 10^6 and runs ``long_run``, ``expected_poa`` and ``stationary_eigen``.
 With ``--baseline DIR``, DIR being a checkout of another revision, the
-``stationary_eigen`` rows at every size and the eigen launch are timed
-again for both revisions, each in ROUNDS fresh interpreters that
-alternate which revision goes first, and recorded side by side under
-``baseline`` with the median over the rounds and this revision's ratio
-to the baseline; the memory rows are taken for both revisions as well.
+``stationary_eigen`` rows at every size, the replicator row, the eigen
+launch and the ``netsel replicator`` launch are timed again for both
+revisions, each in ROUNDS fresh interpreters that alternate which
+revision goes first, and recorded side by side under ``baseline`` with
+the median over the rounds and this revision's ratio to the baseline,
+next to the baseline's ``src_lines``; the memory rows are taken for both
+revisions as well.
 BLAS runs on one thread, as in ``perfbench``: on a small machine a
 threaded dot product of 10^4 elements waits milliseconds for its
 helper threads, which would hide the layer's own cost.
@@ -388,8 +390,10 @@ def launch_rows() -> dict[str, dict[str, float]]:
         return {name: launch_row(argv, tmp) for name, argv in launches.items()}
 
 
-def eigen_rows() -> dict[str, dict[str, float]]:
-    """``stationary_eigen`` at each size, and its launch row, from SRC."""
+def paired_rows() -> dict[str, dict[str, float]]:
+    """The rows --baseline times for both revisions, from SRC: ``stationary_eigen``
+    at each size, the replicator row, and the launches of the eigen script and
+    of ``netsel replicator`` on the README config."""
     params = economy()
     rows = {}
     with SPEED:
@@ -397,8 +401,14 @@ def eigen_rows() -> dict[str, dict[str, float]]:
         for n in SIZES:
             kernel = fermi_kernel(params, n)
             rows[f"stationary_eigen/{n}"] = median_ms(lambda: chain.stationary_eigen(kernel), 4)
+        rows["replicator_integrate"] = replicator_row()
         with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "experiment.ini"
+            config.write_text(README_CONFIG, encoding="utf-8")
             rows["launch/stationary_eigen_1e5"] = launch_row(["-c", EIGEN_LAUNCH], tmp)
+            rows["launch/replicator_readme"] = launch_row(
+                ["-m", "netsel.cli", "replicator", "--config", str(config), "--out", "ode"], tmp
+            )
     return rows
 
 
@@ -496,22 +506,23 @@ def revision(checkout: Path) -> str:
 
 
 def baseline_rows(baseline: Path) -> dict:
-    """eigen_rows of this revision and of the checkout ``baseline``, ROUNDS
-    fresh interpreters each, alternating which goes first."""
+    """paired_rows of this revision and of the checkout ``baseline``, ROUNDS
+    fresh interpreters each, alternating which goes first, and the
+    baseline's src_lines."""
     sources = {"baseline": baseline.resolve() / "src", "this": SRC}
     runs: dict[str, list[dict]] = {"baseline": [], "this": []}
     for r in range(ROUNDS):
         for name in ("baseline", "this") if r % 2 == 0 else ("this", "baseline"):
             env = {**os.environ, "NETSEL_SRC": str(sources[name])}
             out = subprocess.run(
-                [sys.executable, __file__, "--eigen"], env=env, capture_output=True, text=True,
+                [sys.executable, __file__, "--paired"], env=env, capture_output=True, text=True,
                 check=True,
             ).stdout
             runs[name].append(json.loads(out))
 
     def median_of(name: str, row: str) -> dict[str, float]:
         cells = [run[row] for run in runs[name]]
-        keys = [key for key in ("ms", "scaled_ms", "peak_rss_mb") if key in cells[0]]
+        keys = [key for key in ("ms", "scaled_ms", "peak_rss_mb", "samples") if key in cells[0]]
         median = {key: statistics.median(cell[key] for cell in cells) for key in keys}
         return median if median["ms"] >= 1 else {**median, "comparable": False}
 
@@ -525,20 +536,21 @@ def baseline_rows(baseline: Path) -> dict:
         "what": f"median over {ROUNDS} fresh interpreters per revision, alternating which "
         "ran first; ratio = this ms / baseline ms",
         "rows": rows,
+        "src_lines": src_lines(baseline.resolve()),
     }
 
 
-def src_lines() -> dict[str, int]:
-    """Newline count of each module of the package, and their total."""
-    files = sorted((ROOT / "src" / "netsel").glob("*.py"))
+def src_lines(root: Path = ROOT) -> dict[str, int]:
+    """Newline count of each module of the package under ``root``, and their total."""
+    files = sorted((root / "src" / "netsel").glob("*.py"))
     lines = {path.name: path.read_bytes().count(b"\n") for path in files}
     return {**lines, "total": sum(lines.values())}
 
 
 def main(argv: list[str]) -> None:
-    if argv in (["--eigen"], ["--memory"]):
+    if argv in (["--paired"], ["--memory"]):
         os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])
-        print(json.dumps(eigen_rows() if argv == ["--eigen"] else memory_rows()))
+        print(json.dumps(paired_rows() if argv == ["--paired"] else memory_rows()))
         return
     if not (len(argv) in (1, 3) and argv[0].isdigit() and argv[1:2] in ([], ["--baseline"])):
         sys.exit(
@@ -654,6 +666,8 @@ def main(argv: list[str]) -> None:
         print(f"{name:8s} large pass {rows['large_faults']['per_pass']:>8.0f} minor faults;"
               f" n = 10^6 launch {launched['ms']:.1f} ms, {launched['peak_rss_mb']:.1f} MB")
     print(f"src lines {record['src_lines']['total']:>12d}")
+    if baseline is not None:
+        print(f"baseline src lines {baseline['src_lines']['total']:>3d}")
     print(f"wrote {out}")
 
 

@@ -16,6 +16,7 @@ operation is a deterministic function of its arguments.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,10 +229,16 @@ def social_optimum(params: NetworkParams) -> tuple[float, float]:
 
     Setting dS/dx = 0 gives x_opt = (C - sqrt(C*(C - lam))) / lam and
     S_min = 2*(sqrt(C/(C - lam)) - 1); the optimum is always interior
-    and unique since S is strictly convex in x.
+    and unique since S is strictly convex in x.  Where C*(C - lam) leaves
+    the normal float range, its root is taken as sqrt(C) * sqrt(C - lam).
     """
     cap, lam = params.capacity, params.arrival
-    x_opt = (cap - math.sqrt(cap * (cap - lam))) / lam
+    product = cap * (cap - lam)
+    if sys.float_info.min <= product < math.inf:
+        root = math.sqrt(product)
+    else:
+        root = math.sqrt(cap) * math.sqrt(cap - lam)
+    x_opt = (cap - root) / lam
     s_min = 2.0 * (math.sqrt(cap / (cap - lam)) - 1.0)
     return x_opt, s_min
 

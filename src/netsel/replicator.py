@@ -38,9 +38,10 @@ class IntegrationResult:
 
     ``trajectory`` holds float64 rows (time, share), the shape of
     ``montecarlo.RunResult.trajectory``.  ``converged`` reports whether
-    the derivative-based stop condition fired before the horizon; a False
-    value is information, not an error, and the partial trajectory stays
-    fully inspectable.
+    the derivative-based stop condition fired, or the share reached the
+    float next to the rest point, before the horizon; a False value is
+    information, not an error, and the partial trajectory stays fully
+    inspectable.
     """
 
     trajectory: np.ndarray
@@ -99,16 +100,15 @@ def integrate(
 ) -> IntegrationResult:
     """Follow the replicator flow until it settles or the horizon ends.
 
-    Runs an adaptive Runge-Kutta pair and stops once |dx/dt| falls below
-    rtol * gain — a derivative criterion, so a trajectory crawling slowly
-    toward a boundary is not mistaken for a settled one.  An rtol below the
-    drift the pair resolves at the rest point is refused (ValueError), as
-    such a run would never settle.  The pair and the location of the stop
-    are scipy 1.17.1's RK45 and brentq, ported below, so the samples do not
-    depend on the installed scipy version.  The start must be strictly
-    interior (the boundaries are fixed points; integrating from one would
-    be a constant).  Samples are clipped to [0, 1] against integrator
-    round-off.
+    The flow separates: pi_P(x) - pi_S = (B - A x) / (C - lam x), with A
+    and B taken exactly from the float parameters, so each share's time
+    is a sum of logarithms (Hofbauer & Sigmund, 1998).  The run stops at
+    the first share where |dx/dt| <= rtol * gain, a derivative criterion,
+    so a trajectory crawling toward a boundary is not mistaken for a
+    settled one, or at the float next to the rest point if that comes
+    first; past the horizon it ends on the share at the horizon.  Shares
+    are sampled geometrically in their distance to the rest point.  The
+    start must be strictly interior (the boundaries are fixed points).
     """
     if not 0.0 < initial_share < 1.0:
         raise ValueError(
@@ -121,177 +121,77 @@ def integrate(
         raise ValueError(f"rtol must be positive and finite, got {rtol}")
     if not (math.isfinite(gain) and gain > 0):
         raise ValueError(f"gain must be positive and finite, got {gain}")
+    from fractions import Fraction  # here, as it loads decimal, which no other command needs
+    x0 = initial_share
+    cap, lam, weight = (Fraction(v) for v in (params.capacity, params.arrival, params.delay_weight))
+    margin = weight / (cap - lam) - Fraction(params.price_primary) + Fraction(params.price_secondary)
+    big_a, big_b = lam * margin, cap * margin - weight  # pi_P - pi_S = margin - a / (C - lam x)
+    # dx/dt = gain x (1 - x) pull(x) / (scale ((1 - x) + slack x)), pull(x) = (B - A x) / norm,
+    # in a form that keeps its digits next to the rest point.
+    if 0 < big_b < big_a:  # an interior rest point x* = B / A, carried to twice the digits
+        norm, rest = big_a, float(big_b / big_a)
+        low = float(big_b / big_a - Fraction(rest))
+
+        def pull(y: float) -> float:
+            return (rest - y) + low
+
+    else:  # B and B - A share a sign: the flow runs to a boundary, and pull never cancels
+        norm = max(abs(big_b), abs(big_b - big_a))
+        at_0, at_1 = float(big_b / norm), float((big_b - big_a) / norm)
+        rest = 1.0 if at_0 + at_1 > 0 else 0.0
+
+        def pull(y: float) -> float:
+            return at_0 * (1.0 - y) + at_1 * y
+
+    slack = float((cap - lam) / cap)
     try:
-        rest = model.equilibrium(params).share_primary
-    except ValueError:  # degenerate prices: pi_P < pi_S at every share, so the flow ends at 0
-        rest = 0.0
-    # |dx/dt| near the rest point x* is |f'(x*)| |x - x*|, and the RK45 below
-    # places x only to about _RTOL * x* + _ATOL: below that drift it never
-    # settles and samples until the horizon (gigabytes at rtol 1e-13 near
-    # capacity).  Runs settled from 0.3 of it, not at 0.1: a safety factor of 1.
-    advantage = model.utility_primary_at_share(params, rest) - model.utility_secondary(params)
-    slack = params.capacity - params.arrival * rest
-    try:
-        slope = params.delay_weight * params.arrival / slack**2
-    except (OverflowError, ZeroDivisionError):  # slack**2 over- or underflows, the slope need not
-        slope = params.delay_weight * (params.arrival / slack) / slack
-    floor = abs((1 - 2 * rest) * advantage - rest * (1 - rest) * slope) * (_RTOL * rest + _ATOL)
-    if rtol < floor:
-        raise ValueError(
-            f"rtol = {rtol!r} is below {floor:.3g}, the settling drift the integrator resolves "
-            f"at the rest point x* = {rest:.6g}; such a run would never settle"
-        )
-    threshold = rtol * gain
+        scale = float(cap / norm)
+    except OverflowError:
+        scale = math.inf
+    settle, unit = rtol * scale, scale / gain
 
-    def drift(y: np.ndarray) -> float:
-        return replicator_rhs(params, min(max(float(y[0]), 0.0), 1.0), gain)
+    def slow(y: float) -> bool:  # |dx/dt| <= rtol * gain
+        return y * (1.0 - y) * abs(pull(y)) / ((1.0 - y) + slack * y) <= settle
 
-    def settled(f: np.ndarray) -> float:
-        return abs(float(f[0])) - threshold
+    def elapsed(y: float) -> float:  # the time from x0 to y, by partial fractions
+        w, ratio = (y - x0) / pull(y), pull(x0) / pull(y)
+        near = _log1p_over(pull(0.0) * w / x0, y / x0, ratio) / x0
+        far = _log1p_over(-pull(1.0) * w / (1 - x0), (1 - y) / (1 - x0), ratio) / (1 - x0)
+        return w * (near + slack * far) * unit  # unit last: it may be subnormal
 
-    start = np.array([initial_share], dtype=float)
-    times, states, converged = _rk45(lambda y: np.array([drift(y)]), settled, start, float(horizon))
-    shares = np.clip(np.concatenate(states), 0.0, 1.0)
-    return IntegrationResult(np.column_stack((times, shares)), converged=converged)
-
-
-# The rest of this module is scipy 1.17.1's solve_ivp(method="RK45",
-# rtol=1e-12, atol=1e-14) with one terminal event of direction 0, cut down
-# to one dimension, forward time and an autonomous field (so the tableau's
-# stage times C drop out) and ported operation for operation: the
-# Dormand-Prince 5(4) pair and its quartic dense output (J. Comput. Appl.
-# Math. 6, 1980), and scipy's C brentq for the event (Brent, Algorithms for
-# Minimization Without Derivatives, 1973, ch. 4).  The numpy calls keep
-# scipy's shapes, so both take the same BLAS path and give the same bits.
-# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.  All rights
-# reserved.  Used under the BSD 3-Clause licence; its conditions and
-# disclaimer are in LICENSES/scipy.txt at the root of the repository.
-
-_RTOL, _ATOL = 1e-12, 1e-14
-_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1/5, 0, 0, 0, 0],
-    [3/40, 9/40, 0, 0, 0],
-    [44/45, -56/15, 32/9, 0, 0],
-    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
-])  # fmt: skip
-_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])  # fmt: skip
-_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])  # fmt: skip
-_P = np.array([
-    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
-    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
-    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
-    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
-])  # fmt: skip
+    if slow(x0):
+        return IntegrationResult(np.array([[0.0, x0]]), converged=True)
+    last, stop = _bisect(lambda y: not slow(y), x0, rest)
+    end = last if stop == rest else stop
+    converged = elapsed(end) <= horizon
+    if not converged:
+        end = _bisect(lambda y: elapsed(y) <= horizon, x0, end)[0]
+    shares = rest + math.copysign(1.0, x0 - rest) * np.geomspace(
+        abs(x0 - rest), abs(end - rest), _SAMPLES
+    )
+    shares[0], shares[-1] = x0, end
+    shares = np.clip(shares, min(x0, end), max(x0, end))  # rounding may step past either end
+    shares = shares[np.r_[True, np.diff(shares) != 0]].tolist()
+    rows = [(0.0, x0)] + [(elapsed(y), y) for y in shares[1:]]
+    if not converged:  # the last share is the share at the horizon, to one float
+        rows[1:] = [*rows[1:-1], (horizon, end)]
+    return IntegrationResult(np.array(rows), converged=converged)
 
 
-def _rms(x: np.ndarray) -> float:
-    return np.linalg.norm(x) / x.size ** 0.5
+_SAMPLES = 288  # the rows of the README run under the Runge-Kutta integrator replaced
 
 
-def _rk45(rate, event, y: np.ndarray, t_bound: float) -> tuple[list, list, bool]:
-    """solve_ivp's times, states and whether ``event(rate(y))`` crossed 0 (the start
-    alone if it is <= 0 there); each step reuses the rate at its end for the event.
-    A step below ten ulps of t ends the run unsettled (status -1)."""
-    rtol, atol = _RTOL, _ATOL
-    f = rate(y)
-    t, g, times, states = 0.0, event(f), [0.0], [y]
-    if g <= 0:
-        return times, states, True
-    scale = atol + np.abs(y) * rtol  # select_initial_step
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound)
-    d2 = _rms((rate(y + h0 * f) - f) / scale) / h0
-    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
-    h_abs = min(100 * h0, h1, t_bound)
-    K = np.empty((7, 1))
-    while True:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)  # RungeKutta._step_impl
-        h_abs, rejected = max(h_abs, min_step), False
-        while True:
-            if h_abs < min_step:
-                return times, states, False
-            t_new = min(t + h_abs, t_bound)
-            h = t_new - t
-            h_abs = np.abs(h)
-            K[0] = f
-            for s in range(1, 6):
-                K[s] = rate(y + np.dot(K[:s].T, _A[s, :s]) * h)
-            y_new = y + h * np.dot(K[:-1].T, _B)
-            K[-1] = f_new = rate(y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _rms(np.dot(K.T, _E) * h / scale)
-            if error_norm < 1:
-                factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.2)
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(0.2, 0.9 * error_norm ** -0.2)
-            rejected = True
-        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
-        g_new = event(f)
-        if g <= 0 <= g_new or g_new <= 0 <= g:  # find_active_events, direction 0
-            Q = K.T.dot(_P)
-
-            def dense(at: float) -> np.ndarray:  # RkDenseOutput
-                return h * np.dot(Q, np.cumprod(np.tile((at - t_old) / h, 4))) + y_old
-
-            root = _brentq(lambda at: event(rate(dense(at))), t_old, t)
-            return times + [root], states + [dense(root)], True
-        times.append(t)
-        states.append(y)
-        if t >= t_bound:
-            return times, states, False
-        g = g_new
+def _log1p_over(u: float, *factors: float) -> float:
+    """ln(1 + u) / u, 1 at u = 0; below u = -1/2 from the factors of 1 + u,
+    which keep the digits that 1 + u formed from u would lose."""
+    if u == 0.0:
+        return 1.0
+    return (math.log1p(u) if u > -0.5 else sum(map(math.log, factors))) / u
 
 
-def _brentq(f, xa: float, xb: float) -> float:
-    """scipy's brentq(f, xa, xb, xtol=4 eps, rtol=4 eps, maxiter=100), errors included."""
-
-    def value(x: float) -> float:
-        fx = f(x)
-        if np.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xtol = rtol = 4 * float(np.finfo(float).eps)
-    xpre, xcur = xa, xb
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant step
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic step
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise RuntimeError("Failed to converge after 100 iterations.")
+def _bisect(inside, lo: float, hi: float) -> tuple[float, float]:
+    """Adjacent floats from lo toward hi, the first inside and the second
+    not, given inside(lo) and not inside(hi)."""
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+    return lo, hi

@@ -9,11 +9,13 @@ import tempfile
 import textwrap
 from pathlib import Path
 
+import mpmath as mp
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import netsel
+from netsel import model
 from netsel.cli import EXIT_ANALYSIS, EXIT_CONFIG, EXIT_OK, main
 from netsel.config import ConfigError, parse_config
 
@@ -490,16 +492,25 @@ def test_replicator_bad_tolerance_is_a_config_error(tmp_path, capsys, rtol):
     assert not (out_dir / "replicator.csv").exists()
 
 
-def test_replicator_with_an_unresolvable_rtol_is_a_config_error(tmp_path, capsys):
-    # Near capacity no run at this rtol could settle; it used to grow past 2 GB.
-    text = BASE.replace("capacity = 100\narrival = 30\ntarget_share = 0.68", (
-        "capacity = 1\narrival = 0.99\ndelay_weight = 10\ntarget_share = 0.5"
-    )) + "\n[replicator]\ninitial_share = 0.2\nrtol = 1e-13\n"
+NEXT_TO_CAPACITY = f"capacity = 1.59e-11\narrival = {1.59e-11 * (1 - 1.6e-11)!r}\ntarget_share = 1e-6"
+
+
+@pytest.mark.parametrize(
+    "network, rtol",
+    [
+        # the old integrator refused this rtol: no run could settle, one grew past 2 GB
+        ("capacity = 1\narrival = 0.99\ndelay_weight = 10\ntarget_share = 0.5", "1e-13"),
+        # and this default one: the field in floats is rounding noise near capacity
+        (NEXT_TO_CAPACITY, "1e-8"),
+    ],
+    ids=["rtol-1e-13", "load-next-to-capacity"],
+)
+def test_replicator_settles_where_the_old_integrator_refused(tmp_path, network, rtol):
+    text = BASE.replace("capacity = 100\narrival = 30\ntarget_share = 0.68", network)
+    path = write_config(tmp_path, text + f"\n[replicator]\ninitial_share = 0.2\nrtol = {rtol}\n")
     out_dir = tmp_path / "res"
-    path = write_config(tmp_path, text)
-    assert main(["replicator", "--config", path, "--out", str(out_dir), "--quiet"]) == EXIT_CONFIG
-    assert "rtol = 1e-13 is below" in capsys.readouterr().err
-    assert not (out_dir / "replicator.csv").exists()
+    assert main(["replicator", "--config", path, "--out", str(out_dir), "--quiet"]) == EXIT_OK
+    assert read_meta(out_dir / "replicator.csv")["converged"] is True
 
 
 # -- reproduce ----------------------------------------------------------------------
@@ -648,13 +659,12 @@ def test_config_directory_beats_the_environment(tmp_path, monkeypatch):
 def economy_text(network, rule, n, anchors):
     """A config for every command over one economy; the sweep halves its arrival.
 
-    At rtol 1e300 the replicator computes and checks its rtol floor, then
-    settles at its start: a full run near capacity can take half a minute.
+    The replicator runs at its default rtol.
     """
     return (
         "[network]\n" + "".join(f"{key} = {value!r}\n" for key, value in network.items())
         + f"[population]\nn = {n}\nanchored_primary = {anchors}\nanchored_secondary = {anchors}\n"
-        + f"[rule]\n{rule}\n[simulation]\nsteps = 200\n[replicator]\ninitial_share = 0.2\nrtol = 1e300\n"
+        + f"[rule]\n{rule}\n[simulation]\nsteps = 200\n[replicator]\ninitial_share = 0.2\n"
         + f"[sweep]\nvariable = lambda\nvalues = {network['arrival']!r}, {network['arrival'] / 2!r}\n"
     )
 
@@ -664,14 +674,19 @@ def powers_of_ten(lo, hi):
 
 
 @st.composite
-def extreme_economies(draw):
+def extreme_networks(draw):
     capacity = draw(powers_of_ten(-300, 300))
     load = draw(st.one_of(powers_of_ten(-300, 0), powers_of_ten(-15, 0).map(lambda e: 1.0 - e)))
-    network = {
+    return {
         "capacity": capacity,
         "arrival": capacity * min(load, 1.0 - 1e-15),
         "delay_weight": draw(powers_of_ten(-300, 300)),
     }
+
+
+@st.composite
+def extreme_economies(draw):
+    network = draw(extreme_networks())
     if draw(st.booleans()):
         network["target_share"] = draw(st.floats(1e-6, 1.0))
     else:
@@ -701,6 +716,51 @@ def test_every_command_exits_with_a_code_on_extreme_economies(text):
             assert code in (EXIT_OK, EXIT_CONFIG, EXIT_ANALYSIS), command
 
 
+def true_optimal_share(capacity, arrival):
+    with mp.workdps(50):
+        cap, lam = mp.mpf(capacity), mp.mpf(arrival)
+        return float((cap - mp.sqrt(cap * (cap - lam))) / lam)
+
+
+def optimal_share_bound(capacity, arrival):
+    """(C - sqrt(C (C - lam))) / lam with its root to 2 eps: the numerator
+    cancels, so its error is up to 4 eps C / lam."""
+    return 4 * 2.0**-53 * (capacity / arrival)
+
+
+# C (C - lam) overflows above a capacity of about 1.3e154 and leaves the
+# normal range below about 1.5e-154; either used to give a wrong x_opt.
+@settings(max_examples=300, deadline=None, database=None)
+@given(extreme_networks())
+@example({"capacity": 1e200, "arrival": 3e199, "delay_weight": 1.0})
+@example({"capacity": 1e-200, "arrival": 5e-201, "delay_weight": 1.0})
+@example({"capacity": 1e-160, "arrival": 3e-161, "delay_weight": 1.0})
+def test_social_optimum_matches_mpmath_on_extreme_economies(network):
+    capacity, arrival = network["capacity"], network["arrival"]
+    assume(0.0 < arrival < capacity)
+    x_opt, _ = model.social_optimum(model.NetworkParams(capacity, arrival))
+    want = true_optimal_share(capacity, arrival)
+    assert abs(x_opt - want) <= optimal_share_bound(capacity, arrival)
+
+
+@pytest.mark.parametrize(
+    "capacity, arrival, price", [(1e200, 3e199, 1e-201), (1e-200, 5e-201, 1e-201), (1e-160, 3e-161, 1e-161)]
+)
+def test_equilibrium_writes_the_optimal_share_of_an_extreme_economy(
+    tmp_path, capacity, arrival, price
+):
+    text = BASE.replace(
+        "capacity = 100\narrival = 30\ntarget_share = 0.68",
+        f"capacity = {capacity!r}\narrival = {arrival!r}\nprice_primary = {price!r}",
+    )
+    out_dir = tmp_path / "res"
+    path = write_config(tmp_path, text)
+    assert main(["equilibrium", "--config", path, "--out", str(out_dir), "--quiet"]) == EXIT_OK
+    table = {name: float(value) for name, value in read_rows(out_dir / "equilibrium.csv")[1]}
+    want = true_optimal_share(capacity, arrival)
+    assert abs(table["optimal_share"] - want) <= optimal_share_bound(capacity, arrival)
+
+
 # -- cold start -----------------------------------------------------------------------
 
 COLD_START = """
@@ -725,9 +785,9 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 
 
 def test_numpy_only_commands_never_load_scipy(tmp_path):
-    # Nothing in netsel loads scipy: the replicator ODE runs on the
-    # in-package RK45, absorption tables are solved by its own elimination
-    # and stationary_eigen's balance blocks by its own cyclic reduction.  A
+    # Nothing in netsel loads scipy: the replicator flow is in closed form,
+    # absorption tables are solved by its own elimination and
+    # stationary_eigen's balance blocks by its own cyclic reduction.  A
     # fresh interpreter that runs every command and then each of those
     # library routes must not pay for scipy's import anywhere.
     path = write_config(

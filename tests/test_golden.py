@@ -117,10 +117,10 @@ RUNS = {
         "replicator",
         README_CONFIG,
         {
-            "replicator.csv": "6a4ffd7b55e5a0660556905a410c33e102549b41fba0dd17bbe64e638c0123a1",
-            "replicator.meta.json": "6768e222a243fc271412cacaed07e796aa8f61422920187159a6bbbb540b3d35",
+            "replicator.csv": "cf71437302b3c937bb3f1a080abd01f3a2cac8472486be1a0818d20b9e93bdc8",
+            "replicator.meta.json": "8e12dae67fc761478a113c0b06d8fec9bb9f209738db6d77624545a2081b4135",
         },
-        "e8b81b26b556336765284d885b26e0f311eef26b9bb11e1f74c5ece52519e284",
+        "d2e792523418237c39d1346df1ff6773135492dc0ea555902e3202b3765940bc",
     ),
     "replicator_at_rest": (
         "replicator",
@@ -160,7 +160,7 @@ GNUPLOT_STUBS_SHA256 = "34364d0540991af898ecb74237c7ee3b57e582cd0e1e505709be81f1
 # RUNS name, or a reproduce form -> digest of its stdout
 STDOUT_SHA256 = {
     "equilibrium": "a1a95bac412c9fc3185a7d0c77427e0edd32e29e00720a8b9f7b852c68521815",
-    "replicator": "fa476bd2bc319ec180e7db17829e650ea905ddc550db6da267ea3e2e9f66d058",
+    "replicator": "3efc712e15832fdc606c0b651748c8d590777eb7285cf0e0f890dd93b0c5c04d",
     "replicator_at_rest": "091ce7053300d093541b660d2504cdf4da2582a66d41e04d3ae16cd7360a6bb5",
     "simulate": "1b34c3360a2a56d05b73e5decfa409479da3988269980a882d5896a76d173267",
     "stationary_anchored_fermi": "41f892eb6c91fb075946f728b9d0036720f81819c4a2f5dd294c55a0f705e5f1",

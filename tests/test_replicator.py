@@ -1,25 +1,21 @@
 """Mean dynamics: vector fields and trajectory integration."""
 
 import math
-import re
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from netsel.model import NetworkParams, calibrate_price_gap, equilibrium
 from netsel.protocols import Fermi, PairwiseProportional
-from netsel.replicator import (
-    IntegrationResult,
-    _brentq,
-    integrate,
-    mean_dynamics_rhs,
-    replicator_rhs,
-)
+from netsel.replicator import integrate, mean_dynamics_rhs, replicator_rhs
+
+# The closed form takes no step that could overflow or divide by zero.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def calibrated_params(target=0.68):
@@ -168,10 +164,10 @@ def test_integration_rejects_a_tolerance_that_cannot_stop_it_honestly(rtol):
         integrate(calibrated_params(), 0.2, rtol=rtol)
 
 
-# Two runs that could never settle: near capacity the RK45 (rtol 1e-12,
-# atol 1e-14) places x only to about 1e-12 * x*, so |dx/dt| stays above
-# rtol * gain and the run samples until the horizon.  The first had 4,145
-# samples by t = 100; the second grew past 2 GB.  Both are refused at once.
+# Two runs the Runge-Kutta integrator this module used to carry could never
+# settle: near capacity it placed x only to about 1e-12 * x*, so |dx/dt|
+# stayed above rtol * gain and the run sampled until the horizon.  Both were
+# refused; the closed form settles them at once.
 NEVER_SETTLE = [(1.0, 0.9, 0.98, 1e-12, 10.0), (1.0, 0.99, 0.5, 1e-13, 1.0)]
 
 
@@ -181,20 +177,19 @@ def near_capacity(capacity, arrival, target):
 
 
 def resolvable_drift(params, x):
-    """|f'(x*)| (1e-12 x* + 1e-14) at gain 1, the refusal's floor."""
+    """|f'(x*)| (1e-12 x* + 1e-14) at gain 1, the floor the old integrator refused below."""
     slope = params.delay_weight * params.arrival / (params.capacity - params.arrival * x) ** 2
     return x * (1.0 - x) * slope * (1e-12 * x + 1e-14)
 
 
 @pytest.mark.parametrize("capacity, arrival, target, rtol, gain", NEVER_SETTLE)
-def test_an_rtol_the_integrator_cannot_resolve_is_refused_at_once(
-    capacity, arrival, target, rtol, gain
-):
+def test_runs_the_old_integrator_refused_settle_at_once(capacity, arrival, target, rtol, gain):
     params = near_capacity(capacity, arrival, target)
     start = time.perf_counter()
-    with pytest.raises(ValueError, match=r"^rtol = .* is below .* never settle$"):
-        integrate(params, 0.2, rtol=rtol, gain=gain)
+    result = integrate(params, 0.2, rtol=rtol, gain=gain)
     assert time.perf_counter() - start < 1.0
+    assert result.converged
+    assert result.fixed_point == pytest.approx(target, abs=1e-9)
 
 
 @pytest.mark.parametrize("capacity, arrival, target, rtol, gain", NEVER_SETTLE)
@@ -206,8 +201,22 @@ def test_an_rtol_just_above_the_floor_settles(capacity, arrival, target, rtol, g
     for start in (0.05, 0.2, 0.5, 0.9, 0.999):
         result = integrate(params, start, rtol=1.01 * floor, gain=gain)
         assert result.converged and len(result.trajectory) < 1000
-    with pytest.raises(ValueError, match="rtol"):
-        integrate(params, 0.2, rtol=0.99 * floor, gain=gain)
+
+
+def test_a_load_next_to_capacity_settles_on_its_own_rest_point():
+    # At load 1 - 1.6e-11, pi_P - pi_S in floats is rounding noise far above
+    # rtol; the old integrator took 26 s here, and then refused the rtol.
+    capacity = 1.59e-11
+    arrival = capacity * (1 - 1.6e-11)
+    params = NetworkParams(capacity, arrival, 1.0, calibrate_price_gap(capacity, arrival, 1.0, 1e-6))
+    start = time.perf_counter()
+    result = integrate(params, 0.2)
+    assert time.perf_counter() - start < 1.0
+    assert result.converged and len(result.trajectory) < 1000
+    with mp.workdps(50):
+        field, star = exact_flow(params, 1.0)
+        assert abs(field(result.fixed_point)) <= 1e-8
+        assert 0 < star < result.fixed_point < 2 * star
 
 
 @pytest.mark.parametrize(
@@ -225,6 +234,15 @@ def test_the_rtol_floor_holds_where_the_squared_slack_leaves_the_float_range(
     assert result.fixed_point == pytest.approx(settled, abs=1e-12)
 
 
+@pytest.mark.parametrize("horizon", [1e-300, 1e-15])
+def test_a_horizon_inside_the_first_float_step_keeps_the_trajectory_ordered(horizon):
+    # The share does not move off 0.2 by the horizon; a sample placed at
+    # its distance to the rest point 1 would round to a float below 0.2.
+    result = integrate(NetworkParams(100.0, 30.0, 1.0, -0.01, 0.0), 0.2, horizon=horizon)
+    assert not result.converged
+    assert result.trajectory.tolist() == [[0.0, 0.2], [horizon, 0.2]]
+
+
 def test_times_and_shares_views_align():
     p = calibrated_params()
     result = integrate(p, 0.4, rtol=1e-9)
@@ -233,11 +251,17 @@ def test_times_and_shares_views_align():
     assert result.shares[0] == pytest.approx(0.4)
 
 
-# -- the ported integrator against scipy ---------------------------------------
+# -- oracles: scipy's solve_ivp and mpmath ---------------------------------------
 
 
-def solve_ivp_integrate(params, initial_share, horizon, rtol, gain):
-    """integrate as it ran on scipy.integrate.solve_ivp: the port's reference."""
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+def solve_ivp_shares(params, start, times, rtol, gain, horizon):
+    """solve_ivp's RK45 at rtol 1e-12, atol 1e-14 on replicator_rhs, stopped by
+    the settle event on that field: its shares at ``times`` (up to its own end),
+    whether it settled, and the time it ended."""
     threshold = rtol * gain
 
     def field(_t, y):
@@ -247,28 +271,22 @@ def solve_ivp_integrate(params, initial_share, horizon, rtol, gain):
         return abs(field(t, y)[0]) - threshold
 
     settled.terminal = True
-    if abs(field(0.0, np.array([initial_share]))[0]) <= threshold:
-        return IntegrationResult(np.array([[0.0, initial_share]]), converged=True)
     solution = solve_ivp(
-        field, (0.0, horizon), [initial_share], method="RK45", rtol=1e-12, atol=1e-14,
-        events=settled,
+        field, (0.0, horizon), [start], method="RK45", rtol=1e-12, atol=1e-14,
+        events=settled, dense_output=True,
     )  # fmt: skip
-    shares = np.clip(solution.y[0], 0.0, 1.0)
-    return IntegrationResult(
-        np.column_stack((solution.t, shares)), converged=bool(solution.status == 1)
-    )
-
-
-def log_uniform(lo, hi):
-    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+    end = solution.t[-1]
+    return solution.sol(np.minimum(times, end))[0], bool(solution.status == 1), end
 
 
 # A start of None is the economy's own rest point: the one-sample exit.
-# rtol stays above 1e-10 on random economies: settling needs |x - x*| <
-# rtol / |f'(x*)|, and near capacity with rtol ~ 1e-12 that is finer than
-# the integrator resolves, so both codes would walk to the horizon in tiny
-# steps.  The examples take rtol to 1e-12 on the calibrated economy.
-@settings(max_examples=200, deadline=None, database=None)
+# The bound: solve_ivp places these shares to 3.5e-11 at worst over 200
+# random runs, so 1e-9 leaves it a margin of 30, while a wrong coefficient
+# in the closed form moves shares by far more.  Its settle event reads the
+# field as a difference of two utilities, so the time at which it fires is
+# known only to the rounding of that difference near the rest point: up to
+# 3e-6 relative on these economies, bounded here by 1e-4.
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
 @given(
     capacity=log_uniform(1.0, 1e3),
     load=st.floats(0.01, 0.9),
@@ -285,16 +303,7 @@ def log_uniform(lo, hi):
 @example(100.0, 0.3, 0.68, 1.0, 0.9, 1e-12, 0.5, 1e6)  # the tightest rtol
 @example(100.0, 0.3, 1.0, 1.0, 0.2, 1e-10, 1.0, 1e6)  # crawls toward the boundary
 @example(100.0, 0.3, 0.68, 1.0, 0.05, 0.5, 1.0, 1e6)  # a loose rtol
-# Found by search: the last step starts below horizon / 2, so t + (horizon
-# - t) is not the horizon; a step rejected by the 0.2 floor on its factor;
-# and a first step set by d2 > d1, where 0.01 * d0 / d1's rounding counts.
-@example(68.0844390577417, 0.2102255513556266, 0.798538117290815, 0.2705473416433432,
-         0.45408623093588474, 1.83255304014085e-05, 1.0, 6.711733050463759)
-@example(82.08695617064049, 0.8455190500015711, 0.099441998506699, 0.16280086646496003,
-         0.8057437380520379, 1.682063190105569e-06, 1.0, 4382.345337510398)
-@example(11.789962249062372, 0.8397251347972863, 0.35578537333196875, 5.183142676414256,
-         0.9839648121404437, 6.928917932009013e-10, 1.5896242565211598, 1e6)
-def test_integrate_matches_solve_ivp_bitwise(
+def test_integrate_follows_solve_ivp(
     capacity, load, target, delay_weight, start, rtol, gain, horizon
 ):
     gap = calibrate_price_gap(capacity, load * capacity, delay_weight, target)
@@ -303,81 +312,120 @@ def test_integrate_matches_solve_ivp_bitwise(
         start = equilibrium(params).share_primary
         assume(0.0 < start < 1.0)
     got = integrate(params, start, horizon=horizon, rtol=rtol, gain=gain)
-    want = solve_ivp_integrate(params, start, horizon, rtol, gain)
-    assert got.converged == want.converged
-    assert got.trajectory.tobytes() == want.trajectory.tobytes()
+    if len(got.trajectory) == 1:
+        assert got.converged and abs(replicator_rhs(params, start, gain)) <= rtol * gain * 1.001
+        return
+    shares, settled, end = solve_ivp_shares(params, start, got.times, rtol, gain, horizon)
+    assert settled == got.converged
+    assert end == pytest.approx(got.times[-1], rel=1e-4)
+    assert np.abs(shares - got.shares).max() <= 1e-9
 
 
-def test_each_step_attempt_takes_six_field_values(monkeypatch):
-    # Dormand-Prince takes six new field values per step attempt (its
-    # seventh stage is the next step's first) and two to choose the first
-    # step; the settle event is read from the value at the step's end, so
-    # only brentq, on the dense output, evaluates the field again.  Each
-    # attempt takes one error norm, after the three of the first step.
-    from netsel import replicator
+def exact_flow(params, gain):
+    """The field at the working precision, from the float parameters taken
+    exactly, and its rest point B / A (where A > 0; else -1)."""
+    cap, lam, weight = (mp.mpf(v) for v in (params.capacity, params.arrival, params.delay_weight))
+    margin = weight / (cap - lam) - mp.mpf(params.price_primary) + mp.mpf(params.price_secondary)
 
-    calls = {"rhs": 0, "brentq": 0, "rms": 0}
-    real_rhs, real_brentq, real_rms = replicator_rhs, _brentq, replicator._rms
+    def field(x):
+        x = mp.mpf(x)
+        return gain * x * (1 - x) * (margin - weight / (cap - lam * x))
 
-    def rhs(*args, **kwargs):
-        calls["rhs"] += 1
-        return real_rhs(*args, **kwargs)
-
-    def brentq_spy(f, xa, xb):
-        def counted(x):
-            calls["brentq"] += 1
-            return f(x)
-
-        return real_brentq(counted, xa, xb)
-
-    def rms(x):
-        calls["rms"] += 1
-        return real_rms(x)
-
-    monkeypatch.setattr(replicator, "replicator_rhs", rhs)
-    monkeypatch.setattr(replicator, "_brentq", brentq_spy)
-    monkeypatch.setattr(replicator, "_rms", rms)
-    result = integrate(calibrated_params(), 0.2)
-    attempts = calls["rms"] - 3
-    assert result.converged and attempts >= len(result.trajectory) - 1
-    assert calls["rhs"] == 2 + 6 * attempts + calls["brentq"]
-    # The README run: 287 accepted and 5 rejected attempts, 21 brentq values.
-    assert (calls["rhs"], attempts, calls["brentq"]) == (1775, 292, 21)
-    calls.update(rhs=0, brentq=0, rms=0)
-    at_rest = integrate(calibrated_params(), 0.68, rtol=1e-4)
-    assert len(at_rest.trajectory) == 1 and calls == {"rhs": 1, "brentq": 0, "rms": 0}
+    return field, (cap * margin - weight) / (lam * margin) if margin > 0 else mp.mpf(-1)
 
 
-EPS4 = 4 * np.finfo(float).eps
+def exact_time(field, star, start, share):
+    """The integral of 1 / field from start to share, split where the distance
+    to the rest point falls by each factor of 16, so that every piece is smooth."""
+    start, share = mp.mpf(start), mp.mpf(share)
+    rest = star if 0 < star < 1 else mp.mpf(field(start) > 0)
+    points, gap = [start], abs(start - rest)
+    while gap / 16 > abs(share - rest):
+        gap /= 16
+        points.append(rest + mp.sign(start - rest) * gap)
+    return mp.quad(lambda x: 1 / field(x), points + [share])
 
 
-@pytest.mark.parametrize(
-    "f, a, b",
-    [
-        (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),  # takes inverse quadratic steps
-        (lambda x: math.cos(x) - x, 0.0, 1.0),  # so does this one
-        (lambda x: math.atan(x - 0.7) * 1e-250, 0.0, 1.0),  # secant steps only
-        (lambda x: 1.0 if x > 1.0 / 3.0 else -1.0, 0.0, 1.0),  # bisection only
-        (lambda x: -0.0 if x == 0.0 else -1.0, 0.0, 1.0),  # a zero at the left end
-    ],
-    ids=["cubic", "cosine", "tiny-atan", "step", "zero-at-a"],
+@st.composite
+def economies(draw):
+    """Capacities over 40 decades, loads from 1e-6 to within 1e-12 of
+    capacity, rest points inside, on and beyond both boundaries."""
+    capacity = draw(log_uniform(1e-20, 1e20))
+    load = draw(st.one_of(log_uniform(1e-6, 0.5), log_uniform(1e-12, 0.5).map(lambda e: 1 - e)))
+    weight = draw(log_uniform(1e-3, 1e3))
+    arrival = capacity * load
+    if draw(st.booleans()):
+        gap = calibrate_price_gap(capacity, arrival, weight, draw(st.one_of(
+            st.just(1.0), log_uniform(1e-6, 1.0)
+        )))  # fmt: skip
+    else:  # the premium against the largest delay saving: x* from far below 0 to far above 1
+        gap = draw(st.sampled_from([-1.0, 1.0])) * weight / (capacity - arrival)
+        gap *= draw(log_uniform(1e-3, 1e3))
+    return NetworkParams(capacity, arrival, weight, gap, 0.0)
+
+
+def check_against_mpmath(params, start, rtol, gain, horizon):
+    """Each sample's time against a 50-digit quadrature of dt = dx / f(x),
+    to 1e-12 (the closed form matches it to 4e-16 over 300 random samples).
+    A converged run ends on the first float, coming from the start, at which
+    |dx/dt| <= rtol * gain (or on the float next to the rest point); one that
+    is not ends on the last float reached by the horizon.  Both ends are
+    checked on the exact field and times, to rounding."""
+    result = integrate(params, start, horizon=horizon, rtol=rtol, gain=gain)
+    times, shares = result.times, result.shares
+    last = len(shares) - 1
+    with mp.workdps(50):
+        field, star = exact_flow(params, gain)
+        if last == 0:
+            assert result.converged and abs(field(start)) <= rtol * gain * (1 + 1e-12)
+            return
+        rest = star if 0 < star < 1 else mp.mpf(field(start) > 0)
+        for i in sorted({1, last // 2, last - 1, last}):
+            if i < last or result.converged:
+                want = exact_time(field, star, start, shares[i])
+                assert abs(times[i] - want) <= 1e-12 * want, i
+        before = math.nextafter(shares[-1], start)
+        beyond = math.nextafter(shares[-1], float(rest))
+        if result.converged:
+            threshold = rtol * gain
+            assert abs(field(before)) > threshold * (1 - 1e-12)
+            next_to_rest = (mp.mpf(beyond) - rest) * (mp.mpf(shares[-1]) - rest) <= 0
+            assert abs(field(shares[-1])) <= threshold * (1 + 1e-12) or next_to_rest
+        else:
+            assert times[-1] == horizon
+            assert exact_time(field, star, start, shares[-1]) <= horizon * (1 + 1e-12)
+            assert exact_time(field, star, start, beyond) > horizon * (1 - 1e-12)
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(
+    params=economies(),
+    start=st.floats(1e-3, 1.0 - 1e-3),
+    rtol=log_uniform(1e-12, 1e-2),
+    gain=st.one_of(st.just(1.0), log_uniform(0.1, 10.0)),
+    horizon=st.one_of(st.just(1e6), log_uniform(1e-30, 1e6)),
 )
-def test_ported_brentq_matches_scipy_bitwise(f, a, b):
-    want = brentq(f, a, b, xtol=EPS4, rtol=EPS4)
-    assert _brentq(f, a, b).hex() == want.hex()
+def test_sample_times_match_mpmath(params, start, rtol, gain, horizon):
+    check_against_mpmath(params, start, rtol, gain, horizon)
 
 
+# Where the rest point is a boundary, or there is none, the partial
+# fractions lose a term: a double root at x* = 0 or 1, and no third
+# logarithm when A = 0.  Each economy is chosen so that A and B are exact.
 @pytest.mark.parametrize(
-    "f, a, b",
+    "params, start, rtol, horizon",
     [
-        (lambda x: 1e-200, 0.0, 1.0),  # same sign, though the product underflows
-        (lambda x: math.nan, 0.0, 1.0),
-        (lambda x: (x - 0.3) ** 3, 0.0, 1.0),  # does not converge in 100 iterations
+        (NetworkParams(3.0, 1.0, 2.0, 1.0, 0.0), 0.6, 1e-8, 1e6),  # gap = a / (C - lam): A = 0
+        (NetworkParams(100.0, 30.0, 1.0, 0.0, 0.0), 0.2, 1e-10, 1e6),  # target share 1: x* = 1
+        (NetworkParams(2.0, 1.0, 1.0, 0.5, 0.0), 0.2, 1e-8, 1e6),  # B = 0: x* = 0
+        (NetworkParams(100.0, 30.0, 1.0, 0.01, 0.0), 0.2, 1e-8, 1e6),  # x* < 0
+        (NetworkParams(100.0, 30.0, 1.0, -0.01, 0.0), 0.2, 1e-8, 1e6),  # x* > 1
+        (calibrated_params(), 0.2, 1e-8, 1e6),  # the README run
+        (calibrated_params(), 0.9, 1e-12, 10.0),  # from above, ends at the horizon
+        (calibrated_params(), 0.9, 1e-14, 1e6),  # settles 4e-14 from x*, which no float holds
     ],
-    ids=["same-sign", "nan", "no-convergence"],
+    ids=["no-rest-point", "rest-at-1", "rest-at-0", "rest-below-0", "rest-above-1", "readme",
+         "horizon", "next-to-x*"],
 )
-def test_ported_brentq_raises_as_scipy_does(f, a, b):
-    with pytest.raises((ValueError, RuntimeError)) as want:
-        brentq(f, a, b, xtol=EPS4, rtol=EPS4)
-    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
-        _brentq(f, a, b)
+def test_boundary_and_readme_runs_match_mpmath(params, start, rtol, horizon):
+    check_against_mpmath(params, start, rtol, 1.0, horizon)
