@@ -75,7 +75,10 @@ next to the baseline's ``src_lines``; the memory rows are taken for both
 revisions as well.
 BLAS runs on one thread, as in ``perfbench``: on a small machine a
 threaded dot product of 10^4 elements waits milliseconds for its
-helper threads, which would hide the layer's own cost.
+helper threads, which would hide the layer's own cost.  The one
+exception is the ``expected_poa`` row at OpenBLAS's default thread count
+(``--default-threads``): a fresh interpreter per revision, not pinned to
+one core, times it at every size, the way a plain ``import netsel`` runs it.
 The layers are the rows of the ROADMAP baseline table, so records of
 successive revisions compare row by row.  ``src_lines`` records the line
 count of each ``src/netsel/*.py`` (as ``wc -l`` counts) and their total.
@@ -99,7 +102,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(os.environ.get("NETSEL_SRC", ROOT / "src")).resolve()
 sys.path[:0] = [str(SRC), str(ROOT / "perfbench")]
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
+if sys.argv[1:] != ["--default-threads"]:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+CPUS = os.sched_getaffinity(0)  # before main() pins this process to one of them
 
 from importlib.metadata import PackageNotFoundError, version  # noqa: E402
 
@@ -204,6 +209,36 @@ def layers_at(n: int) -> dict[str, float]:
         "expected_poa": lambda: model.expected_poa(params, law),
     }
     return {name: median_ms(fn, digits=4) for name, fn in timed.items()}
+
+
+def default_threads_rows() -> dict[str, dict[str, float]]:
+    """``expected_poa`` at each size, in this interpreter, at the BLAS threads it started with."""
+    params = economy()
+    rows = {}
+    with SPEED:
+        time.sleep(0.1)
+        for n in SIZES:
+            law = chain.stationary_product(fermi_kernel(params, n))
+            rows[str(n)] = median_ms(lambda: model.expected_poa(params, law), digits=4)
+    return rows
+
+
+def default_threads_runs(baseline: Path | None) -> dict:
+    """default_threads_rows of this revision, and of the checkout ``baseline`` if
+    given, each in one fresh interpreter without OPENBLAS_NUM_THREADS."""
+    sources = {"this": SRC}
+    if baseline is not None:
+        sources["baseline"] = baseline.resolve() / "src"
+    runs = {}
+    for name, src in sources.items():
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+        out = subprocess.run(
+            [sys.executable, __file__, "--default-threads"], env={**env, "NETSEL_SRC": str(src)},
+            capture_output=True, text=True, check=True,
+            preexec_fn=lambda: os.sched_setaffinity(0, CPUS),
+        ).stdout
+        runs[name] = json.loads(out)
+    return runs
 
 
 def absorption_rows() -> dict[str, dict[str, float]]:
@@ -548,6 +583,9 @@ def src_lines(root: Path = ROOT) -> dict[str, int]:
 
 
 def main(argv: list[str]) -> None:
+    if argv == ["--default-threads"]:
+        print(json.dumps(default_threads_rows()))
+        return
     if argv in (["--paired"], ["--memory"]):
         os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])
         print(json.dumps(paired_rows() if argv == ["--paired"] else memory_rows()))
@@ -571,6 +609,7 @@ def main(argv: list[str]) -> None:
         launches = launch_rows()
     baseline = baseline_rows(Path(argv[2])) if len(argv) == 3 else None
     memory = memory_runs(Path(argv[2]) if len(argv) == 3 else None)
+    threads = default_threads_runs(Path(argv[2]) if len(argv) == 3 else None)
     try:
         scipy_version = version("scipy")
     except PackageNotFoundError:
@@ -633,6 +672,11 @@ def main(argv: list[str]) -> None:
             "else one",
             **memory,
         },
+        "expected_poa_default_threads": {
+            "what": "expected_poa on the layer rows' law at OpenBLAS's default thread count, "
+            "one fresh interpreter per revision on every core",
+            **threads,
+        },
         "src_lines": src_lines(),
     }
     if baseline is not None:
@@ -665,6 +709,9 @@ def main(argv: list[str]) -> None:
         launched = rows["launch/large_analysis_1e6"]
         print(f"{name:8s} large pass {rows['large_faults']['per_pass']:>8.0f} minor faults;"
               f" n = 10^6 launch {launched['ms']:.1f} ms, {launched['peak_rss_mb']:.1f} MB")
+    for name, rows in threads.items():
+        cells = "".join(f"{row['ms']:>10.3f}" for row in rows.values())
+        print(f"{name:8s} expected_poa at default threads, ms{cells}")
     print(f"src lines {record['src_lines']['total']:>12d}")
     if baseline is not None:
         print(f"baseline src lines {baseline['src_lines']['total']:>3d}")

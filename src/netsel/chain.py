@@ -17,13 +17,13 @@ separate on purpose so each can cross-check the others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import model
-from .model import NetworkParams
+from .model import _CHUNK, NetworkParams
 from .protocols import ImitationRule, PairwiseProportional
 
 __all__ = [
@@ -97,8 +97,8 @@ class TransitionKernel:
 
     ``up`` and ``down`` are read-only vectors indexed by the state
     k = 0..n, with the structural zeros up[n] = down[0] = 0.  The kernel
-    holds them and the read-only ``move = up + down``, and derives the
-    read-only ``stay = 1 - up - down`` (refused if negative) on first use.
+    holds only them, and derives the read-only ``move = up + down`` and
+    ``stay = 1 - up - down`` (refused if negative) on first use.
     ``params``, ``population`` and ``rule`` record what the kernel was
     built from and stay None for hand-made kernels.  Kernels compare by
     identity.
@@ -109,21 +109,20 @@ class TransitionKernel:
     params: NetworkParams | None = None
     population: PopulationConfig | None = None
     rule: ImitationRule | None = None
-    move: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         up, down = _frozen(self.up), _frozen(self.down)
         if up.shape != down.shape or up.ndim != 1 or up.size < 3:
             raise ValueError("up/down must be equal-length vectors over k = 0..n with n >= 2")
-        for name, arr in (("up", up), ("down", down)):
-            if not np.isfinite(arr).all() or arr.min() < 0.0 or arr.max() > 1.0:
-                raise ValueError(f"{name} entries must be probabilities in [0, 1]")
-        if (1.0 - up - down).min() < 0.0:
-            raise ValueError("rows must sum to 1: up + down exceeds 1 at some state")
+        _check_rates(up, down)
         if up[-1] != 0.0 or down[0] != 0.0:
             raise ValueError("structural zeros violated: need up[n] == 0 and down[0] == 0")
-        for name, arr in (("up", up), ("down", down), ("move", up + down)):
+        for name, arr in (("up", up), ("down", down)):
             object.__setattr__(self, name, _readonly(arr))
+
+    @cached_property
+    def move(self) -> np.ndarray:
+        return _readonly(self.up + self.down)
 
     @cached_property
     def stay(self) -> np.ndarray:
@@ -154,6 +153,16 @@ class TransitionKernel:
     @cached_property
     def _absorption(self) -> np.ndarray:
         return _readonly(_absorption_solve(self))
+
+
+def _check_rates(up: np.ndarray, down: np.ndarray) -> None:
+    """ValueError unless up and down are probabilities whose sum stays within 1."""
+    for name, arr in (("up", up), ("down", down)):
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # false on a NaN too
+            raise ValueError(f"{name} entries must be probabilities in [0, 1]")
+    for lo in range(0, up.size, _CHUNK):
+        if (1.0 - up[lo : lo + _CHUNK] - down[lo : lo + _CHUNK]).min() < 0.0:
+            raise ValueError("rows must sum to 1: up + down exceeds 1 at some state")
 
 
 @dataclass(frozen=True)
@@ -231,8 +240,8 @@ def build_kernel(
         up[k]   = (n-k)/n * (k + a_p) / (n - 1 + a_p + a_s) * q(pi_p(k) - pi_s)
         down[k] = k/n * (n-k + a_s) / (n - 1 + a_p + a_s) * q(pi_s - pi_p(k))
 
-    All states are built in one array pass, with one ``rule.pair`` call
-    for both directions.  Each counting numerator is a product of
+    The states are built _CHUNK at a time, with one ``rule.pair`` call per
+    chunk for both directions.  Each counting numerator is a product of
     integers no larger than n * (n - 1 + a_p + a_s), so it is exact in
     float64 before the single division, and symmetric weights cancel
     exactly (a fair-coin rule on an anchored chain gives a *bitwise*
@@ -243,29 +252,38 @@ def build_kernel(
     float residue through a noise-free rule would fabricate transitions
     of magnitude ~1e-19.
     """
+    rates, n = _rates(params, population, rule), population.n
+    up, down = np.empty(n + 1), np.empty(n + 1)
+    for lo in range(0, n + 1, _CHUNK):
+        up[lo : lo + _CHUNK], down[lo : lo + _CHUNK] = rates(lo, min(lo + _CHUNK, n + 1))
+    return TransitionKernel(_readonly(up), _readonly(down), params, population, rule)
+
+
+def _rates(params: NetworkParams, population: PopulationConfig, rule: ImitationRule):
+    """The function (lo, hi) -> (up, down) of :func:`build_kernel` at the states lo..hi-1.
+
+    Every step is elementwise, so any span gives the bits of the same
+    states in one pass over 0..n.  The weight bound is checked at once.
+    """
     n = population.n
     a_p = int(population.anchored_primary)
     a_s = int(population.anchored_secondary)
     denom = n * (n - 1 + a_p + a_s)
     if denom > 2**53:
         raise ValueError(f"n*(n-1+a_p+a_s) = {denom} exceeds 2**53, the limit of exact weights")
-    k = np.arange(n + 1.0)
-    pi_p = model.utility_primary_at_share(params, k / n)
     pi_s = model.utility_secondary(params)
-    gain = pi_p - pi_s
-    tie = np.maximum(np.abs(pi_p, out=pi_p), abs(pi_s), out=pi_p)
-    tie *= 32.0 * np.finfo(float).eps
-    gain[np.abs(gain) <= tie] = 0.0
-    q_up, q_down = rule.pair(gain)
-    del gain  # the rule may keep it; the buffers of pi_p and k take up and down
-    up = np.subtract(n, k, out=tie)
-    up *= k + a_p
-    down = np.multiply(k, n + a_s - k, out=k)
-    for rate, q in ((up, q_up), (down, q_down)):
-        rate /= denom
-        rate *= q
-        _readonly(rate)
-    return TransitionKernel(up=up, down=down, params=params, population=population, rule=rule)
+
+    def rates(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        k = np.arange(lo, hi, dtype=float)
+        pi_p = model.utility_primary_at_share(params, k / n)
+        gain = pi_p - pi_s
+        tie = np.maximum(np.abs(pi_p, out=pi_p), abs(pi_s), out=pi_p)
+        tie *= 32.0 * np.finfo(float).eps
+        gain[np.abs(gain) <= tie] = 0.0
+        q_up, q_down = rule.pair(gain)
+        return (n - k) * (k + a_p) / denom * q_up, k * (n + a_s - k) / denom * q_down
+
+    return rates
 
 
 def classify(kernel: TransitionKernel) -> ChainClass:
@@ -331,30 +349,34 @@ def stationary_noise_free(
     freezes at k* and the formula degenerates gracefully to a point
     mass there.  Requires an interior critical state (1 <= k* <= n-1)
     and a rule whose kernel shows the one-way zero pattern;
-    ChainStructureError (a ValueError) otherwise.
+    ChainStructureError (a ValueError) otherwise.  No kernel is built: the
+    rates are checked _CHUNK states at a time and only two are kept.
     """
-    if rule is None:
-        rule = PairwiseProportional()
-    return _two_point(build_kernel(params, population, rule), params)
+    rates = _rates(params, population, PairwiseProportional() if rule is None else rule)
+    return _two_point(params, population.n, rates)
 
 
-def _two_point(kernel: TransitionKernel, params: NetworkParams) -> StationaryDistribution:
-    """The two-point law of :func:`stationary_noise_free` on a built kernel."""
-    n = kernel.n
+def _two_point(params: NetworkParams, n: int, rates) -> StationaryDistribution:
+    """The two-point law of :func:`stationary_noise_free` from its rates
+    (lo, hi) -> (up, down) at the states lo..hi-1."""
     k_star = model.critical_state(params, n)
+    away = False  # a move down from below k* or up from k* onwards
+    for lo in range(0, n + 1, _CHUNK):
+        up, down = rates(lo, min(lo + _CHUNK, n + 1))
+        _check_rates(up, down)  # so no rate is negative, and down[0] is 0
+        cut = max(k_star - lo, 0)
+        away = away or down[:cut].any() or up[cut:].any()
     if not 1 <= k_star <= n - 1:
         raise ChainStructureError(
             f"critical state k*={k_star} sits on the boundary of 0..{n}; "
             "the two-point law needs an interior critical state"
         )
-    below = kernel.down[1:k_star]
-    above = kernel.up[k_star:]
-    if (below.size and below.max() > 0.0) or (above.size and above.max() > 0.0):
+    if away:
         raise ChainStructureError(
             "rule is not noise-free: the kernel allows moves away from the critical pair"
         )
-    t_up = float(kernel.up[k_star - 1])
-    t_down = float(kernel.down[k_star])
+    up, down = rates(k_star - 1, k_star + 1)
+    t_up, t_down = float(up[0]), float(down[1])
     if t_up + t_down == 0.0:
         raise ChainStructureError(
             "chain is frozen around the critical state; two-point law undefined"
@@ -362,7 +384,7 @@ def _two_point(kernel: TransitionKernel, params: NetworkParams) -> StationaryDis
     psi = np.zeros(n + 1)
     psi[k_star - 1] = t_down / (t_up + t_down)
     psi[k_star] = 1.0 - psi[k_star - 1]
-    return StationaryDistribution(psi=psi, kind="two_point_noise_free")
+    return StationaryDistribution(psi=_readonly(psi), kind="two_point_noise_free")
 
 
 def _log_profile(kernel: TransitionKernel) -> np.ndarray:
@@ -400,59 +422,48 @@ def _solve_balance_block(
     with the pinned neighbour's inflow on the right of the row next to
     it and couplings past the other end dropped.  The rows are solved
     by odd-even cyclic reduction (Hockney, J. ACM 12, 1965) in whole-array
-    steps: each level eliminates the even rows from the odd ones, halving
-    the system, and back substitution fills them in again.  The block is
-    reversed for a pin below lo, so the one nonzero right-hand side is the
-    last row.  A level of even size gets one identity row in front, so
-    every level has odd size, its last row is even and the forward sweep
-    carries that right-hand side as one scalar.  (Padding the block once
-    to 2^L - 1 rows does the same, but touches up to twice the memory.)
+    steps: each level eliminates the rows of the last row's parity from the
+    others, halving the system, and back substitution fills them in again.
+    The block is reversed for a pin below lo, so the one nonzero right-hand
+    side is the last row, and each level carries it as one scalar.  A
+    level keeps its eliminated rows' diagonal and views of their couplings,
+    not the whole level.
     The block is column diagonally dominant, its column sums being zero
     except at the pinned end, which keeps every multiplier in [0, 1] and
     the reduction stable (Heller, SIAM J. Numer. Anal. 13, 1976).
     """
-    size = hi - lo + 1
-    diag, before, after = kernel.move[lo : hi + 1], kernel.up[lo:hi], kernel.down[lo + 1 : hi + 1]
+    b = np.add(kernel.up[lo : hi + 1], kernel.down[lo : hi + 1])  # move, the one copy
+    # sub[i] couples row i + 1 to row i, and sup[i] row i to row i + 1.
+    sub, sup = kernel.up[lo:hi], kernel.down[lo + 1 : hi + 1]
     if anchor_above:
-        pin = kernel.down[hi + 1]
+        d = float(kernel.down[hi + 1])
     else:
-        diag, before, after, pin = diag[::-1], after[::-1], before[::-1], kernel.up[lo - 1]
-    lead = 1 - size % 2
-    b, p, q = np.zeros((3, size + lead))
-    b[0] = 1.0  # an identity row, overwritten unless lead
-    b[lead:] = diag
-    p[lead + 1 :] = before  # coupling to the row before
-    q[lead:-1] = after  # coupling to the row after
+        b, sub, sup, d = b[::-1], sup[::-1], sub[::-1], float(kernel.up[lo - 1])
     levels = []
-    d = float(pin)
     while b.size > 1:
-        # An even row's couplings to the odd rows after and before it.
-        levels.append((b[::2], q[:-1:2], p[2::2], d, lead))
-        half = b.size // 2
-        lead = 1 - half % 2
-        rows = np.empty((3, half + lead))
-        rows[:, 0] = 1.0, 0.0, 0.0  # likewise
-        nb, alpha, gamma = rows[:, lead:]
-        np.divide(p[1::2], b[:-1:2], out=alpha)
-        np.divide(q[1::2], b[2::2], out=gamma)
-        np.multiply(alpha, q[:-1:2], out=nb)
-        np.subtract(b[1::2], nb, out=nb)
-        nb -= gamma * p[2::2]
+        lead = 1 - b.size % 2  # 1 when the first row is kept, with no row before it
+        keep = 1 - lead
+        alpha = np.divide(sub[lead::2], b[lead:-1:2])  # a kept row's couplings, scaled
+        gamma = np.divide(sup[keep::2], b[keep + 1 :: 2])
+        kept = b[keep::2].copy()
+        kept[lead:] -= alpha * sup[lead::2]
+        kept -= gamma * sub[keep::2]
+        levels.append((b[lead::2].copy(), sup[lead::2], sub[keep::2], d, lead))
         d = float(gamma[-1]) * d
-        alpha *= p[:-1:2]
-        gamma *= q[2::2]
-        b, p, q = rows
+        alpha[keep:] *= sub[keep::2][:-1]
+        gamma[:-1] *= sup[keep + 1 :: 2]
+        b, sub, sup = kept, alpha[keep:], gamma[:-1]
     x = np.array([d / b[0]])
     while levels:  # each level is dropped once it is filled in
         b, to_next, to_prev, d, lead = levels.pop()
-        full = np.empty(2 * x.size + 1)
-        full[1::2] = x
-        even = full[::2]
-        np.multiply(to_next, x, out=even[:-1])
-        even[-1] = d
-        even[1:] += np.multiply(to_prev, x, out=x)  # x is copied into full already
-        even /= b
-        x = full[lead:]
+        full = np.empty(b.size + x.size)
+        full[1 - lead :: 2] = x
+        elim = full[lead::2]
+        np.multiply(to_next, x[lead:], out=elim[:-1])
+        elim[-1] = d
+        elim[1 - lead :] += np.multiply(to_prev, x, out=x)  # x is copied into full already
+        elim /= b
+        x = full
     return x if anchor_above else x[::-1]
 
 
@@ -466,8 +477,8 @@ def stationary_eigen(kernel: TransitionKernel) -> StationaryDistribution:
     scale, so the solve is overflow-free at any population size.
 
     The route is deliberately independent of the product form in
-    :func:`stationary_product`: the solve reads only the kernel's ``up``,
-    ``down`` and ``move`` and never forms a ratio up[k-1]/down[k] or its
+    :func:`stationary_product`: the solve reads only the kernel's ``up``
+    and ``down`` and never forms a ratio up[k-1]/down[k] or its
     running product.  The log profile is the only thing shared: it selects
     the anchor and refuses a second mode past a deep valley (see
     :func:`_pin`), but never sets a value.
@@ -577,7 +588,7 @@ def _absorption_solve(kernel: TransitionKernel) -> np.ndarray:
     hit_n[-1] = float(up[n - 1])
     solved = _eliminate(
         (-down[2:n]).tolist(),
-        kernel.move[1:n].tolist(),
+        (up[1:n] + down[1:n]).tolist(),
         (-up[1 : n - 1]).tolist(),
         [hit_0, hit_n, [1.0] * (n - 1)],
     )
@@ -637,7 +648,8 @@ def long_run(kernel: TransitionKernel) -> tuple[ChainClass, StationaryDistributi
             f"chain is neither irreducible nor absorbing ({structure.detail}) and the kernel "
             "records no network parameters for the two-point law"
         )
-    return structure, _two_point(kernel, kernel.params)
+    up, down = kernel.up, kernel.down
+    return structure, _two_point(kernel.params, kernel.n, lambda lo, hi: (up[lo:hi], down[lo:hi]))
 
 
 def distribution_mode(distribution, rel_tol: float = 1e-12) -> tuple[int, ...]:
@@ -658,7 +670,8 @@ def total_variation(p, q) -> float:
     b = np.asarray(getattr(q, "psi", q), dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"distributions live on different state spaces: {a.shape} vs {b.shape}")
-    return 0.5 * float(np.abs(a - b).sum())
+    diff = a - b
+    return 0.5 * float(np.abs(diff, out=diff).sum())
 
 
 def detailed_balance_residual(kernel: TransitionKernel, distribution) -> float:
@@ -666,6 +679,6 @@ def detailed_balance_residual(kernel: TransitionKernel, distribution) -> float:
     psi = np.asarray(getattr(distribution, "psi", distribution), dtype=float)
     if psi.size != kernel.n + 1:
         raise ValueError("distribution and kernel sizes disagree")
-    flow_up = psi[:-1] * kernel.up[:-1]
-    flow_down = psi[1:] * kernel.down[1:]
-    return float(np.abs(flow_up - flow_down).max())
+    edges = psi[:-1], kernel.up[:-1], psi[1:], kernel.down[1:]
+    chunks = ([arr[lo : lo + _CHUNK] for arr in edges] for lo in range(0, kernel.n, _CHUNK))
+    return float(np.max([np.abs(p * up - q * down).max() for p, up, q, down in chunks]))

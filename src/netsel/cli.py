@@ -431,8 +431,8 @@ def _fig3b() -> list[tuple[str, Any]]:
         rule = fermi_from_ratio(params, n, ratio)
         _, distribution = chain.long_run(chain.build_kernel(params, population, rule))
         states = np.arange(n + 1)
-        mean = float(np.dot(states, distribution.psi))
-        var = float(np.dot((states - mean) ** 2, distribution.psi))
+        mean = model._chunked_dot(distribution.psi, lambda lo, hi: states[lo:hi])
+        var = model._chunked_dot(distribution.psi, lambda lo, hi: (states[lo:hi] - mean) ** 2)
         sd = math.sqrt(var)
         gauss = np.exp(-((states - mean) ** 2) / (2.0 * var)) / (sd * math.sqrt(2.0 * math.pi))
         dist_rows += [(n, int(k), float(distribution.psi[k]), float(gauss[k])) for k in states]

@@ -40,6 +40,9 @@ __all__ = [
 # Snap width for ceil(n * share): keeps the critical state from jumping by
 # one when n * share lands a few ulps above an exact integer.
 _CEIL_SNAP = 1e-9
+# States per chunk of the large-n stages: their temporaries stay at a few
+# chunks, not a few n-sized vectors.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -231,6 +234,8 @@ def social_optimum(params: NetworkParams) -> tuple[float, float]:
     S_min = 2*(sqrt(C/(C - lam)) - 1); the optimum is always interior
     and unique since S is strictly convex in x.  Where C*(C - lam) leaves
     the normal float range, its root is taken as sqrt(C) * sqrt(C - lam).
+    Below a load lam/C of 2^-6 the numerator cancels, so x_opt is taken
+    in the equal form C / (C + sqrt(C*(C - lam))) there.
     """
     cap, lam = params.capacity, params.arrival
     product = cap * (cap - lam)
@@ -238,7 +243,7 @@ def social_optimum(params: NetworkParams) -> tuple[float, float]:
         root = math.sqrt(product)
     else:
         root = math.sqrt(cap) * math.sqrt(cap - lam)
-    x_opt = (cap - root) / lam
+    x_opt = cap / (cap + root) if lam < cap * 2.0**-6 else (cap - root) / lam
     s_min = 2.0 * (math.sqrt(cap / (cap - lam)) - 1.0)
     return x_opt, s_min
 
@@ -290,7 +295,8 @@ def expected_poa(params: NetworkParams, distribution) -> float:
     for every distribution because S >= S_min pointwise.  Rejects vectors
     that carry negative or non-finite mass or fail to sum to 1 within
     1e-9.  S comes from array calls of :func:`social_welfare` over a few
-    thousand states each, bitwise the scalar values.
+    thousand states each, bitwise the scalar values, and the sum is
+    :func:`_chunked_dot`'s.
     """
     psi = np.asarray(getattr(distribution, "psi", distribution), dtype=float)
     if psi.ndim != 1 or psi.size < 2:
@@ -303,7 +309,16 @@ def expected_poa(params: NetworkParams, distribution) -> float:
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"distribution is not normalised: entries sum to {total!r}")
     n = psi.size - 1
-    welfare = np.empty(n + 1)
-    for lo in range(0, n + 1, 4096):  # so that the temporaries stay small
-        welfare[lo : lo + 4096] = social_welfare(params, np.arange(lo, min(lo + 4096, n + 1)) / n)
-    return float(np.dot(welfare, psi)) / _minimal_welfare(params)
+    mean_welfare = _chunked_dot(psi, lambda lo, hi: social_welfare(params, np.arange(lo, hi) / n))
+    return mean_welfare / _minimal_welfare(params)
+
+
+def _chunked_dot(weights: np.ndarray, values) -> float:
+    """Sum of np.dot(values(lo, hi), weights[lo:hi]) over _CHUNK-state chunks, in order:
+    the same bits at any BLAS thread count, which may split one long dot, and
+    np.dot's own value up to _CHUNK states."""
+    total = 0.0
+    for lo in range(0, weights.size, _CHUNK):
+        hi = min(lo + _CHUNK, weights.size)
+        total += float(np.dot(values(lo, hi), weights[lo:hi]))
+    return total

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import model
-from .model import NetworkParams
+from .model import _CHUNK, NetworkParams
 
 __all__ = [
     "ImitationRule",
@@ -28,9 +28,6 @@ __all__ = [
     "beta_reference",
     "fermi_from_ratio",
 ]
-
-_EXP_CHUNK = 4096  # 128 kB of Python floats, not 32 MB at n = 10^6
-
 
 class ImitationRule(abc.ABC):
     """Nondecreasing map from a payoff difference to a switch probability.
@@ -87,7 +84,8 @@ class Fermi(ImitationRule):
     saturates to 0/1 instead of overflowing.  Each exponential comes from
     ``math.exp``, once per element: numpy's vectorised ``exp`` may differ
     from libm in the last ulp.  That pass holds a Python float and its list
-    slot, 32 bytes, per element, so it runs in chunks of _EXP_CHUNK.
+    slot, 32 bytes, per element, so it runs in chunks of _CHUNK
+    elements: 128 kB of Python floats, not 32 MB at n = 10^6.
     """
 
     beta: float
@@ -99,12 +97,12 @@ class Fermi(ImitationRule):
     def pair(self, payoff_diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         diffs = np.asarray(payoff_diffs, dtype=float)
         q_up, q_down = np.empty(diffs.size), np.empty(diffs.size)
-        for lo in range(0, diffs.size, _EXP_CHUNK):
-            z = self.beta * diffs[lo : lo + _EXP_CHUNK]
+        for lo in range(0, diffs.size, _CHUNK):
+            z = self.beta * diffs[lo : lo + _CHUNK]
             e = np.fromiter(map(math.exp, (-np.abs(z)).tolist()), float, z.size)
             high, low = 1.0 / (1.0 + e), e / (1.0 + e)
-            q_up[lo : lo + _EXP_CHUNK] = np.where(z >= 0.0, high, low)
-            q_down[lo : lo + _EXP_CHUNK] = np.where(z <= 0.0, high, low)
+            q_up[lo : lo + _CHUNK] = np.where(z >= 0.0, high, low)
+            q_down[lo : lo + _CHUNK] = np.where(z <= 0.0, high, low)
         return q_up, q_down
 
 

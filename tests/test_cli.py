@@ -719,13 +719,14 @@ def test_every_command_exits_with_a_code_on_extreme_economies(text):
 def true_optimal_share(capacity, arrival):
     with mp.workdps(50):
         cap, lam = mp.mpf(capacity), mp.mpf(arrival)
-        return float((cap - mp.sqrt(cap * (cap - lam))) / lam)
+        return float(cap / (cap + mp.sqrt(cap * (cap - lam))))  # (C - root) / lam, uncancelled
 
 
 def optimal_share_bound(capacity, arrival):
     """(C - sqrt(C (C - lam))) / lam with its root to 2 eps: the numerator
-    cancels, so its error is up to 4 eps C / lam."""
-    return 4 * 2.0**-53 * (capacity / arrival)
+    cancels, so its error is up to 4 eps C / lam.  Below a load of 2^-6,
+    where x_opt is taken as C / (C + sqrt(C (C - lam))), nothing cancels."""
+    return 4 * 2.0**-53 * (capacity / arrival if arrival >= capacity * 2.0**-6 else 1.0)
 
 
 # C (C - lam) overflows above a capacity of about 1.3e154 and leaves the
@@ -735,6 +736,9 @@ def optimal_share_bound(capacity, arrival):
 @example({"capacity": 1e200, "arrival": 3e199, "delay_weight": 1.0})
 @example({"capacity": 1e-200, "arrival": 5e-201, "delay_weight": 1.0})
 @example({"capacity": 1e-160, "arrival": 3e-161, "delay_weight": 1.0})
+@example({"capacity": 1.0, "arrival": 1e-12, "delay_weight": 1.0})
+@example({"capacity": 1.0, "arrival": 1e-17, "delay_weight": 1.0})
+@example({"capacity": 64.0, "arrival": 1.0, "delay_weight": 1.0})
 def test_social_optimum_matches_mpmath_on_extreme_economies(network):
     capacity, arrival = network["capacity"], network["arrival"]
     assume(0.0 < arrival < capacity)
@@ -744,7 +748,8 @@ def test_social_optimum_matches_mpmath_on_extreme_economies(network):
 
 
 @pytest.mark.parametrize(
-    "capacity, arrival, price", [(1e200, 3e199, 1e-201), (1e-200, 5e-201, 1e-201), (1e-160, 3e-161, 1e-161)]
+    "capacity, arrival, price",
+    [(1e200, 3e199, 1e-201), (1e-200, 5e-201, 1e-201), (1e-160, 3e-161, 1e-161), (1.0, 1e-12, 1e-13)],
 )
 def test_equilibrium_writes_the_optimal_share_of_an_extreme_economy(
     tmp_path, capacity, arrival, price

@@ -8,21 +8,27 @@ on the anchored chain at n = 2 * 10^5, with a little room for the Python
 objects a call makes.
 """
 
+import dataclasses
 import hashlib
 import struct
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from netsel import model
 from netsel.chain import (
+    ChainStructureError,
     PopulationConfig,
     build_kernel,
+    detailed_balance_residual,
     stationary_eigen,
     stationary_noise_free,
     stationary_product,
+    total_variation,
 )
 from netsel.model import NetworkParams, calibrate_price_gap, expected_poa
-from netsel.protocols import fermi_from_ratio
+from netsel.protocols import CustomRule, PairwiseProportional, fermi_from_ratio
 
 N = 200_000
 
@@ -54,8 +60,8 @@ def chain():
 
 def test_build_kernel_keeps_its_arrays_few(chain):
     kernel, peak = peak_arrays(N, build_kernel, *chain)
-    assert peak <= 5.25
-    assert "stay" not in vars(kernel)  # derived on first use only
+    assert peak <= 2.25
+    assert "stay" not in vars(kernel) and "move" not in vars(kernel)  # derived on first use only
 
 
 def test_stationary_laws_and_poa_keep_their_arrays_few(chain):
@@ -64,12 +70,17 @@ def test_stationary_laws_and_poa_keep_their_arrays_few(chain):
     kernel._structure  # classify once, outside the measured calls
     product, peak = peak_arrays(N, stationary_product, kernel)
     assert peak <= 2.01
-    _, peak = peak_arrays(N, stationary_eigen, kernel)
-    assert peak <= 4.1
+    eigen, peak = peak_arrays(N, stationary_eigen, kernel)
+    assert peak <= 3.0
     _, peak = peak_arrays(N, expected_poa, params, product)
-    assert peak <= 1.1
+    assert peak <= 0.25
     _, peak = peak_arrays(N, stationary_noise_free, params, population)
-    assert peak <= 5.2
+    assert peak <= 1.25
+    _, peak = peak_arrays(N, detailed_balance_residual, kernel, product)
+    assert peak <= 1.1
+    _, peak = peak_arrays(N, total_variation, product, eigen)
+    assert peak <= 1.1
+    assert "move" not in vars(kernel)  # the balance solve adds its own slices
 
 
 # Recorded before the stages were changed to reuse their buffers: the bytes
@@ -95,3 +106,88 @@ def test_large_n_outputs_keep_their_bits():
         for law in laws:
             digest.update(struct.pack("<d", expected_poa(params, law)))
     assert digest.hexdigest() == LARGE_N_SHA256
+
+
+def one_pass_rates(params, population, rule):
+    """The rates of build_kernel as it made them before it worked in chunks:
+    one array pass over all n + 1 states."""
+    n = population.n
+    a_p, a_s = population.anchored_primary, population.anchored_secondary
+    denom = n * (n - 1 + a_p + a_s)
+    k = np.arange(n + 1.0)
+    pi_p = model.utility_primary_at_share(params, k / n)
+    pi_s = model.utility_secondary(params)
+    gain = pi_p - pi_s
+    gain[np.abs(gain) <= np.maximum(np.abs(pi_p), abs(pi_s)) * (32.0 * np.finfo(float).eps)] = 0.0
+    q_up, q_down = rule.pair(gain)
+    return (n - k) * (k + a_p) / denom * q_up, k * (n + a_s - k) / denom * q_down
+
+
+CHUNK = model._CHUNK
+RULES = {
+    "proportional": PairwiseProportional(),
+    "fermi": fermi_from_ratio(economy(), 2 * CHUNK, 1.0),
+    "custom": CustomRule(lambda z: min(1.0, 40.0 * z) if z > 0.0 else 0.0),
+}
+
+
+# At n = 6,023 the critical pair {4095, 4096} straddles the first two chunks.
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 6023, 2 * CHUNK + 3])
+@pytest.mark.parametrize("rule", list(RULES.values()), ids=list(RULES))
+def test_chunked_rates_keep_the_one_pass_bits(n, rule):
+    params = economy()
+    population = PopulationConfig(n, 1, 2)
+    up, down = one_pass_rates(params, population, rule)
+    kernel = build_kernel(params, population, rule)
+    assert (kernel.up.tobytes(), kernel.down.tobytes()) == (up.tobytes(), down.tobytes())
+    k = model.critical_state(params, n)
+    if down[1:k].any() or up[k:].any():
+        with pytest.raises(ChainStructureError, match="rule is not noise-free"):
+            stationary_noise_free(params, population, rule)
+        return
+    psi = np.zeros(n + 1)
+    psi[k - 1] = down[k] / (up[k - 1] + down[k])
+    psi[k] = 1.0 - psi[k - 1]
+    assert stationary_noise_free(params, population, rule).psi.tobytes() == psi.tobytes()
+
+
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+def test_chunked_diagnostics_keep_the_one_pass_values(n):
+    params = economy()
+    kernel = build_kernel(params, PopulationConfig(n, 1, 1), RULES["fermi"])
+    rng = np.random.default_rng(n)
+    q = rng.random(n + 1)
+    q /= q.sum()
+    for spike in (0, CHUNK - 1, CHUNK, n):  # the largest flow at each end of a chunk
+        p = rng.random(n + 1)
+        p[min(spike, n)] += n
+        p /= p.sum()
+        flows = p[:-1] * kernel.up[:-1] - p[1:] * kernel.down[1:]
+        assert detailed_balance_residual(kernel, p) == float(np.abs(flows).max())
+        assert total_variation(p, q) == 0.5 * float(np.abs(p - q).sum())
+
+
+@dataclasses.dataclass(frozen=True)
+class EdgeLeak(PairwiseProportional):
+    """The proportional rule, but for switches of 1e-3 where the gain lies
+    beyond ``cut``: down moves above a positive cut, up moves below a negative one."""
+
+    cut: float = 0.0
+
+    def pair(self, payoff_diffs):
+        q_up, q_down = super().pair(payoff_diffs)
+        if self.cut > 0.0:
+            q_down[payoff_diffs > self.cut] = 1e-3
+        else:
+            q_up[payoff_diffs < self.cut] = 1e-3
+        return q_up, q_down
+
+
+# At n = 2 * CHUNK + 3 the leak sits below state 5, in the first chunk, or
+# above state n - 3, in the last.
+@pytest.mark.parametrize("state", [5, 2 * CHUNK])
+def test_noise_free_sees_a_move_away_in_any_chunk(state):
+    params, n = economy(), 2 * CHUNK + 3
+    cut = model.utility_primary(params, state, n) - model.utility_secondary(params)
+    with pytest.raises(ChainStructureError, match="rule is not noise-free"):
+        stationary_noise_free(params, PopulationConfig(n, 1, 2), EdgeLeak(cut=cut))

@@ -1,6 +1,10 @@
 """Utilities, equilibrium, and welfare measures of the selection game."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,6 +378,32 @@ def test_expected_poa_uniform_matches_direct_sum():
     direct = sum(social_welfare(p, k / 10) for k in range(11)) / 11.0 / s_min
     assert expected_poa(p, psi) == pytest.approx(direct, rel=1e-14)
     assert expected_poa(p, psi) > 1.0
+
+
+# The anchored Fermi law at ratio 0.001 and n = 10^5 is spread wide enough
+# that one np.dot over it read 0x1.0284bab39cd5fp+0 at one OpenBLAS thread
+# and 0x1.0284bab39cd60p+0 at two.
+POA_BITS = """
+from netsel import chain, model, protocols
+params = model.NetworkParams(100.0, 30.0, 1.0, model.calibrate_price_gap(100.0, 30.0, 1.0, 0.68), 0.0)
+population = chain.PopulationConfig(n=100_000, anchored_primary=1, anchored_secondary=1)
+rule = protocols.fermi_from_ratio(params, 100_000, 0.001)
+_, law = chain.long_run(chain.build_kernel(params, population, rule))
+print(model.expected_poa(params, law).hex())
+"""
+
+
+def test_expected_poa_has_the_same_bits_at_any_blas_thread_count():
+    src = Path(__file__).resolve().parents[1] / "src"
+    bits = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-c", POA_BITS], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        bits.append(proc.stdout.strip())
+    assert bits[0] == bits[1] == "0x1.0284bab39cd5fp+0"
 
 
 def test_expected_poa_never_below_one():
