@@ -66,9 +66,10 @@ FAULT_PASSES passes after a warm-up one, per pass and per analysis; and a
 launch row, a fresh interpreter that builds the anchored chain at
 n = 10^6 and runs ``long_run``, ``expected_poa`` and ``stationary_eigen``.
 With ``--baseline DIR``, DIR being a checkout of another revision, the
-``stationary_eigen`` rows at every size, the replicator row, the eigen
-launch and the ``netsel replicator`` launch are timed again for both
-revisions, each in ROUNDS fresh interpreters that alternate which
+``stationary_eigen`` rows at every size, the replicator row, both engines
+at every replica count of the engine rows, the 2,000-replica ``run`` row,
+the eigen launch and the ``netsel replicator`` launch are timed again for
+both revisions, each in ROUNDS fresh interpreters that alternate which
 revision goes first, and recorded side by side under ``baseline`` with
 the median over the rounds and this revision's ratio to the baseline,
 next to the baseline's ``src_lines``; the memory rows are taken for both
@@ -427,8 +428,9 @@ def launch_rows() -> dict[str, dict[str, float]]:
 
 def paired_rows() -> dict[str, dict[str, float]]:
     """The rows --baseline times for both revisions, from SRC: ``stationary_eigen``
-    at each size, the replicator row, and the launches of the eigen script and
-    of ``netsel replicator`` on the README config."""
+    at each size, the replicator row, each engine at each replica count, the
+    2,000-replica ``run``, and the launches of the eigen script and of
+    ``netsel replicator`` on the README config."""
     params = economy()
     rows = {}
     with SPEED:
@@ -437,6 +439,14 @@ def paired_rows() -> dict[str, dict[str, float]]:
             kernel = fermi_kernel(params, n)
             rows[f"stationary_eigen/{n}"] = median_ms(lambda: chain.stationary_eigen(kernel), 4)
         rows["replicator_integrate"] = replicator_row()
+        for replicas, row in engine_rows().items():
+            for engine in ("walk", "lockstep"):
+                rows[f"engines/{replicas}/{engine}"] = {
+                    "ms": row[f"{engine}_ms"], "scaled_ms": row[f"{engine}_scaled_ms"]
+                }
+        kernel = fermi_kernel(params, 100)
+        many = montecarlo.SimulationSpec(seed=1, steps=REPLICA_EVENTS, replicas=REPLICAS)
+        rows["montecarlo/run_2000_replicas"] = median_ms(lambda: montecarlo.run(many, kernel))
         with tempfile.TemporaryDirectory() as tmp:
             config = Path(tmp) / "experiment.ini"
             config.write_text(README_CONFIG, encoding="utf-8")

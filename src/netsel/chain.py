@@ -17,6 +17,7 @@ separate on purpose so each can cross-check the others.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -272,6 +273,9 @@ def _rates(params: NetworkParams, population: PopulationConfig, rule: ImitationR
     if denom > 2**53:
         raise ValueError(f"n*(n-1+a_p+a_s) = {denom} exceeds 2**53, the limit of exact weights")
     pi_s = model.utility_secondary(params)
+    # The gain is monotone in k: finite at k = 0 and k = n, it is finite at every k.
+    if not all(math.isfinite(model.utility_primary_at_share(params, x) - pi_s) for x in (0.0, 1.0)):
+        raise ValueError("the payoff difference is not finite: the delay or a price overflows")
 
     def rates(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         k = np.arange(lo, hi, dtype=float)

@@ -2,10 +2,10 @@
 
 Every run is reproducible from its spec alone.  Randomness comes from
 the counter-based Philox generator: replica r of a run draws from the
-stream ``Philox(key=seed).jumped(r)``, so replicas never share random
-numbers, adding replicas never disturbs existing ones, and any
-(spec, kernel) pair replays bit for bit.  Each imitation event consumes
-exactly one uniform draw.
+stream ``Philox(key=seed).jumped(r)``, built straight from its counter
+r * 2**128, so replicas never share random numbers, adding replicas
+never disturbs existing ones, and any (spec, kernel) pair replays bit
+for bit.  Each imitation event consumes exactly one uniform draw.
 
 ``run`` has two engines that keep this contract to the bit.  Fewer than
 _LOCKSTEP replicas walk one after another, each in blocks of draws: one
@@ -45,8 +45,8 @@ __all__ = [
 _BLOCK = 8192
 
 # Runs of at least this many replicas take the lockstep engine.  At n = 100
-# it took 1.9x the time of the one-by-one walk with 32 replicas, 1.1x with
-# 64, 0.8x with 128 and 0.26x with 2,000 (benchmarks/layers.py).
+# it took 2.2x the time of the one-by-one walk with 32 replicas, 1.15x with
+# 64, 0.72x with 128 and 0.26x with 2,000 (benchmarks/layers.py).
 _LOCKSTEP = 128
 
 # Lockstep replicas advance in near-equal groups of at most this many,
@@ -55,9 +55,9 @@ _LOCKSTEP = 128
 # blocks below, and the per-call cost of filling a short row grows.
 _GROUP = 2048
 
-# A lockstep block holds at most this many draws (and as many states),
-# 4 MB each, whatever the group size: fewer events per block as the
-# group grows.
+# A lockstep block holds at most this many draws, 4 MB, whatever the
+# group size: one buffer a replica per row, as the generators fill it,
+# and one an event per row, as the steps read it and write states over it.
 _CELLS = 2**19
 
 INITIAL_UNIFORM = "uniform-interior"
@@ -174,6 +174,11 @@ class AbsorptionFrequency:
     unabsorbed: int
 
 
+def _stream(seed: int, r: int) -> np.random.Generator:
+    """Replica r's generator, ``Philox(key=seed).jumped(r)``, at its counter r * 2**128."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=r << 128))
+
+
 def _resolve_initial(spec: SimulationSpec, n: int, gen: np.random.Generator) -> int:
     if isinstance(spec.initial_state, str):
         return int(gen.integers(1, n))
@@ -273,23 +278,26 @@ def _lockstep(
     (events, replicas) array; both are reused by the next block.
     """
     m = min(steps, max(1, _CELLS // len(gens)))
-    draws = np.empty((len(gens), m))
-    path = np.empty((m, len(gens)), dtype=np.int64)
+    draws, events = np.empty((len(gens), m)), np.empty((m, len(gens)))
+    rows, path = list(zip(gens, draws)), events.view(np.int64)
     t = 0
     while t < steps:
         end = min(t + m, burn if t < burn else steps)
-        for gen, row in zip(gens, draws):
-            gen.random(out=row[: end - t])
-        keep = t >= burn or keep_burn_in
+        for gen, row in rows:
+            gen.random(out=row if end - t == m else row[: end - t])
+        events[: end - t] = draws[:, : end - t].T
+        state = k
         for j in range(end - t):
-            u = draws[:, j]
+            u = events[j]
             # move, the float sum of up and down >= 0, is at least up, so
             # u < up implies u < move: this adds 2 - 1 where _walk moves
-            # up, 0 - 1 where it moves down, and 0 where it stays.
-            k += 2 * (u < up[k]) - (u < move[k])
-            if keep:
-                path[j] = k
-        yield t, k, path[: end - t] if keep else None
+            # up, 0 - 1 where it moves down, and 0 where it stays.  The
+            # new states go over the row of draws just read.
+            step = (u < up[state]).view(np.int8)
+            step += step - (u < move[state]).view(np.int8)
+            state = np.add(state, step, out=path[j])
+        k[:] = state
+        yield t, k, path[: end - t] if t >= burn or keep_burn_in else None
         t = end
 
 
@@ -313,7 +321,7 @@ def run(
     n = kernel.n
     burn = spec.resolve_burn_in(n)
     up, move = kernel.up, kernel.move
-    replicas = int(spec.replicas)  # Philox.jumped overflows on numpy integer offsets
+    replicas = int(spec.replicas)
     lockstep = replicas >= _LOCKSTEP
     groups = -(-replicas // _GROUP) if lockstep else replicas
     bounds = [replicas * i // groups for i in range(groups + 1)]
@@ -322,11 +330,7 @@ def run(
     finals = []
     samples = []
     for lo, hi in zip(bounds, bounds[1:]):
-        # Stream r jumps on from r - 1: jumped(r) would build a Philox per stream.
-        bits = [np.random.Philox(key=spec.seed).jumped(lo)]
-        for _ in range(lo + 1, hi):
-            bits.append(bits[-1].jumped(1))
-        gens = [np.random.Generator(bit) for bit in bits]
+        gens = [_stream(spec.seed, r) for r in range(lo, hi)]
         starts = [_resolve_initial(spec, n, gen) for gen in gens]
         keep = traced and lo == 0
         if lockstep:

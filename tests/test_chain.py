@@ -369,6 +369,21 @@ def test_two_point_rejects_boundary_critical_state():
         stationary_noise_free(params, PopulationConfig(n=10))
 
 
+# Finite prices and delays whose payoff difference overflows at one end of
+# 0..n only: at k = 0 (it reaches 1.9e308 there and is finite from about
+# k = n / 2 on), or at k = n, where the primary payoff is -2e308.
+@pytest.mark.parametrize(
+    "prices", [(-1e308, 0.4e308), (1e308, -0.9e308)], ids=["at_0", "at_n"]
+)
+def test_rates_refuse_a_payoff_difference_that_overflows(prices):
+    params = NetworkParams(1.0, 0.5, 0.5e308, *prices)
+    population = PopulationConfig(n=10, anchored_primary=1, anchored_secondary=1)
+    with pytest.raises(ValueError, match="payoff difference is not finite"):
+        build_kernel(params, population, PairwiseProportional())
+    with pytest.raises(ValueError, match="payoff difference is not finite"):
+        stationary_noise_free(params, population)
+
+
 def test_two_point_rejects_noisy_rule():
     params = calibrated_params()
     with pytest.raises(ValueError, match="noise-free"):

@@ -311,6 +311,36 @@ def test_anchor_count_beyond_exact_weights_exits_three(tmp_path, capsys):
     assert not list((tmp_path / "res").glob("*.csv"))
 
 
+# delay_weight / (capacity - arrival) overflows, so both payoffs are -inf
+# and their difference NaN.  Each command used to print numpy's overflow
+# and invalid-value RuntimeWarnings, then blame the kernel's up entries.
+OVERFLOWING_DELAY = {
+    "capacity": 1.7634464087435028e-292,
+    "arrival": 1.7634457883518956e-292,
+    "delay_weight": 2.179636599809657e131,
+    "price_primary": -3.5180632888409746e-07,
+}
+
+
+@pytest.mark.parametrize("command", ["stationary", "sweep", "simulate"])
+def test_overflowing_delay_is_a_named_analysis_error(tmp_path, command):
+    text = economy_text(OVERFLOWING_DELAY, "type = proportional", 11, 1)
+    path = write_config(tmp_path, text)
+    src = str(Path(netsel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "netsel.cli", command, "--config", path, "--out", "res"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_ANALYSIS
+    assert "RuntimeWarning" not in proc.stderr
+    if command == "sweep":  # each point's error goes to the CSV
+        assert "analysis error: every sweep point failed" in proc.stderr
+        assert "the delay or a price overflows" in (tmp_path / "res" / "sweep.csv").read_text()
+    else:
+        assert "analysis error: the payoff difference is not finite: the delay" in proc.stderr
+
+
 def test_degenerate_prices_exit_three(tmp_path, capsys):
     # delay_weight == (capacity - arrival) * price gap: 1 == 70 / 70.
     config = BASE.replace("target_share = 0.68", "price_primary = 0.014285714285714285")
@@ -708,6 +738,7 @@ FERMI = "type = fermi\nbeta_ratio = 1.0"
 @example(economy_text({"capacity": 1e-200, "arrival": 5e-201, "price_primary": 1e-200}, FERMI, 10, 1))
 @example(economy_text({"capacity": 1.0, "arrival": 1e-17}, FERMI, 10, 1))
 @example(economy_text({"capacity": 1.0, "arrival": 1e-17}, FERMI, 10, 0))
+@example(economy_text(OVERFLOWING_DELAY, "type = proportional", 11, 1))
 def test_every_command_exits_with_a_code_on_extreme_economies(text):
     with tempfile.TemporaryDirectory() as tmp:
         config = write_config(Path(tmp), text)

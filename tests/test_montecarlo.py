@@ -520,8 +520,8 @@ def test_window_refuses_states_it_cannot_decide():
 
 def test_group_streams_are_the_jumped_streams(monkeypatch):
     # Groups of at most 3 split 8 replicas as [0, 2), [2, 5) and [5, 8);
-    # each group chains jumps from its first stream.  Replica r must
-    # still draw from Philox(seed).jumped(r).
+    # each stream is built from its counter.  Replica r must still draw
+    # from Philox(seed).jumped(r).
     firsts, widths = [], []
     real = montecarlo._lockstep
 
@@ -543,10 +543,21 @@ def test_group_streams_are_the_jumped_streams(monkeypatch):
         assert np.array_equal(draws, expected), r
 
 
+@pytest.mark.parametrize("r", [0, 1, 2**64 - 1, 2**64, 2**64 + 3])
+def test_counter_streams_are_the_jumped_streams(r):
+    # A jump adds one to the upper 128 bits of Philox's 256-bit counter.
+    for seed in (0, 2**64 - 1):
+        built = montecarlo._stream(seed, r).random(9)
+        jumped = np.random.Generator(np.random.Philox(key=seed).jumped(r)).random(9)
+        assert built.tobytes() == jumped.tobytes()
+
+
 def test_lockstep_buffers_stay_bounded():
-    # 2,000 replicas take the lockstep engine.  Its blocks hold _CELLS
-    # draws and as many states, 4 MB each, next to about 2.6 MB of
-    # generators; blocks as long as the walk's would take 262 MB.
+    # 2,000 replicas take the lockstep engine.  It keeps two 4 MB buffers
+    # of _CELLS cells: the draws a replica per row, and the same draws an
+    # event per row, which each event's states overwrite.  Next to them
+    # sit about 2.6 MB of generators; a third block buffer would pass
+    # 12 MB, and blocks as long as the walk's would take 262 MB.
     kernel = fermi_kernel(n=100)
     spec = SimulationSpec(seed=5, steps=2000, replicas=2000)
     assert spec.replicas >= montecarlo._LOCKSTEP
@@ -557,7 +568,7 @@ def test_lockstep_buffers_stay_bounded():
     finally:
         tracemalloc.stop()
     assert result.histogram.events_counted == 1000 * 2000
-    assert peak < 16 * 2**20
+    assert peak < 12 * 2**20
 
 
 def test_lockstep_groups_bound_the_live_generators(monkeypatch):
