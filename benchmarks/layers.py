@@ -39,12 +39,15 @@ decimations, and 2,000 replicas of 2*10^4 events), one replica of 2*10^6
 events at n = 1,000 (untraced and traced at decimation 1,000), and
 ``absorption_frequency`` over 10^4 replicas of the unanchored chain at
 n = 20, each with its events (or replicas) per second.  The window rows
-count, in an untimed run of each one-replica walk, the share of draws
-that ``montecarlo._window`` resolves one by one and the share of blocks
-it walks again in a wider window.  The engine rows
-time both engines of ``run`` at 32 to 2,000 replicas of 2*10^4 events,
-forcing each by setting ``montecarlo._LOCKSTEP``; they are what the
-threshold is chosen from.
+count, in an untimed run of each one-replica walk and of one of 2*10^6
+events from n // 2 at n = 10^4, the share of draws that
+``montecarlo._window`` resolves one by one, how often a block leaves a
+window, how many states a window spans and how many a block's path
+spans; they also time each walk with ``montecarlo._SPREAD`` set to each
+of SPREADS, which is what that constant is chosen from.  The engine
+rows time both engines of ``run`` at 32 to 2,000 replicas of 2*10^4
+events, forcing each by setting ``montecarlo._LOCKSTEP``; they are what
+the threshold is chosen from.
 The replicator row times ``replicator.integrate`` on the same economy
 from the README's start share 0.2 with the default settings, as
 ``netsel replicator`` runs it, with the number of samples it returns.
@@ -68,18 +71,19 @@ n = 10^6 and runs ``long_run``, ``expected_poa`` and ``stationary_eigen``.
 With ``--baseline DIR``, DIR being a checkout of another revision, the
 ``stationary_eigen`` rows at every size, the replicator row, both engines
 at every replica count of the engine rows, the 2,000-replica ``run`` row,
-the eigen launch and the ``netsel replicator`` launch are timed again for
-both revisions, each in ROUNDS fresh interpreters that alternate which
-revision goes first, and recorded side by side under ``baseline`` with
-the median over the rounds and this revision's ratio to the baseline,
-next to the baseline's ``src_lines``; the memory rows are taken for both
-revisions as well.
+perfbench ``simulation``'s part b walk (its ``WALK``), the eigen launch and the
+``netsel replicator`` launch are timed again for both revisions, each in
+ROUNDS fresh interpreters that alternate which revision goes first, and
+recorded side by side under ``baseline`` with the median over the rounds
+and this revision's ratio to the baseline, next to the baseline's
+``src_lines``; the memory rows and the default-thread rows are taken for
+both revisions in alternating rounds as well.
 BLAS runs on one thread, as in ``perfbench``: on a small machine a
 threaded dot product of 10^4 elements waits milliseconds for its
 helper threads, which would hide the layer's own cost.  The one
 exception is the ``expected_poa`` row at OpenBLAS's default thread count
-(``--default-threads``): a fresh interpreter per revision, not pinned to
-one core, times it at every size, the way a plain ``import netsel`` runs it.
+(``--default-threads``): fresh interpreters, not pinned to one core,
+time it at every size, the way a plain ``import netsel`` runs it.
 The layers are the rows of the ROADMAP baseline table, so records of
 successive revisions compare row by row.  ``src_lines`` records the line
 count of each ``src/netsel/*.py`` (as ``wc -l`` counts) and their total.
@@ -110,6 +114,7 @@ CPUS = os.sched_getaffinity(0)  # before main() pins this process to one of them
 from importlib.metadata import PackageNotFoundError, version  # noqa: E402
 
 import numpy as np  # noqa: E402
+from simulation import WALK as PART_B  # noqa: E402
 from speed import Speedometer  # noqa: E402
 
 from netsel import chain, model, montecarlo, protocols, replicator  # noqa: E402
@@ -122,7 +127,8 @@ WALK_EVENTS = 200_000
 LONG_WALK_N, LONG_WALK_EVENTS = 1_000, 2_000_000
 REPLICAS, REPLICA_EVENTS = 2_000, 20_000
 ABSORB_REPLICAS = 10_000
-ENGINE_REPLICAS = (32, 64, 128, 256, 2_000)
+ENGINE_REPLICAS = (32, 64, 80, 96, 112, 128, 256, 2_000)
+SPREADS = (0.4, 0.6, 0.8, 1.0, 1.25, 1.5, 2.0)
 ROUNDS = 3
 MEMORY_SIZES = (10**5, 10**6)
 FAULT_PASSES = 15
@@ -226,20 +232,23 @@ def default_threads_rows() -> dict[str, dict[str, float]]:
 
 def default_threads_runs(baseline: Path | None) -> dict:
     """default_threads_rows of this revision, and of the checkout ``baseline`` if
-    given, each in one fresh interpreter without OPENBLAS_NUM_THREADS."""
+    given, in fresh interpreters without OPENBLAS_NUM_THREADS: ROUNDS of them
+    alternating with the baseline, or one; the median of each row."""
     sources = {"this": SRC}
     if baseline is not None:
         sources["baseline"] = baseline.resolve() / "src"
-    runs = {}
-    for name, src in sources.items():
-        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
-        out = subprocess.run(
-            [sys.executable, __file__, "--default-threads"], env={**env, "NETSEL_SRC": str(src)},
-            capture_output=True, text=True, check=True,
-            preexec_fn=lambda: os.sched_setaffinity(0, CPUS),
-        ).stdout
-        runs[name] = json.loads(out)
-    return runs
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    runs: dict[str, list[dict]] = {name: [] for name in sources}
+    for r in range(ROUNDS if baseline is not None else 1):
+        for name in sorted(sources, reverse=r % 2 == 1):
+            out = subprocess.run(
+                [sys.executable, __file__, "--default-threads"],
+                env={**env, "NETSEL_SRC": str(sources[name])},
+                capture_output=True, text=True, check=True,
+                preexec_fn=lambda: os.sched_setaffinity(0, CPUS),
+            ).stdout
+            runs[name].append(json.loads(out))
+    return {name: median_rows(rows) for name, rows in runs.items()}
 
 
 def absorption_rows() -> dict[str, dict[str, float]]:
@@ -290,37 +299,53 @@ def replicator_row() -> dict[str, float]:
 
 
 def window_rows() -> dict[str, dict[str, float]]:
-    """How the one-replica walks above went through ``montecarlo._window``."""
+    """How the one-replica walks above, and one at n = 10^4, went through
+    ``montecarlo._window``, and each walk's time at every ``SPREADS`` value."""
     params = economy()
-    real = montecarlo._window
+    real_window, real_walk, saved = montecarlo._window, montecarlo._walk, montecarlo._SPREAD
     rows = {}
-    for n, events in ((100, WALK_EVENTS), (LONG_WALK_N, LONG_WALK_EVENTS)):
-        tally = {"draws": 0, "odd": 0, "blocks": 0, "refused": 0}
+    for n, events in ((100, WALK_EVENTS), (LONG_WALK_N, LONG_WALK_EVENTS), (10**4, LONG_WALK_EVENTS)):
+        kernel = fermi_kernel(params, n)
+        spec = montecarlo.SimulationSpec(seed=1, steps=events, burn_in=0, initial_state=n // 2)
+        tally = {"draws": 0, "odd": 0, "windows": 0, "width": 0, "blocks": 0, "range": 0}
 
-        def spy(up, move, k0, lo, hi, u):
-            states = real(up, move, k0, lo, hi, u)
-            if states is None:
-                tally["refused"] += 1
-                return None
+        def window(up, move, k0, lo, hi, u):
+            states = real_window(up, move, k0, lo, hi, u)
             # _window's bounds: the draws they leave undecided are odd.
-            a, b = up[lo : hi + 1], move[lo : hi + 1]
+            a, b, u = up[lo : hi + 1], move[lo : hi + 1], u[: states.size]
             settled = (u < a.min()) | ((u >= a.max()) & (u < b.min())) | (u >= b.max())
             tally["draws"] += u.size
             tally["odd"] += int(u.size - settled.sum())
-            tally["blocks"] += 1
+            tally["windows"] += 1
+            tally["width"] += hi - lo + 1
             return states
 
-        spec = montecarlo.SimulationSpec(seed=1, steps=events, burn_in=0, initial_state=n // 2)
-        montecarlo._window = spy
+        def walk(*args):
+            for t, k, states in real_walk(*args):
+                tally["blocks"] += 1
+                tally["range"] += int(states.max() - states.min()) + 1
+                yield t, k, states
+
+        montecarlo._window, montecarlo._walk = window, walk
         try:
-            montecarlo.run(spec, fermi_kernel(params, n))
+            montecarlo.run(spec, kernel)
         finally:
-            montecarlo._window = real
-        rows[str(n)] = {
+            montecarlo._window, montecarlo._walk = real_window, real_walk
+        row = {
             "events": events,
             "resolved_share": round(tally["odd"] / tally["draws"], 4),
-            "redone_share": round(tally["refused"] / tally["blocks"], 4),
+            "exits_per_block": round(tally["windows"] / tally["blocks"] - 1, 3),
+            "mean_window": round(tally["width"] / tally["windows"], 1),
+            "mean_range": round(tally["range"] / tally["blocks"], 1),
         }
+        try:
+            for spread in SPREADS:
+                montecarlo._SPREAD = spread
+                timed = median_ms(lambda: montecarlo.run(spec, kernel))
+                row[f"spread_{spread:g}_scaled_ms"] = timed["scaled_ms"]
+        finally:
+            montecarlo._SPREAD = saved
+        rows[str(n)] = row
     return rows
 
 
@@ -429,8 +454,8 @@ def launch_rows() -> dict[str, dict[str, float]]:
 def paired_rows() -> dict[str, dict[str, float]]:
     """The rows --baseline times for both revisions, from SRC: ``stationary_eigen``
     at each size, the replicator row, each engine at each replica count, the
-    2,000-replica ``run``, and the launches of the eigen script and of
-    ``netsel replicator`` on the README config."""
+    2,000-replica ``run``, part b's walk, and the launches of the eigen script
+    and of ``netsel replicator`` on the README config."""
     params = economy()
     rows = {}
     with SPEED:
@@ -447,6 +472,11 @@ def paired_rows() -> dict[str, dict[str, float]]:
         kernel = fermi_kernel(params, 100)
         many = montecarlo.SimulationSpec(seed=1, steps=REPLICA_EVENTS, replicas=REPLICAS)
         rows["montecarlo/run_2000_replicas"] = median_ms(lambda: montecarlo.run(many, kernel))
+        kernel = fermi_kernel(params, PART_B["n"])
+        walk = montecarlo.SimulationSpec(seed=1, steps=PART_B["steps"], burn_in=PART_B["burn_in"])
+        rows["montecarlo/part_b_walk"] = median_ms(
+            lambda: montecarlo.run(walk, kernel, PART_B["decimation"])
+        )
         with tempfile.TemporaryDirectory() as tmp:
             config = Path(tmp) / "experiment.ini"
             config.write_text(README_CONFIG, encoding="utf-8")
@@ -532,13 +562,15 @@ def memory_runs(baseline: Path | None) -> dict:
                 check=True,
             ).stdout
             runs[name].append(json.loads(out))
+    return {name: median_rows(rows) for name, rows in runs.items()}
 
-    def median(cells: list):
-        if isinstance(cells[0], dict):
-            return {key: median([cell[key] for cell in cells]) for key in cells[0]}
-        return statistics.median(cells)
 
-    return {name: median(rows) for name, rows in runs.items()}
+def median_rows(cells: list):
+    """The median of each number that every run of the same nested rows has."""
+    if isinstance(cells[0], dict):
+        keys = [key for key in cells[0] if all(key in cell for cell in cells)]
+        return {key: median_rows([cell[key] for cell in cells]) for key in keys}
+    return statistics.median(cells)
 
 
 def revision(checkout: Path) -> str:
@@ -659,7 +691,10 @@ def main(argv: list[str]) -> None:
             "what": "one-replica walks from n // 2, burn-in 0, by population size",
             "rows": windows,
             "resolved_share": "draws resolved one by one / draws",
-            "redone_share": "blocks walked again in a wider window / blocks",
+            "exits_per_block": "_window calls / blocks - 1: the times a block left a window",
+            "mean_window": "states per window, hi - lo + 1, over _window calls",
+            "mean_range": "states a block's path spans, max - min + 1, over blocks",
+            "spread_*_scaled_ms": "scaled_ms of the same walk with montecarlo._SPREAD at that value",
         },
         "engines": {
             "chain": "the same chain at n = 100; 2*10^4 events per replica, default burn-in",
@@ -684,7 +719,8 @@ def main(argv: list[str]) -> None:
         },
         "expected_poa_default_threads": {
             "what": "expected_poa on the layer rows' law at OpenBLAS's default thread count, "
-            "one fresh interpreter per revision on every core",
+            "on every core; with --baseline the median over "
+            f"{ROUNDS} fresh interpreters per revision, alternating which ran first, else one",
             **threads,
         },
         "src_lines": src_lines(),
@@ -702,7 +738,11 @@ def main(argv: list[str]) -> None:
           f"{ode['samples']:>8d} samples")
     for n, row in windows.items():
         print(f"window at n = {n:>5s}{row['resolved_share']:>10.4f} resolved"
-              f"{row['redone_share']:>10.4f} redone")
+              f"{row['exits_per_block']:>8.3f} exits/block{row['mean_window']:>8.1f} wide"
+              f"{row['mean_range']:>8.1f} range")
+        print(" " * 19 + "  ".join(
+            f"{key.split('_')[1]}: {ms:.1f}" for key, ms in row.items() if key.startswith("spread_")
+        ) + " scaled ms by _SPREAD")
     for replicas, row in engines.items():
         print(f"engines at {replicas:>5s}{row['walk_ms']:>12.2f} ms{row['lockstep_ms']:>12.2f} ms"
               f"{row['speedup']:>8.2f}x")

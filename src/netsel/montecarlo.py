@@ -10,11 +10,11 @@ for bit.  Each imitation event consumes exactly one uniform draw.
 ``run`` has two engines that keep this contract to the bit.  Fewer than
 _LOCKSTEP replicas walk one after another, each in blocks of draws: one
 vector pass settles the draws that every state in a window around the
-block's start would take alike, the rest are resolved one by one, and a
-block that leaves its window is walked again in a wider one.  More
-replicas advance in lockstep: every event is one vector step over all of
-them, and row r of the block of draws comes from replica r's own stream.
-Which engine ran cannot be seen in the output.
+walk's state would take alike, the rest are resolved one by one, and
+where the walk leaves its window it goes on in a window around its new
+state.  More replicas advance in lockstep: every event is one vector
+step over all of them, and row r of the block of draws comes from
+replica r's own stream.  Which engine ran cannot be seen in the output.
 """
 
 from __future__ import annotations
@@ -36,18 +36,20 @@ __all__ = [
     "absorption_frequency",
 ]
 
-# A replica walks in blocks of this many events: one generator call draws
-# a block's uniforms, one _window step turns them into an int64 array of
-# states for np.bincount and the trajectory slices.  A longer block needs
-# a wider window, where more draws are resolved one by one: at n = 1,000,
-# 7% at 2,048, 11% at 8,192 and 14% at 16,384.  65,536 took 1.2x the
-# time of a traced walk at n = 1,000 and 2.5x its peak memory.
+# A replica walks in blocks of _BLOCK events, one generator call each, in
+# windows reaching _SPREAD times the last block's range (scaled to a full
+# block by the square root of their lengths), or _MIN_REACH, to each side.
+# Wider ones leave more draws odd, narrower ones are left more often.  At
+# n = 1,000, blocks of 2,048 and 65,536 took 1.3x and 1.4x the time of
+# 8,192; a _SPREAD of 1 took the least time at n = 100 and within 6% of
+# the least at 1,000 and 10^4 (benchmarks/layers.py, the window rows).
 _BLOCK = 8192
+_SPREAD, _MIN_REACH = 1.0, 8
 
 # Runs of at least this many replicas take the lockstep engine.  At n = 100
-# it took 2.2x the time of the one-by-one walk with 32 replicas, 1.15x with
-# 64, 0.72x with 128 and 0.26x with 2,000 (benchmarks/layers.py).
-_LOCKSTEP = 128
+# it took 2.3x the time of the walk with 32 replicas, 1.14x with 64, 0.93x
+# with 80 (unpaired 1.04x), 0.82x with 96 and 0.25x with 2,000 (layers.py).
+_LOCKSTEP = 96
 
 # Lockstep replicas advance in near-equal groups of at most this many,
 # so that however many replicas a run has, at most this many generators
@@ -203,36 +205,39 @@ def _walk(
     state after its last, and states the int64 state after each of its
     events, as an (events, 1) column.  No block straddles ``burn``;
     burn-in blocks yield states None unless ``keep_burn_in`` asks for
-    them.  A block is one :func:`_window` step around k, reaching twice
-    as far as the last block did (the first, sqrt(_BLOCK)), or further
-    until the block fits.
+    them.  A block is walked in :func:`_window` steps, each in a window
+    around the state the one before ended on, of the same width at the
+    ends of the chain; sqrt(_BLOCK) is the range before the first block.
     """
-    n, reach = up.size - 1, int(_BLOCK**0.5)
+    n, span = up.size - 1, int(_BLOCK**0.5)
     t = 0
     while t < steps:
         end = min(t + _BLOCK, burn if t < burn else steps)
         u = gen.random(end - t)
-        while (states := _window(up, move, k, max(k - reach, 0), min(k + reach, n), u)) is None:
-            reach = 2 * reach + 1
-        reach = 2 * int(max(states.max() - k, k - states.min()))
-        k = int(states[-1])
+        reach, pieces, i = max(_MIN_REACH, int(_SPREAD * span)), [], 0
+        while i < u.size:
+            lo = max(0, min(k - reach, n - 2 * reach))
+            pieces.append(_window(up, move, k, lo, min(lo + 2 * reach, n), u[i:]))
+            i, k = i + pieces[-1].size, int(pieces[-1][-1])
+        states = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        span = int(states.max() - states.min()) * (_BLOCK / u.size) ** 0.5
         yield t, k, states.reshape(-1, 1) if t >= burn or keep_burn_in else None
         t = end
 
 
 def _window(
     up: np.ndarray, move: np.ndarray, k0: int, lo: int, hi: int, u: np.ndarray
-) -> np.ndarray | None:
-    """The states after each draw of ``u`` from k0, as the loop
-    ``k += 1 if u < up[k] else -1 if u < move[k] else 0`` walks them, or
-    None if one leaves [lo, hi].
+) -> np.ndarray:
+    """The states after each draw of ``u`` from k0 in [lo, hi], as the
+    loop ``k += 1 if u < up[k] else -1 if u < move[k] else 0`` walks
+    them, up to and including the first state outside [lo, hi].
 
     At any k in [lo, hi], a draw below every up[k] steps up, one at or
     past every move[k] stays, and one from the largest up[k] to below
     the smallest move[k] steps down, as the float sum move of up and
-    down >= 0 rounds to at least up.  Only the rest, the odd draws, need their state.  By
-    induction on the events, these are the loop's states while they
-    stay in the window.
+    down >= 0 rounds to at least up.  Only the rest, the odd draws, need
+    their state.  By induction, these are the loop's states until one
+    leaves the window, which it does before any odd draw starts outside.
     """
     a, b = up[lo : hi + 1], move[lo : hi + 1]
     plus = u < a.min()
@@ -250,15 +255,16 @@ def _window(
             j = base + before
             # Outside the window j may be wrong, and row -1 would not raise.
             if not 0 <= j <= last:
-                return None
+                break
             others[i] = s = 1 if v < up_at[j] else -1 if v < move_at[j] else 0
             base += s
         step[odd] = others
     states = np.cumsum(step, out=step)
     states += k0
-    if states.min() < lo or states.max() > hi:
-        return None
-    return states
+    if lo <= states.min() and states.max() <= hi:
+        return states
+    outside = (states < lo) | (states > hi)
+    return states[: outside.argmax() + 1]
 
 
 def _lockstep(
@@ -326,9 +332,10 @@ def run(
     groups = -(-replicas // _GROUP) if lockstep else replicas
     bounds = [replicas * i // groups for i in range(groups + 1)]
     traced = d is not None
+    # Replica 0's state at event 0, every multiple of d below steps, and steps.
+    path = np.empty(-(-spec.steps // d) + 1 if traced else 0, dtype=np.int64)
     counts = np.zeros(n + 1, dtype=np.int64)
     finals = []
-    samples = []
     for lo, hi in zip(bounds, bounds[1:]):
         gens = [_stream(spec.seed, r) for r in range(lo, hi)]
         starts = [_resolve_initial(spec, n, gen) for gen in gens]
@@ -339,22 +346,22 @@ def run(
         else:
             walk = _walk(up, move, starts[0], spec.steps, burn, gens[0], keep)
         if keep:
-            samples.append(np.array(starts[:1], dtype=np.int64))
+            path[0] = starts[0]
         for t, k, states in walk:
             if t >= burn:
                 counts += np.bincount(states.ravel(), minlength=n + 1)
             if keep:
-                # Column 0 is replica 0; states[i] follows event t + i + 1.
-                # Keep the multiples of d, as a copy: a view would keep the
-                # whole block alive, or see the next block overwrite it.
-                samples.append(states[(-t - 1) % d :: d, 0].copy())
+                # Column 0 is replica 0; states[i] follows event t + i + 1,
+                # which is a multiple of d from i = (-t - 1) % d on.
+                i = (-t - 1) % d
+                picks, j = states[i::d, 0], (t + 1 + i) // d
+                path[j : j + picks.size] = picks
         finals.append(k)
     final_states = np.hstack(finals).astype(np.int64, copy=False)
     trajectory: np.ndarray | None = None
     if traced:
-        # Every multiple of d below steps, then the final event.
+        path[-1] = final_states[0]
         events = np.append(np.arange(0, spec.steps, d, dtype=np.int64), spec.steps)
-        path = np.append(np.concatenate(samples)[: events.size - 1], final_states[0])
         trajectory = np.column_stack((events, path))
     histogram = OccupancyHistogram(counts=counts, events_counted=(spec.steps - burn) * replicas)
     return RunResult(histogram=histogram, final_states=final_states, trajectory=trajectory)

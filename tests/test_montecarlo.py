@@ -482,38 +482,89 @@ def test_window_walk_matches_the_plain_loop(data):
         assert np.array_equal(result.trajectory, expected.trajectory)
 
 
-def test_window_walk_redoes_the_blocks_that_leave_their_window(monkeypatch):
-    # From state 20 a steep chain runs to k* near 200, further than the
-    # first window reaches: blocks leave their windows and are walked
-    # again in wider ones.
-    refused = []
+def spy_on_windows(monkeypatch):
+    """Record each _window call as (draws, states), and check that its
+    states stay in the window but for the last, which must be outside
+    where the call returns fewer states than it was given draws."""
+    calls = []
     real = montecarlo._window
 
-    def spy(*args):
-        states = real(*args)
-        refused.append(states is None)
+    def spy(up, move, k0, lo, hi, u):
+        states = real(up, move, k0, lo, hi, u)
+        inside = (states >= lo) & (states <= hi)
+        assert 1 <= states.size <= u.size and inside[:-1].all()
+        assert states.size == u.size or not inside[-1]
+        calls.append((u.size, states.copy()))
         return states
 
     monkeypatch.setattr(montecarlo, "_window", spy)
-    kernel = fermi_kernel(n=300, ratio=2000.0)
+    return calls
+
+
+def test_window_walk_goes_on_from_where_a_block_leaves_its_window(monkeypatch):
+    # From state 20 a steep chain runs to k* near 400 within the first
+    # block, further than its windows reach: the block leaves window
+    # after window, and each time the walk goes on from the first state
+    # outside with the draws left.
+    calls = spy_on_windows(monkeypatch)
+    kernel = fermi_kernel(n=600, ratio=2000.0)
     spec = SimulationSpec(seed=12, steps=100_000, burn_in=0, initial_state=20)
     result, expected = walk_both_ways(spec, kernel, decimation=1)
-    assert sum(refused) >= 2 and refused.count(False) == -(-spec.steps // montecarlo._BLOCK)
+    blocks = -(-spec.steps // montecarlo._BLOCK)
+    assert len(calls) > blocks and sum(states.size < draws for draws, states in calls) >= 3
+    assert sum(states.size for _, states in calls) == spec.steps
+    # A call that stops short leaves the rest of its block to the next.
+    for (draws, states), (rest, _) in zip(calls, calls[1:]):
+        assert rest == draws - states.size or states.size == draws
     assert np.array_equal(result.trajectory, expected.trajectory)
     assert np.array_equal(result.histogram.counts, expected.histogram.counts)
+    assert np.array_equal(result.final_states, expected.final_states)
 
 
-def test_window_refuses_states_it_cannot_decide():
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_narrow_windows_keep_the_walk_bits(data):
+    # Windows of one or three states, whatever the block's range: most
+    # blocks leave their windows many times, and from one state wide,
+    # every move leaves it on the first draw.
+    reach = data.draw(st.sampled_from([0, 1]), label="reach")
+    case = data.draw(st.sampled_from(["steep", "anchored", "unanchored"]), label="case")
+    if case == "steep":
+        kernel = fermi_kernel(n=data.draw(st.integers(20, 60), label="n"), ratio=2000.0)
+    else:
+        kernel = fermi_kernel(n=data.draw(st.integers(2, 12), label="n"), anchors=int(case == "anchored"))
+    steps = data.draw(st.integers(1, 2000), label="steps")
+    spec = SimulationSpec(
+        seed=data.draw(st.integers(0, 2**64 - 1), label="seed"),
+        steps=steps,
+        burn_in=data.draw(st.none() | st.integers(0, steps - 1), label="burn_in"),
+        initial_state=data.draw(st.integers(0, kernel.n), label="initial_state"),
+    )
+    block = data.draw(st.sampled_from([3, 64, 8192]), label="block")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_SPREAD", 0.0)
+        mp.setattr(montecarlo, "_MIN_REACH", reach)
+        calls = spy_on_windows(mp)
+        result, expected = walk_both_ways(spec, kernel, decimation=1, block=block)
+    assert sum(states.size for _, states in calls) == steps
+    assert np.array_equal(result.trajectory, expected.trajectory)
+    assert np.array_equal(result.histogram.counts, expected.histogram.counts)
+    assert np.array_equal(result.final_states, expected.final_states)
+
+
+def test_window_stops_at_the_first_state_outside_it():
     # Rows 0 and 1 put up in [0.2, 0.5] and move at 0.5, so 0.3 is odd.
     # From 0 in [0, 1], two draws below 0.2 reach state 2, whose row the
     # window lacks; from 1 in [1, 2], 0.45 steps down to 0, and row -1
-    # would read row 2 without an error.
+    # would read row 2 without an error.  Each walk ends on the state
+    # that left the window, which the walk then goes on from.
     up = np.array([0.5, 0.2, 0.4, 0.1, 0.0])
     down = np.array([0.0, 0.3, 0.1, 0.3, 0.5])
     kernel = TransitionKernel(up=up, down=down)
     move = kernel.move
-    assert montecarlo._window(kernel.up, move, 0, 0, 1, np.array([0.1, 0.1, 0.3])) is None
-    assert montecarlo._window(kernel.up, move, 1, 1, 2, np.array([0.45, 0.3])) is None
+    left = montecarlo._window(kernel.up, move, 0, 0, 1, np.array([0.1, 0.1, 0.3]))
+    assert left.dtype == np.int64 and left.tolist() == [1, 2]
+    assert montecarlo._window(kernel.up, move, 1, 1, 2, np.array([0.45, 0.3])).tolist() == [0]
     whole = montecarlo._window(kernel.up, move, 0, 0, 4, np.array([0.1, 0.1, 0.3]))
     assert whole.tolist() == [1, 2, 3]
 
