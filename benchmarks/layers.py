@@ -4,89 +4,71 @@ Usage, from the repository root, with the number of the revision being
 recorded as the first argument:
 
     python benchmarks/layers.py 9                       # writes BENCH_9.json
-    python benchmarks/layers.py 13 --baseline ../prev   # and compares eigen and memory
+    python benchmarks/layers.py 13 --baseline ../prev   # and pairs every row with ../prev's
 
-It imports netsel from the ``src/`` next to this directory (or from the
-source tree the environment variable NETSEL_SRC names) and times one
-anchored Fermi chain per population size: ratio 1, one anchor per side,
-on the calibrated economy of the figures (C = 100, lambda = 30,
-x* = 0.68).  Each layer is timed in REPEATS spans at each size after one
-warm-up call, and the median wall time of a call is recorded in
-milliseconds, next to the Python, numpy and scipy versions.
-A row whose raw median is under 1 ms says ``"comparable": false``: the
-speed sampler fires every 10 ms, so such rows swing by tens of percent
-between runs of the same code, rescaled or not, and no change between
-two records of them means anything.
-Every timed row is recorded twice: ``ms`` is the raw median, and
-``scaled_ms`` the median of the same calls rescaled by
-``perfbench/speed.py``'s ``Speedometer`` to its reference speed.  On a
-shared machine raw medians of the same code swing by a third from one
-run to the next; the rescaled ones follow the machine's speed out.  The
-script pins itself, and so every process it launches, to one core, so
-that the speed samples are taken on the core that runs the work.
-A call shorter than SPAN_S is timed in batches: each timed span runs
-enough calls, by the warm-up's time, to last about SPAN_S (``calls`` in
-the row), so that the sampler, which fires every 10 ms, takes samples
-inside it; the row is then the median span divided by its calls.
-The absorption rows time ``absorption_table`` on the same chain without
-anchors at n = 10^3 to 10^5: the solve and the classification, since
-the table is handed out as the kernel's own (n+1, 3) array.  A kernel
-keeps its table once solved, so each call gets a fresh kernel, built
-outside the timed span.
-The Monte Carlo rows time ``montecarlo.run`` on the same chain at
-n = 100 (one replica of 2*10^5 events, untraced and traced at three
-decimations, and 2,000 replicas of 2*10^4 events), one replica of 2*10^6
-events at n = 1,000 (untraced and traced at decimation 1,000), and
-``absorption_frequency`` over 10^4 replicas of the unanchored chain at
-n = 20, each with its events (or replicas) per second.  The window rows
-count, in an untimed run of each one-replica walk and of one of 2*10^6
-events from n // 2 at n = 10^4, the share of draws that
-``montecarlo._window`` resolves one by one, how often a block leaves a
-window, how many states a window spans and how many a block's path
-spans; they also time each walk with ``montecarlo._SPREAD`` set to each
-of SPREADS, which is what that constant is chosen from.  The engine
-rows time both engines of ``run`` at 32 to 2,000 replicas of 2*10^4
-events, forcing each by setting ``montecarlo._LOCKSTEP``; they are what
-the threshold is chosen from.
-The replicator row times ``replicator.integrate`` on the same economy
-from the README's start share 0.2 with the default settings, as
-``netsel replicator`` runs it, with the number of samples it returns.
-The launch rows time fresh interpreters as a user starts them: ``import
-netsel.cli`` alone, ``netsel reproduce --figure all``, and ``netsel
-simulate``, ``netsel replicator`` and ``netsel stationary`` on the
-README's example config, the last also without anchors (an absorption
-table), and a script that builds the anchored chain at n = 10^5 and
-calls ``stationary_eigen`` once, each with the peak resident memory of
-the process.
-The memory rows are taken in a fresh interpreter per revision (``--memory``):
-the peak of each large-n stage (``build_kernel``, ``stationary_product``,
-``stationary_eigen``, ``expected_poa`` and ``stationary_noise_free``) at
-n = 10^5 and 10^6, read with tracemalloc as the most memory held at once
-during the call beyond what was held before it, result included, in units
-of one float64 vector over the n + 1 states; the minor page faults
-(``ru_minflt``) of perfbench's ``analytic`` ``large`` pass, the median of
-FAULT_PASSES passes after a warm-up one, per pass and per analysis; and a
-launch row, a fresh interpreter that builds the anchored chain at
-n = 10^6 and runs ``long_run``, ``expected_poa`` and ``stationary_eigen``.
-With ``--baseline DIR``, DIR being a checkout of another revision, the
-``stationary_eigen`` rows at every size, the replicator row, both engines
-at every replica count of the engine rows, the 2,000-replica ``run`` row,
-perfbench ``simulation``'s part b walk (its ``WALK``), the eigen launch and the
-``netsel replicator`` launch are timed again for both revisions, each in
-ROUNDS fresh interpreters that alternate which revision goes first, and
-recorded side by side under ``baseline`` with the median over the rounds
-and this revision's ratio to the baseline, next to the baseline's
-``src_lines``; the memory rows and the default-thread rows are taken for
-both revisions in alternating rounds as well.
-BLAS runs on one thread, as in ``perfbench``: on a small machine a
-threaded dot product of 10^4 elements waits milliseconds for its
-helper threads, which would hide the layer's own cost.  The one
-exception is the ``expected_poa`` row at OpenBLAS's default thread count
-(``--default-threads``): fresh interpreters, not pinned to one core,
-time it at every size, the way a plain ``import netsel`` runs it.
-The layers are the rows of the ROADMAP baseline table, so records of
-successive revisions compare row by row.  ``src_lines`` records the line
-count of each ``src/netsel/*.py`` (as ``wc -l`` counts) and their total.
+The record is made of groups of rows, one per section (GROUPS).  Each
+group runs in a fresh interpreter, ``layers.py --group NAME``, which
+imports netsel from the ``src/`` next to this directory (or from the
+source tree the environment variable NETSEL_SRC names), pins itself, and
+so every process it launches, to one core, so that the speed samples are
+taken on the core that runs the work, and prints the group's rows as
+JSON.  Without ``--baseline`` each group runs once.  With ``--baseline
+DIR``, DIR being a checkout of another revision, ROUNDS rounds run: in
+each, every group runs for both revisions back to back, so that the two
+runs of a pair are seconds apart, and successive rounds alternate which
+revision goes first.  Each section then holds the low median of this
+revision's rounds (a value one round measured, so counts stay integers),
+and ``baseline`` pairs every rescaled time of every group, each key that
+ends in ``scaled_ms``: the low median of each revision, the median of
+the rounds' ratios this / baseline, and their range [min, max].  A pair
+whose range is wider than SPREAD_BOUND, perfbench's bound, says
+``"comparable": false``: it cannot show a change of that size.
+
+Each layer is timed in REPEATS spans after one warm-up call.  ``ms`` is
+the median wall time of a call, and ``scaled_ms`` the median of the same
+calls rescaled by ``perfbench/speed.py``'s ``Speedometer`` to its
+reference speed: on a shared machine raw medians of the same code swing
+by a third from one run to the next, and the rescaled ones follow the
+machine's speed out.  A call shorter than SPAN_S is timed in batches of
+``calls`` calls that last about SPAN_S, so that the sampler, which fires
+every 10 ms, takes samples inside them.  A row whose raw median is under
+1 ms still says ``"comparable": false``: such rows swing by tens of
+percent between runs of the same code.  BLAS runs on one thread, as in
+``perfbench``; the one exception is ``expected_poa_default_threads``,
+``expected_poa`` at every size on every core at OpenBLAS's default
+thread count, the way a plain ``import netsel`` runs it.
+
+The layer rows time one anchored Fermi chain per population size n = 10^3
+to 10^6: ratio 1, one anchor per side, on the calibrated economy of the
+figures (C = 100, lambda = 30, x* = 0.68); they are the rows of the
+ROADMAP baseline table.  The absorption rows time ``absorption_table``
+on the same chain without anchors at n = 10^3 to 10^5, a fresh kernel
+per call, built outside the timed span.  The Monte Carlo rows time
+``montecarlo.run`` on the same chain at n = 100 (one replica of 2*10^5
+events, untraced and traced at three decimations, and 2,000 replicas of
+2*10^4 events), one replica of 2*10^6 events at n = 1,000 (untraced and
+traced at decimation 1,000), and ``absorption_frequency`` over 10^4
+replicas of the unanchored chain at n = 20.  The window rows count, in an
+untimed run of each one-replica walk and of one of 2*10^6 events at
+n = 10^4, the share of draws ``montecarlo._window`` resolves one by one,
+how often a block leaves a window, how many states a window spans and how
+many a block's path spans, and time each walk with ``montecarlo._SPREAD``
+at each of SPREADS.  The engine rows time both engines of ``run`` at 32
+to 2,000 replicas of 2*10^4 events, forcing each by setting
+``montecarlo._LOCKSTEP``.  The replicator row times
+``replicator.integrate`` from share 0.2, as ``netsel replicator`` runs the
+README's config.  The launch rows time fresh interpreters as a user
+starts them, with the peak resident memory of each: ``import
+netsel.cli``, ``netsel reproduce --figure all``, ``simulate``,
+``replicator`` and ``stationary`` on the README's config (the last also
+without anchors), and one ``stationary_eigen`` at n = 10^5.  The memory
+rows are the tracemalloc peak of each large-n stage at n = 10^5 and
+10^6, result included, in float64 vectors over the n + 1 states; the
+minor page faults of perfbench's ``analytic`` ``large`` pass; and a fresh
+interpreter that runs ``long_run``, ``expected_poa`` and
+``stationary_eigen`` at n = 10^6.  They and the default-thread rows are
+kept per revision.  ``src_lines`` is the ``wc -l`` of each
+``src/netsel/*.py`` and their total.
 """
 
 from __future__ import annotations
@@ -107,14 +89,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(os.environ.get("NETSEL_SRC", ROOT / "src")).resolve()
 sys.path[:0] = [str(SRC), str(ROOT / "perfbench")]
-if sys.argv[1:] != ["--default-threads"]:
+THREADED = "expected_poa_default_threads"
+if sys.argv[1:] != ["--group", THREADED]:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
-CPUS = os.sched_getaffinity(0)  # before main() pins this process to one of them
 
 from importlib.metadata import PackageNotFoundError, version  # noqa: E402
 
 import numpy as np  # noqa: E402
-from simulation import WALK as PART_B  # noqa: E402
+from common import economy  # noqa: E402
 from speed import Speedometer  # noqa: E402
 
 from netsel import chain, model, montecarlo, protocols, replicator  # noqa: E402
@@ -123,13 +105,18 @@ SIZES = (10**3, 10**4, 10**5, 10**6)
 ABSORB_SIZES = (10**3, 10**4, 10**5)
 REPEATS = 5
 SPAN_S = 0.02
+LOAD = 30.0
 WALK_EVENTS = 200_000
 LONG_WALK_N, LONG_WALK_EVENTS = 1_000, 2_000_000
 REPLICAS, REPLICA_EVENTS = 2_000, 20_000
 ABSORB_REPLICAS = 10_000
 ENGINE_REPLICAS = (32, 64, 80, 96, 112, 128, 256, 2_000)
 SPREADS = (0.4, 0.6, 0.8, 1.0, 1.25, 1.5, 2.0)
-ROUNDS = 3
+# Even, so that each revision goes first in as many rounds as the other.
+ROUNDS = 4
+# perfbench's bound on an end-to-end metric: a paired row whose ratios
+# spread wider than this over the rounds cannot show such a change.
+SPREAD_BOUND = 0.25
 MEMORY_SIZES = (10**5, 10**6)
 FAULT_PASSES = 15
 # The README's example config: what ``netsel simulate`` and ``netsel replicator`` run.
@@ -158,7 +145,7 @@ trajectory_decimation = 500
 [replicator]
 initial_share = 0.2
 """
-# Samples the machine's speed while main() runs.
+# Samples the machine's speed while a group runs.
 SPEED = Speedometer()
 
 
@@ -192,18 +179,13 @@ def median_ms(fn, digits: int = 2, fresh=tuple) -> dict[str, float]:
     return row if calls == 1 else {**row, "calls": calls}
 
 
-def economy() -> model.NetworkParams:
-    gap = model.calibrate_price_gap(100.0, 30.0, 1.0, 0.68)
-    return model.NetworkParams(100.0, 30.0, 1.0, gap, 0.0)
-
-
 def fermi_kernel(params, n: int, anchors: int = 1) -> chain.TransitionKernel:
     population = chain.PopulationConfig(n=n, anchored_primary=anchors, anchored_secondary=anchors)
     return chain.build_kernel(params, population, protocols.fermi_from_ratio(params, n, 1.0))
 
 
 def layers_at(n: int) -> dict[str, float]:
-    params = economy()
+    params = economy(LOAD)
     population = chain.PopulationConfig(n=n, anchored_primary=1, anchored_secondary=1)
     rule = protocols.fermi_from_ratio(params, n, 1.0)
     kernel = chain.build_kernel(params, population, rule)
@@ -218,42 +200,25 @@ def layers_at(n: int) -> dict[str, float]:
     return {name: median_ms(fn, digits=4) for name, fn in timed.items()}
 
 
+def layer_rows() -> dict[str, dict[str, dict[str, float]]]:
+    """layers_at every size, by layer and then by size."""
+    by_size = {str(n): layers_at(n) for n in SIZES}
+    return {layer: {n: rows[layer] for n, rows in by_size.items()} for layer in by_size[str(SIZES[0])]}
+
+
 def default_threads_rows() -> dict[str, dict[str, float]]:
     """``expected_poa`` at each size, in this interpreter, at the BLAS threads it started with."""
-    params = economy()
+    params = economy(LOAD)
     rows = {}
-    with SPEED:
-        time.sleep(0.1)
-        for n in SIZES:
-            law = chain.stationary_product(fermi_kernel(params, n))
-            rows[str(n)] = median_ms(lambda: model.expected_poa(params, law), digits=4)
+    for n in SIZES:
+        law = chain.stationary_product(fermi_kernel(params, n))
+        rows[str(n)] = median_ms(lambda: model.expected_poa(params, law), digits=4)
     return rows
-
-
-def default_threads_runs(baseline: Path | None) -> dict:
-    """default_threads_rows of this revision, and of the checkout ``baseline`` if
-    given, in fresh interpreters without OPENBLAS_NUM_THREADS: ROUNDS of them
-    alternating with the baseline, or one; the median of each row."""
-    sources = {"this": SRC}
-    if baseline is not None:
-        sources["baseline"] = baseline.resolve() / "src"
-    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
-    runs: dict[str, list[dict]] = {name: [] for name in sources}
-    for r in range(ROUNDS if baseline is not None else 1):
-        for name in sorted(sources, reverse=r % 2 == 1):
-            out = subprocess.run(
-                [sys.executable, __file__, "--default-threads"],
-                env={**env, "NETSEL_SRC": str(sources[name])},
-                capture_output=True, text=True, check=True,
-                preexec_fn=lambda: os.sched_setaffinity(0, CPUS),
-            ).stdout
-            runs[name].append(json.loads(out))
-    return {name: median_rows(rows) for name, rows in runs.items()}
 
 
 def absorption_rows() -> dict[str, dict[str, float]]:
     """``absorption_table`` on the unanchored chain, a fresh kernel per call."""
-    params = economy()
+    params = economy(LOAD)
     return {
         str(n): median_ms(
             chain.absorption_table, digits=4, fresh=lambda n=n: (fermi_kernel(params, n, anchors=0),)
@@ -264,7 +229,7 @@ def absorption_rows() -> dict[str, dict[str, float]]:
 
 def montecarlo_rows() -> dict[str, dict[str, float]]:
     """Each row's median wall time and its events (or replicas) per second."""
-    params = economy()
+    params = economy(LOAD)
     kernel = fermi_kernel(params, 100)
     absorbing = fermi_kernel(params, 20, anchors=0)
     walk = montecarlo.SimulationSpec(seed=1, steps=WALK_EVENTS, burn_in=0, initial_state=50)
@@ -293,7 +258,7 @@ def montecarlo_rows() -> dict[str, dict[str, float]]:
 
 def replicator_row() -> dict[str, float]:
     """``integrate`` from share 0.2, and how many samples it returns."""
-    params = economy()
+    params = economy(LOAD)
     samples = len(replicator.integrate(params, 0.2).trajectory)
     return {**median_ms(lambda: replicator.integrate(params, 0.2)), "samples": samples}
 
@@ -301,7 +266,7 @@ def replicator_row() -> dict[str, float]:
 def window_rows() -> dict[str, dict[str, float]]:
     """How the one-replica walks above, and one at n = 10^4, went through
     ``montecarlo._window``, and each walk's time at every ``SPREADS`` value."""
-    params = economy()
+    params = economy(LOAD)
     real_window, real_walk, saved = montecarlo._window, montecarlo._walk, montecarlo._SPREAD
     rows = {}
     for n, events in ((100, WALK_EVENTS), (LONG_WALK_N, LONG_WALK_EVENTS), (10**4, LONG_WALK_EVENTS)):
@@ -351,7 +316,7 @@ def window_rows() -> dict[str, dict[str, float]]:
 
 def engine_rows() -> dict[str, dict[str, float]]:
     """Both engines of ``run`` at each replica count, and their ratio."""
-    kernel = fermi_kernel(economy(), 100)
+    kernel = fermi_kernel(economy(LOAD), 100)
     saved = montecarlo._LOCKSTEP
     rows = {}
     try:
@@ -385,8 +350,6 @@ population = chain.PopulationConfig(n=100_000, anchored_primary=1, anchored_seco
 rule = protocols.fermi_from_ratio(params, 100_000, 1.0)
 chain.stationary_eigen(chain.build_kernel(params, population, rule))
 """
-
-
 # One large analysis in a fresh interpreter, at the north star's largest size.
 LARGE_LAUNCH = """
 from netsel import chain, model, protocols
@@ -451,42 +414,6 @@ def launch_rows() -> dict[str, dict[str, float]]:
         return {name: launch_row(argv, tmp) for name, argv in launches.items()}
 
 
-def paired_rows() -> dict[str, dict[str, float]]:
-    """The rows --baseline times for both revisions, from SRC: ``stationary_eigen``
-    at each size, the replicator row, each engine at each replica count, the
-    2,000-replica ``run``, part b's walk, and the launches of the eigen script
-    and of ``netsel replicator`` on the README config."""
-    params = economy()
-    rows = {}
-    with SPEED:
-        time.sleep(0.1)
-        for n in SIZES:
-            kernel = fermi_kernel(params, n)
-            rows[f"stationary_eigen/{n}"] = median_ms(lambda: chain.stationary_eigen(kernel), 4)
-        rows["replicator_integrate"] = replicator_row()
-        for replicas, row in engine_rows().items():
-            for engine in ("walk", "lockstep"):
-                rows[f"engines/{replicas}/{engine}"] = {
-                    "ms": row[f"{engine}_ms"], "scaled_ms": row[f"{engine}_scaled_ms"]
-                }
-        kernel = fermi_kernel(params, 100)
-        many = montecarlo.SimulationSpec(seed=1, steps=REPLICA_EVENTS, replicas=REPLICAS)
-        rows["montecarlo/run_2000_replicas"] = median_ms(lambda: montecarlo.run(many, kernel))
-        kernel = fermi_kernel(params, PART_B["n"])
-        walk = montecarlo.SimulationSpec(seed=1, steps=PART_B["steps"], burn_in=PART_B["burn_in"])
-        rows["montecarlo/part_b_walk"] = median_ms(
-            lambda: montecarlo.run(walk, kernel, PART_B["decimation"])
-        )
-        with tempfile.TemporaryDirectory() as tmp:
-            config = Path(tmp) / "experiment.ini"
-            config.write_text(README_CONFIG, encoding="utf-8")
-            rows["launch/stationary_eigen_1e5"] = launch_row(["-c", EIGEN_LAUNCH], tmp)
-            rows["launch/replicator_readme"] = launch_row(
-                ["-m", "netsel.cli", "replicator", "--config", str(config), "--out", "ode"], tmp
-            )
-    return rows
-
-
 def peak_arrays(n: int, fn, *args):
     """fn(*args), and the tracemalloc peak of the call in float64 vectors of n + 1."""
     tracemalloc.start()
@@ -502,7 +429,7 @@ def peak_arrays(n: int, fn, *args):
 
 def stage_peaks(n: int) -> dict[str, float]:
     """Each large-n stage's peak on the layer rows' chain at size n."""
-    params = economy()
+    params = economy(LOAD)
     population = chain.PopulationConfig(n=n, anchored_primary=1, anchored_secondary=1)
     rule = protocols.fermi_from_ratio(params, n, 1.0)
     kernel, build = peak_arrays(n, chain.build_kernel, params, population, rule)
@@ -534,8 +461,8 @@ def large_faults() -> dict[str, float]:
 
 
 def memory_rows() -> dict:
-    """The memory rows of SRC, in this interpreter; the faults first, before
-    the large stages leave a heap that later passes would not fault in."""
+    """The memory rows; the faults first, before the large stages leave a
+    heap that later passes would not fault in."""
     faults = large_faults()
     with SPEED, tempfile.TemporaryDirectory() as tmp:
         time.sleep(0.1)
@@ -547,30 +474,98 @@ def memory_rows() -> dict:
     }
 
 
-def memory_runs(baseline: Path | None) -> dict:
-    """memory_rows of this revision, and of the checkout ``baseline`` if given,
-    each in fresh interpreters: ROUNDS of them alternating with the baseline, or one."""
-    sources = {"this": SRC}
-    if baseline is not None:
-        sources["baseline"] = baseline.resolve() / "src"
-    runs: dict[str, list[dict]] = {name: [] for name in sources}
-    for r in range(ROUNDS if baseline is not None else 1):
-        for name in sorted(sources, reverse=r % 2 == 1):
-            env = {**os.environ, "NETSEL_SRC": str(sources[name])}
-            out = subprocess.run(
-                [sys.executable, __file__, "--memory"], env=env, capture_output=True, text=True,
-                check=True,
-            ).stdout
-            runs[name].append(json.loads(out))
-    return {name: median_rows(rows) for name, rows in runs.items()}
+# Each section of the record and the function that times its rows.
+GROUPS = {
+    "layers": layer_rows,
+    "absorption_table": absorption_rows,
+    "montecarlo": montecarlo_rows,
+    "replicator": replicator_row,
+    "window": window_rows,
+    "engines": engine_rows,
+    "launches": launch_rows,
+    "memory": memory_rows,
+    THREADED: default_threads_rows,
+}
+
+
+def group_rows(group: str) -> dict:
+    """One group's rows, timed in this interpreter on one core (every core
+    for THREADED) while the speed sampler runs (for memory, its launch only)."""
+    if group != THREADED:
+        os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])
+    if group == "memory":  # tracemalloc would count the sampler's allocations
+        return memory_rows()
+    with SPEED:
+        time.sleep(0.1)  # the first rows take microseconds: sample the speed before them
+        return GROUPS[group]()
+
+
+def run_group(group: str, src: Path) -> dict:
+    """group_rows of the netsel source tree ``src``, from a fresh interpreter."""
+    env = {**os.environ, "NETSEL_SRC": str(src)}
+    if group == THREADED:
+        env.pop("OPENBLAS_NUM_THREADS", None)
+    argv = [sys.executable, __file__, "--group", group]
+    out = subprocess.run(argv, env=env, stdout=subprocess.PIPE, text=True, check=True).stdout
+    return json.loads(out)
+
+
+def rounds(baseline: Path | None) -> dict[str, list[dict]]:
+    """Each revision's rounds, each a dict of every group's rows.
+
+    With a ``baseline`` checkout, ROUNDS rounds run every group for both
+    revisions back to back, alternating from round to round which goes
+    first; without one, a single round runs this revision alone.
+    """
+    sources = {"this": SRC} if baseline is None else {"this": SRC, "baseline": baseline / "src"}
+    count = 1 if baseline is None else ROUNDS
+    runs: dict[str, list[dict]] = {name: [{} for _ in range(count)] for name in sources}
+    for r in range(count):
+        for group in GROUPS:
+            for name in sorted(sources, reverse=r % 2 == 1):
+                print(f"round {r + 1}/{count}: {group}, {name}", file=sys.stderr)
+                runs[name][r][group] = run_group(group, sources[name])
+    return runs
 
 
 def median_rows(cells: list):
-    """The median of each number that every run of the same nested rows has."""
+    """The low median of each number that every run of the same nested rows has."""
     if isinstance(cells[0], dict):
         keys = [key for key in cells[0] if all(key in cell for cell in cells)]
         return {key: median_rows([cell[key] for cell in cells]) for key in keys}
-    return statistics.median(cells)
+    return statistics.median_low(cells)
+
+
+def scaled_times(rows: dict, prefix: str = "") -> dict[str, float]:
+    """Every rescaled time in nested rows, by its path of keys joined with '/'."""
+    times = {}
+    for key, value in rows.items():
+        if isinstance(value, dict):
+            times.update(scaled_times(value, f"{prefix}{key}/"))
+        elif key.endswith("scaled_ms"):
+            times[prefix + key] = value
+    return times
+
+
+def paired(this: list[dict], baseline: list[dict]) -> dict[str, dict]:
+    """Each rescaled time that both revisions' rounds have: the low median of
+    each, the median of the rounds' ratios this / baseline and their
+    [min, max]; a row whose range is wider than SPREAD_BOUND is not comparable."""
+    this_times = [scaled_times(run) for run in this]
+    base_times = [scaled_times(run) for run in baseline]
+    rows = {}
+    for path in this_times[0]:
+        if not all(path in times for times in this_times + base_times):
+            continue
+        ratios = [ours[path] / theirs[path] for ours, theirs in zip(this_times, base_times)]
+        row = {
+            "baseline": statistics.median_low(times[path] for times in base_times),
+            "this": statistics.median_low(times[path] for times in this_times),
+            "ratio": round(statistics.median(ratios), 3),
+            "range": [round(min(ratios), 3), round(max(ratios), 3)],
+        }
+        rows[path] = row if max(ratios) - min(ratios) <= SPREAD_BOUND else {**row, "comparable": False}
+    return rows
 
 
 def revision(checkout: Path) -> str:
@@ -582,41 +577,6 @@ def revision(checkout: Path) -> str:
     return out.stdout.strip() or checkout.name
 
 
-def baseline_rows(baseline: Path) -> dict:
-    """paired_rows of this revision and of the checkout ``baseline``, ROUNDS
-    fresh interpreters each, alternating which goes first, and the
-    baseline's src_lines."""
-    sources = {"baseline": baseline.resolve() / "src", "this": SRC}
-    runs: dict[str, list[dict]] = {"baseline": [], "this": []}
-    for r in range(ROUNDS):
-        for name in ("baseline", "this") if r % 2 == 0 else ("this", "baseline"):
-            env = {**os.environ, "NETSEL_SRC": str(sources[name])}
-            out = subprocess.run(
-                [sys.executable, __file__, "--paired"], env=env, capture_output=True, text=True,
-                check=True,
-            ).stdout
-            runs[name].append(json.loads(out))
-
-    def median_of(name: str, row: str) -> dict[str, float]:
-        cells = [run[row] for run in runs[name]]
-        keys = [key for key in ("ms", "scaled_ms", "peak_rss_mb", "samples") if key in cells[0]]
-        median = {key: statistics.median(cell[key] for cell in cells) for key in keys}
-        return median if median["ms"] >= 1 else {**median, "comparable": False}
-
-    rows = {}
-    for row in runs["this"][0]:
-        pair = {name: median_of(name, row) for name in runs}
-        pair["ratio"] = round(pair["this"]["ms"] / pair["baseline"]["ms"], 3)
-        rows[row] = pair
-    return {
-        "revision": revision(baseline),
-        "what": f"median over {ROUNDS} fresh interpreters per revision, alternating which "
-        "ran first; ratio = this ms / baseline ms",
-        "rows": rows,
-        "src_lines": src_lines(baseline.resolve()),
-    }
-
-
 def src_lines(root: Path = ROOT) -> dict[str, int]:
     """Newline count of each module of the package under ``root``, and their total."""
     files = sorted((root / "src" / "netsel").glob("*.py"))
@@ -625,12 +585,8 @@ def src_lines(root: Path = ROOT) -> dict[str, int]:
 
 
 def main(argv: list[str]) -> None:
-    if argv == ["--default-threads"]:
-        print(json.dumps(default_threads_rows()))
-        return
-    if argv in (["--paired"], ["--memory"]):
-        os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])
-        print(json.dumps(paired_rows() if argv == ["--paired"] else memory_rows()))
+    if len(argv) == 2 and argv[0] == "--group" and argv[1] in GROUPS:
+        print(json.dumps(group_rows(argv[1])))
         return
     if not (len(argv) in (1, 3) and argv[0].isdigit() and argv[1:2] in ([], ["--baseline"])):
         sys.exit(
@@ -638,24 +594,15 @@ def main(argv: list[str]) -> None:
             "   (writes BENCH_<number>.json)"
         )
     out = ROOT / f"BENCH_{argv[0]}.json"
-    # One core for the work, the speed samples and every launched process.
-    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])
-    with SPEED:
-        time.sleep(0.1)  # the first rows take microseconds: sample the speed before them
-        by_size = {n: layers_at(n) for n in SIZES}
-        absorption = absorption_rows()
-        mc = montecarlo_rows()
-        ode = replicator_row()
-        windows = window_rows()
-        engines = engine_rows()
-        launches = launch_rows()
-    baseline = baseline_rows(Path(argv[2])) if len(argv) == 3 else None
-    memory = memory_runs(Path(argv[2]) if len(argv) == 3 else None)
-    threads = default_threads_runs(Path(argv[2]) if len(argv) == 3 else None)
+    baseline = Path(argv[2]).resolve() if len(argv) == 3 else None
+    runs = rounds(baseline)
+    medians = {name: median_rows(rounds_of) for name, rounds_of in runs.items()}
+    rows = medians["this"]
     try:
         scipy_version = version("scipy")
     except PackageNotFoundError:
         scipy_version = None
+    over = f"the low median over {ROUNDS} rounds with --baseline, else one run"
     record = {
         "environment": {
             "python": platform.python_version(),
@@ -667,29 +614,28 @@ def main(argv: list[str]) -> None:
         },
         "chain": "anchored Fermi, ratio 1, one anchor per side; C = 100, lambda = 30, x* = 0.68",
         "statistic": f"median of {REPEATS} timed spans after one warm-up call, per call; "
-        f"a row with calls ran that many calls per span to fill about {SPAN_S * 1e3:g} ms",
+        f"a row with calls ran that many calls per span to fill about {SPAN_S * 1e3:g} ms; "
+        f"each group's rows {over}",
         "unit": "ms",
         "scaled_ms": "the same calls rescaled to perfbench/speed.py's reference speed, one core",
-        "layers": {
-            layer: {str(n): by_size[n][layer] for n in SIZES} for layer in by_size[SIZES[0]]
-        },
+        "layers": rows["layers"],
         "absorption_table": {
             "chain": "the same chain without anchors; a fresh kernel per call, built untimed",
-            "rows": absorption,
+            "rows": rows["absorption_table"],
         },
         "montecarlo": {
             "chain": "the same chain at n = 100 (run_n1000_*: at n = 1,000); "
             "absorption on it unanchored at n = 20",
-            "rows": mc,
+            "rows": rows["montecarlo"],
             "per_s": "events per second; replicas per second for absorption_frequency",
         },
         "replicator": {
             "what": "replicator.integrate on the same economy from share 0.2, default settings",
-            "row": ode,
+            "row": rows["replicator"],
         },
         "window": {
             "what": "one-replica walks from n // 2, burn-in 0, by population size",
-            "rows": windows,
+            "rows": rows["window"],
             "resolved_share": "draws resolved one by one / draws",
             "exits_per_block": "_window calls / blocks - 1: the times a block left a window",
             "mean_window": "states per window, hi - lo + 1, over _window calls",
@@ -698,12 +644,12 @@ def main(argv: list[str]) -> None:
         },
         "engines": {
             "chain": "the same chain at n = 100; 2*10^4 events per replica, default burn-in",
-            "rows": engines,
+            "rows": rows["engines"],
             "speedup": "walk_ms / lockstep_ms",
         },
         "launches": {
             "what": "fresh interpreters; the commands through python -m netsel.cli",
-            "rows": launches,
+            "rows": rows["launches"],
         },
         "memory": {
             "chain": "the layer rows' chain",
@@ -713,58 +659,68 @@ def main(argv: list[str]) -> None:
             "passes after a warm-up pass; per_analysis = per_pass / 4",
             "launch/large_analysis_1e6": "fresh interpreter: build the chain at n = 10^6, "
             "long_run, expected_poa, stationary_eigen",
-            "rounds": f"median over {ROUNDS} fresh interpreters per revision with --baseline, "
-            "else one",
-            **memory,
+            "rounds": over,
+            **{name: rows_of["memory"] for name, rows_of in medians.items()},
         },
-        "expected_poa_default_threads": {
+        THREADED: {
             "what": "expected_poa on the layer rows' law at OpenBLAS's default thread count, "
-            "on every core; with --baseline the median over "
-            f"{ROUNDS} fresh interpreters per revision, alternating which ran first, else one",
-            **threads,
+            f"on every core; {over}",
+            **{name: rows_of[THREADED] for name, rows_of in medians.items()},
         },
         "src_lines": src_lines(),
     }
     if baseline is not None:
-        record["baseline"] = baseline
+        record["baseline"] = {
+            "revision": revision(baseline),
+            "what": f"every rescaled time of every group, {ROUNDS} rounds, each running every "
+            "group for both revisions back to back, alternating which ran first; this and "
+            "baseline are the low medians, ratio the median of the rounds' this / baseline "
+            f"and range their [min, max]; comparable: false where that range is wider than "
+            f"{SPREAD_BOUND}",
+            "rows": paired(runs["this"], runs["baseline"]),
+            "src_lines": src_lines(baseline),
+        }
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
-    for layer, row in record["layers"].items():
+    for layer, row in rows["layers"].items():
         print(f"{layer:20s}" + "".join(f"{v['ms']:>10.3f}/{v['scaled_ms']:<8.3f}" for v in row.values()))
-    for n, row in absorption.items():
+    for n, row in rows["absorption_table"].items():
         print(f"absorption_table {n:>8s}{row['ms']:>10.3f}/{row['scaled_ms']:<8.3f}")
-    for name, row in mc.items():
+    for name, row in rows["montecarlo"].items():
         print(f"{name:22s}{row['ms']:>12.2f}/{row['scaled_ms']:<10.2f} ms{row['per_s']:>14,d} /s")
+    ode = rows["replicator"]
     print(f"{'replicator_integrate':22s}{ode['ms']:>12.2f}/{ode['scaled_ms']:<10.2f} ms"
           f"{ode['samples']:>8d} samples")
-    for n, row in windows.items():
+    for n, row in rows["window"].items():
         print(f"window at n = {n:>5s}{row['resolved_share']:>10.4f} resolved"
               f"{row['exits_per_block']:>8.3f} exits/block{row['mean_window']:>8.1f} wide"
               f"{row['mean_range']:>8.1f} range")
         print(" " * 19 + "  ".join(
             f"{key.split('_')[1]}: {ms:.1f}" for key, ms in row.items() if key.startswith("spread_")
         ) + " scaled ms by _SPREAD")
-    for replicas, row in engines.items():
+    for replicas, row in rows["engines"].items():
         print(f"engines at {replicas:>5s}{row['walk_ms']:>12.2f} ms{row['lockstep_ms']:>12.2f} ms"
               f"{row['speedup']:>8.2f}x")
-    for name, row in launches.items():
+    for name, row in rows["launches"].items():
         print(f"{name:22s}{row['ms']:>12.1f}/{row['scaled_ms']:<10.1f} ms{row['peak_rss_mb']:>10.1f} MB")
-    if baseline is not None:
-        for name, pair in baseline["rows"].items():
-            print(f"{name:38s}{pair['baseline']['ms']:>10.3f} ->{pair['this']['ms']:>10.3f} ms"
-                  f"{pair['ratio']:>8.3f}x")
-    for name, rows in memory.items():
-        for n, peaks in rows["stage_peaks"].items():
+    for name, rows_of in medians.items():
+        memory = rows_of["memory"]
+        for n, peaks in memory["stage_peaks"].items():
             cells = "  ".join(f"{stage} {arrays:.2f}" for stage, arrays in peaks.items())
             print(f"{name:8s} peaks at n = {n:>7s} {cells}")
-        launched = rows["launch/large_analysis_1e6"]
-        print(f"{name:8s} large pass {rows['large_faults']['per_pass']:>8.0f} minor faults;"
+        launched = memory["launch/large_analysis_1e6"]
+        print(f"{name:8s} large pass {memory['large_faults']['per_pass']:>8.0f} minor faults;"
               f" n = 10^6 launch {launched['ms']:.1f} ms, {launched['peak_rss_mb']:.1f} MB")
-    for name, rows in threads.items():
-        cells = "".join(f"{row['ms']:>10.3f}" for row in rows.values())
+    for name, rows_of in medians.items():
+        cells = "".join(f"{row['ms']:>10.3f}" for row in rows_of[THREADED].values())
         print(f"{name:8s} expected_poa at default threads, ms{cells}")
+    if baseline is not None:
+        for path, pair in record["baseline"]["rows"].items():
+            low, high = pair["range"]
+            print(f"{path:48s}{pair['baseline']:>10.3f} ->{pair['this']:>10.3f} scaled ms"
+                  f"{pair['ratio']:>7.3f}x [{low:.3f}, {high:.3f}]")
     print(f"src lines {record['src_lines']['total']:>12d}")
     if baseline is not None:
-        print(f"baseline src lines {baseline['src_lines']['total']:>3d}")
+        print(f"baseline src lines {record['baseline']['src_lines']['total']:>3d}")
     print(f"wrote {out}")
 
 

@@ -134,16 +134,6 @@ class TransitionKernel:
         """Largest state index (genuine population size)."""
         return self.up.size - 1
 
-    def matrix(self) -> np.ndarray:
-        """Dense (n+1) x (n+1) transition matrix; intended for small n."""
-        size = self.n + 1
-        p = np.zeros((size, size))
-        idx = np.arange(size)
-        p[idx, idx] = self.stay
-        p[idx[:-1], idx[:-1] + 1] = self.up[:-1]
-        p[idx[1:], idx[1:] - 1] = self.down[1:]
-        return p
-
     # A kernel is frozen and its arrays read-only, so its class and its
     # absorption table are computed at most once; dataclasses.replace
     # builds a new kernel, which starts with neither.

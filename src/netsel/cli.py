@@ -537,6 +537,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # Domain errors of the analysis, ChainStructureError among them.
         print(f"analysis error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
+    except MemoryError as exc:
+        # numpy names the array it could not allocate, e.g. a trajectory too long to keep.
+        print(f"analysis error: out of memory: {exc}".rstrip(": "), file=sys.stderr)
+        return EXIT_ANALYSIS
     return EXIT_OK
 
 

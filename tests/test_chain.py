@@ -86,6 +86,11 @@ def reconstruct_detailed_balance(kernel):
     return psi / psi.sum()
 
 
+def dense_matrix(kernel):
+    """The (n+1) x (n+1) transition matrix of a kernel, from its vectors."""
+    return np.diag(kernel.stay) + np.diag(kernel.up[:-1], 1) + np.diag(kernel.down[1:], -1)
+
+
 def payoff_step(params, k, n):
     """h(k): primary advantage at state k when the price gap is zero."""
     return utility_primary(params, k, n) - utility_secondary(params) + params.price_gap
@@ -178,20 +183,6 @@ def test_kernel_records_provenance():
     assert kernel.population == population
     assert kernel.rule is rule
     assert kernel.n == 5
-
-
-def test_kernel_matrix_agrees_with_vectors():
-    params = calibrated_params()
-    kernel = build_kernel(
-        params, PopulationConfig(n=6, anchored_primary=1, anchored_secondary=1), Fermi(beta=50.0)
-    )
-    matrix = kernel.matrix()
-    assert matrix.shape == (7, 7)
-    assert np.abs(matrix.sum(axis=1) - 1.0).max() < 1e-12
-    assert matrix[2, 3] == kernel.up[2]
-    assert matrix[2, 1] == kernel.down[2]
-    assert matrix[2, 2] == kernel.stay[2]
-    assert matrix[0, 2] == 0.0  # one event moves the state by at most 1
 
 
 def test_kernel_arrays_read_only():
@@ -450,7 +441,7 @@ def test_stationarity_under_the_kernel():
     population = PopulationConfig(n=10, anchored_primary=1, anchored_secondary=1)
     kernel = build_kernel(params, population, fermi_from_ratio(params, 10, 1.0))
     psi = stationary_product(kernel).psi
-    assert np.abs(psi @ kernel.matrix() - psi).max() < 1e-15
+    assert np.abs(psi @ dense_matrix(kernel) - psi).max() < 1e-15
 
 
 # -- eigenvector route ------------------------------------------------------------
@@ -834,6 +825,11 @@ def test_distribution_validation():
         StationaryDistribution(psi=np.full(5, 0.1), kind="empirical")
     with pytest.raises(ValueError, match="negative"):
         StationaryDistribution(psi=np.array([0.6, 0.5, -0.1]), kind="empirical")
+    with pytest.raises(ValueError, match="negative"):
+        StationaryDistribution(psi=np.array([0.5, 0.5 + 1e-11, -1e-11]), kind="empirical")
+    # A rounding-sized negative entry is clipped to zero.
+    clipped = StationaryDistribution(psi=np.array([0.5, 0.5 + 1e-13, -1e-13]), kind="empirical")
+    assert clipped.psi[2] == 0.0 and clipped.psi.min() == 0.0
     with pytest.raises(ValueError, match="kind"):
         StationaryDistribution(psi=np.full(4, 0.25), kind="guesswork")
 

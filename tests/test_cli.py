@@ -159,10 +159,14 @@ SINGULAR_ABSORPTION = (
         (SWEEP_N + "start = 2\nstop = 1000002\nstep = 1", "fewer than 1000000 steps"),
         (RATIO_OF_PROPORTIONAL, "fermi"),
         (RATIO_OF_ABSOLUTE, "fermi"),
+        (SWEEP_N + "values = 10, ten", "cannot parse values list"),
+        (SWEEP_N + "values = ,", "values list is empty"),
+        (SWEEP_N + "start = 2\nstop = 10", "missing required key 'step'"),
     ],
     ids=[
         "fractional", "values-inf", "values-nan", "stop-inf", "too-many-points", "step-nan", "step-inf",
-        "huge-grid", "million-steps", "ratio-of-proportional", "ratio-of-absolute",
+        "huge-grid", "million-steps", "ratio-of-proportional", "ratio-of-absolute", "values-unparsable",
+        "values-empty", "grid-without-step",
     ],
 )
 def test_sweep_rejects_fractional_population_sizes(tmp_path, text, match):
@@ -422,6 +426,43 @@ replicas = 2
 initial_state = 5
 trajectory_decimation = 500
 """
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("capacity = 100\n" + SIM, "malformed config file"),
+        (SIM.replace("capacity = 100\n", ""), "missing required key 'capacity' in section [network]"),
+        (SIM.replace("n = 10", "n = 1"), "[population]: population needs at least 2 genuine users"),
+        (SIM.replace("beta_ratio = 1.0", "beta_ratio = 1.0\nscale = 2"), "fermi takes beta keys"),
+        (SIM.replace("type = fermi", "type = moran"), "unknown type 'moran'"),
+        (SIM.replace("decimation = 500", "decimation = 0"), "trajectory_decimation must be >= 1"),
+    ],
+    ids=["no-section-header", "missing-key", "one-user", "fermi-scale", "unknown-rule", "decimation-zero"],
+)
+def test_config_mistakes_exit_two_with_their_message(tmp_path, capsys, text, message):
+    out_dir = tmp_path / "res"
+    path = write_config(tmp_path, text)
+    assert main(["simulate", "--config", path, "--out", str(out_dir), "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not out_dir.exists()
+
+
+def test_simulate_out_of_memory_is_an_analysis_error(tmp_path, capsys, monkeypatch):
+    # A trajectory too long to keep: numpy raises MemoryError, naming the array.
+    def refuse(*_, **__):
+        raise MemoryError("Unable to allocate 728. TiB for an array with shape (100000000000001,)")
+
+    monkeypatch.setattr(netsel.montecarlo, "run", refuse)
+    out_dir = tmp_path / "res"
+    path = write_config(tmp_path, SIM)
+    assert main(["simulate", "--config", path, "--out", str(out_dir), "--quiet"]) == EXIT_ANALYSIS
+    assert capsys.readouterr() == (
+        "", "analysis error: out of memory: Unable to allocate 728. TiB for an array with shape "
+        "(100000000000001,)\n"
+    )
+    assert not out_dir.exists()
 
 
 def test_simulate_writes_histogram_and_trajectory(tmp_path):

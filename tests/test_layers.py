@@ -1,0 +1,57 @@
+"""benchmarks/layers.py: a group's rows from its own interpreter, and the pairing of rounds."""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+LAYERS = Path(__file__).resolve().parent.parent / "benchmarks" / "layers.py"
+
+
+@pytest.fixture
+def layers(monkeypatch):
+    """The script as a module; the import path and BLAS setting it changes are restored after."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    spec = importlib.util.spec_from_file_location("layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_group_prints_its_rows_from_a_fresh_interpreter():
+    argv = [sys.executable, str(LAYERS), "--group", "replicator"]
+    row = json.loads(subprocess.run(argv, capture_output=True, text=True, check=True).stdout)
+    assert row["ms"] > 0 and row["scaled_ms"] > 0
+    assert type(row["samples"]) is int and row["samples"] > 1
+
+
+def test_an_unknown_group_is_a_usage_error():
+    argv = [sys.executable, str(LAYERS), "--group", "nonesuch"]
+    done = subprocess.run(argv, capture_output=True, text=True)
+    assert done.returncode == 1 and done.stderr.startswith("usage:")
+
+
+def test_rounds_pair_on_every_rescaled_time(layers):
+    this = [
+        {"g": {"a": {"ms": 2.0, "scaled_ms": 1.0, "calls": 3}, "walk_scaled_ms": 4.0, "new_scaled_ms": 1}},
+        {"g": {"a": {"ms": 3.0, "scaled_ms": 1.2, "calls": 4}, "walk_scaled_ms": 4.0, "new_scaled_ms": 1}},
+    ]
+    baseline = [
+        {"g": {"a": {"ms": 2.0, "scaled_ms": 1.0}, "walk_scaled_ms": 2.0}},
+        {"g": {"a": {"ms": 2.0, "scaled_ms": 1.0}, "walk_scaled_ms": 4.0}},
+    ]
+    # A time only one revision has is not paired; a range wider than 0.25 is not comparable.
+    assert layers.paired(this, baseline) == {
+        "g/a/scaled_ms": {"baseline": 1.0, "this": 1.0, "ratio": 1.1, "range": [1.0, 1.2]},
+        "g/walk_scaled_ms": {
+            "baseline": 2.0, "this": 4.0, "ratio": 1.5, "range": [1.0, 2.0], "comparable": False
+        },
+    }
+    # Over an even number of rounds, a count stays an integer.
+    medians = layers.median_rows(this)
+    assert medians["g"]["a"] == {"ms": 2.0, "scaled_ms": 1.0, "calls": 3}
+    assert type(medians["g"]["a"]["calls"]) is int

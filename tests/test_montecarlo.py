@@ -27,6 +27,7 @@ from netsel.montecarlo import (
     run,
 )
 from netsel.protocols import PairwiseProportional, fermi_from_ratio
+from test_chain import dense_matrix
 
 
 def calibrated_params(target=0.68):
@@ -318,7 +319,7 @@ def test_two_step_transitions_match_the_squared_kernel():
     kernel = fermi_kernel(n=4)
     spec = SimulationSpec(seed=77, steps=400_000, burn_in=0, replicas=1, initial_state=2)
     states = run(spec, kernel, trajectory_decimation=1).trajectory[:, 1]
-    p2 = kernel.matrix() @ kernel.matrix()
+    p2 = dense_matrix(kernel) @ dense_matrix(kernel)
     a = states[::2]
     starts, ends = a[:-1], a[1:]
     tested = 0
@@ -716,6 +717,14 @@ def test_event_cap_warns_and_excludes_stragglers():
     absorbed = result.replicas - result.unabsorbed
     total = (result.fraction_at_0 + result.fraction_at_n) * absorbed
     assert total == pytest.approx(absorbed)
+
+
+def test_absorption_sampling_with_no_replica_absorbed_is_nan():
+    spec = SimulationSpec(seed=1, steps=1, replicas=5, initial_state=25)
+    with pytest.warns(UserWarning, match="5 of 5 replicas were still interior"):
+        result = absorption_frequency(spec, fermi_kernel(n=50, anchors=0))
+    assert result.unabsorbed == result.replicas == 5
+    assert np.isnan([result.fraction_at_0, result.fraction_at_n, result.mean_steps]).all()
 
 
 def test_absorption_sampling_rejects_recurrent_kernels():

@@ -56,6 +56,9 @@ def test_rhs_domain_errors():
         replicator_rhs(p, 1.01)
     with pytest.raises(ValueError):
         replicator_rhs(p, 0.5, gain=0.0)
+    for share in (-0.01, 1.01):
+        with pytest.raises(ValueError, match=r"share must lie in \[0, 1\]"):
+            mean_dynamics_rhs(Fermi(beta=1.0), p, share)
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.5])
@@ -155,6 +158,13 @@ def test_integration_rejects_boundary_starts():
         integrate(p, 0.0)
     with pytest.raises(ValueError, match="strictly inside"):
         integrate(p, 1.0)
+
+
+@pytest.mark.parametrize("key", ["horizon", "gain"])
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_integration_rejects_a_horizon_or_gain_that_is_not_positive(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be positive"):
+        integrate(calibrated_params(), 0.2, **{key: value})
 
 
 @pytest.mark.parametrize("rtol", [float("inf"), 0.0, -1.0, float("nan")])
