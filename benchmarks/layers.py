@@ -31,9 +31,11 @@ reference speed: on a shared machine raw medians of the same code swing
 by a third from one run to the next, and the rescaled ones follow the
 machine's speed out.  A call shorter than SPAN_S is timed in batches of
 ``calls`` calls that last about SPAN_S, so that the sampler, which fires
-every 10 ms, takes samples inside them.  A row whose raw median is under
-1 ms still says ``"comparable": false``: such rows swing by tens of
-percent between runs of the same code.  BLAS runs on one thread, as in
+every 10 ms, takes samples inside them; every row says its ``calls``.
+Every row also says whether it is ``comparable``: false where its raw
+median is under 1 ms, as such rows swing by tens of percent between runs
+of the same code.  Both keys are always there, so two records of the
+same code have the same keys.  BLAS runs on one thread, as in
 ``perfbench``; the one exception is ``expected_poa_default_threads``,
 ``expected_poa`` at every size on every core at OpenBLAS's default
 thread count, the way a plain ``import netsel`` runs it.
@@ -47,7 +49,9 @@ per call, built outside the timed span.  The Monte Carlo rows time
 ``montecarlo.run`` on the same chain at n = 100 (one replica of 2*10^5
 events, untraced and traced at three decimations, and 2,000 replicas of
 2*10^4 events), one replica of 2*10^6 events at n = 1,000 (untraced and
-traced at decimation 1,000), and ``absorption_frequency`` over 10^4
+traced at decimation 1,000) and at n = 10^6 (untraced, where each block's
+occupancy is counted over the block's own range of states), and
+``absorption_frequency`` over 10^4
 replicas of the unanchored chain at n = 20.  The window rows count, in an
 untimed run of each one-replica walk and of one of 2*10^6 events at
 n = 10^4, the share of draws ``montecarlo._window`` resolves one by one,
@@ -64,7 +68,10 @@ netsel.cli``, ``netsel reproduce --figure all``, ``simulate``,
 without anchors), and one ``stationary_eigen`` at n = 10^5.  The memory
 rows are the tracemalloc peak of each large-n stage at n = 10^5 and
 10^6, result included, in float64 vectors over the n + 1 states; the
-minor page faults of perfbench's ``analytic`` ``large`` pass; and a fresh
+tracemalloc peak of a lockstep ``run`` of 2*10^4 events at n = 100 with
+96 and with 2,000 replicas, in lockstep blocks of ``montecarlo._CELLS``
+float64 draws; the minor page faults of perfbench's ``analytic``
+``large`` pass; and a fresh
 interpreter that runs ``long_run``, ``expected_poa`` and
 ``stationary_eigen`` at n = 10^6.  They and the default-thread rows are
 kept per revision.  ``src_lines`` is the ``wc -l`` of each
@@ -108,7 +115,9 @@ SPAN_S = 0.02
 LOAD = 30.0
 WALK_EVENTS = 200_000
 LONG_WALK_N, LONG_WALK_EVENTS = 1_000, 2_000_000
+WIDE_WALK_N = 10**6
 REPLICAS, REPLICA_EVENTS = 2_000, 20_000
+LOCKSTEP_PEAK_REPLICAS = (96, REPLICAS)
 ABSORB_REPLICAS = 10_000
 ENGINE_REPLICAS = (32, 64, 80, 96, 112, 128, 256, 2_000)
 SPREADS = (0.4, 0.6, 0.8, 1.0, 1.25, 1.5, 2.0)
@@ -149,20 +158,24 @@ initial_share = 0.2
 SPEED = Speedometer()
 
 
-def rescaled(spans: list[tuple[float, float]], digits: int, calls: int = 1) -> dict[str, float]:
+def rescaled(spans: list[tuple[float, float]], digits: int, calls: int = 1) -> dict:
     """Median of the (start, end) spans of ``calls`` calls each, in ms per
     call, raw and at the reference speed."""
     raw = statistics.median(end - start for start, end in spans) / calls
     scaled = statistics.median(SPEED.seconds(start, end) for start, end in spans) / calls
-    row = {"ms": round(1e3 * raw, digits), "scaled_ms": round(1e3 * scaled, digits)}
-    return row if raw >= 1e-3 else {**row, "comparable": False}
+    return {
+        "ms": round(1e3 * raw, digits),
+        "scaled_ms": round(1e3 * scaled, digits),
+        "comparable": raw >= 1e-3,
+    }
 
 
-def median_ms(fn, digits: int = 2, fresh=tuple) -> dict[str, float]:
+def median_ms(fn, digits: int = 2, fresh=tuple) -> dict:
     """Median time of one ``fn(*fresh())`` call, after one warm-up call.
 
     ``fresh()`` runs outside the timed spans.  A warm-up shorter than
-    SPAN_S sets how many calls each timed span runs, and the row says so.
+    SPAN_S sets how many calls each timed span runs, and ``calls`` says
+    how many.
     """
     args = fresh()
     start = time.perf_counter()
@@ -175,8 +188,7 @@ def median_ms(fn, digits: int = 2, fresh=tuple) -> dict[str, float]:
         for args in batch:
             fn(*args)
         spans.append((start, time.perf_counter()))
-    row = rescaled(spans, digits, calls)
-    return row if calls == 1 else {**row, "calls": calls}
+    return {**rescaled(spans, digits, calls), "calls": calls}
 
 
 def fermi_kernel(params, n: int, anchors: int = 1) -> chain.TransitionKernel:
@@ -244,6 +256,11 @@ def montecarlo_rows() -> dict[str, dict[str, float]]:
         timed[f"run_traced_d{d}"] = (WALK_EVENTS, lambda d=d: montecarlo.run(walk, kernel, d))
     for name, d in (("run_n1000_untraced", None), ("run_n1000_traced_d1000", 1000)):
         timed[name] = (LONG_WALK_EVENTS, lambda d=d: montecarlo.run(long_walk, long_kernel, d))
+    wide_kernel = fermi_kernel(params, WIDE_WALK_N)
+    wide_walk = montecarlo.SimulationSpec(
+        seed=1, steps=LONG_WALK_EVENTS, burn_in=0, initial_state=WIDE_WALK_N // 2
+    )
+    timed["run_n1e6_untraced"] = (LONG_WALK_EVENTS, lambda: montecarlo.run(wide_walk, wide_kernel))
     timed["run_2000_replicas"] = (REPLICAS * REPLICA_EVENTS, lambda: montecarlo.run(many, kernel))
     timed["absorption_frequency"] = (
         ABSORB_REPLICAS,
@@ -414,8 +431,8 @@ def launch_rows() -> dict[str, dict[str, float]]:
         return {name: launch_row(argv, tmp) for name, argv in launches.items()}
 
 
-def peak_arrays(n: int, fn, *args):
-    """fn(*args), and the tracemalloc peak of the call in float64 vectors of n + 1."""
+def peak_bytes(fn, *args):
+    """fn(*args), and the tracemalloc peak of the call in bytes."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -424,7 +441,13 @@ def peak_arrays(n: int, fn, *args):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return result, round((peak - before) / (8 * (n + 1)), 3)
+    return result, peak - before
+
+
+def peak_arrays(n: int, fn, *args):
+    """fn(*args), and the tracemalloc peak of the call in float64 vectors of n + 1."""
+    result, peak = peak_bytes(fn, *args)
+    return result, round(peak / (8 * (n + 1)), 3)
 
 
 def stage_peaks(n: int) -> dict[str, float]:
@@ -442,6 +465,19 @@ def stage_peaks(n: int) -> dict[str, float]:
         "expected_poa": peak_arrays(n, model.expected_poa, params, law)[1],
         "stationary_noise_free": peak_arrays(n, chain.stationary_noise_free, params, population)[1],
     }
+
+
+def lockstep_peaks() -> dict[str, float]:
+    """The peak of a lockstep ``run`` at n = 100 with each of
+    LOCKSTEP_PEAK_REPLICAS replicas, in blocks of _CELLS float64 draws."""
+    kernel = fermi_kernel(economy(LOAD), 100)
+    montecarlo.run(montecarlo.SimulationSpec(seed=1, steps=1), kernel)  # imports numpy.random
+    block = 8 * montecarlo._CELLS
+    peaks = {}
+    for replicas in LOCKSTEP_PEAK_REPLICAS:
+        spec = montecarlo.SimulationSpec(seed=1, steps=REPLICA_EVENTS, replicas=replicas)
+        peaks[str(replicas)] = round(peak_bytes(montecarlo.run, spec, kernel)[1] / block, 3)
+    return peaks
 
 
 def large_faults() -> dict[str, float]:
@@ -469,6 +505,7 @@ def memory_rows() -> dict:
         launch_1e6 = launch_row(["-c", LARGE_LAUNCH], tmp)
     return {
         "stage_peaks": {str(n): stage_peaks(n) for n in MEMORY_SIZES},
+        "lockstep_peaks": lockstep_peaks(),
         "large_faults": faults,
         "launch/large_analysis_1e6": launch_1e6,
     }
@@ -550,7 +587,7 @@ def scaled_times(rows: dict, prefix: str = "") -> dict[str, float]:
 def paired(this: list[dict], baseline: list[dict]) -> dict[str, dict]:
     """Each rescaled time that both revisions' rounds have: the low median of
     each, the median of the rounds' ratios this / baseline and their
-    [min, max]; a row whose range is wider than SPREAD_BOUND is not comparable."""
+    [min, max]; a row is comparable unless that range is wider than SPREAD_BOUND."""
     this_times = [scaled_times(run) for run in this]
     base_times = [scaled_times(run) for run in baseline]
     rows = {}
@@ -558,13 +595,13 @@ def paired(this: list[dict], baseline: list[dict]) -> dict[str, dict]:
         if not all(path in times for times in this_times + base_times):
             continue
         ratios = [ours[path] / theirs[path] for ours, theirs in zip(this_times, base_times)]
-        row = {
+        rows[path] = {
             "baseline": statistics.median_low(times[path] for times in base_times),
             "this": statistics.median_low(times[path] for times in this_times),
             "ratio": round(statistics.median(ratios), 3),
             "range": [round(min(ratios), 3), round(max(ratios), 3)],
+            "comparable": max(ratios) - min(ratios) <= SPREAD_BOUND,
         }
-        rows[path] = row if max(ratios) - min(ratios) <= SPREAD_BOUND else {**row, "comparable": False}
     return rows
 
 
@@ -614,7 +651,7 @@ def main(argv: list[str]) -> None:
         },
         "chain": "anchored Fermi, ratio 1, one anchor per side; C = 100, lambda = 30, x* = 0.68",
         "statistic": f"median of {REPEATS} timed spans after one warm-up call, per call; "
-        f"a row with calls ran that many calls per span to fill about {SPAN_S * 1e3:g} ms; "
+        f"calls: the calls each span ran to fill about {SPAN_S * 1e3:g} ms; "
         f"each group's rows {over}",
         "unit": "ms",
         "scaled_ms": "the same calls rescaled to perfbench/speed.py's reference speed, one core",
@@ -624,7 +661,8 @@ def main(argv: list[str]) -> None:
             "rows": rows["absorption_table"],
         },
         "montecarlo": {
-            "chain": "the same chain at n = 100 (run_n1000_*: at n = 1,000); "
+            "chain": "the same chain at n = 100 (run_n1000_*: at n = 1,000; run_n1e6_*: at "
+            "n = 10^6); "
             "absorption on it unanchored at n = 20",
             "rows": rows["montecarlo"],
             "per_s": "events per second; replicas per second for absorption_frequency",
@@ -655,6 +693,8 @@ def main(argv: list[str]) -> None:
             "chain": "the layer rows' chain",
             "stage_peaks": "tracemalloc peak of one call, result included, in float64 vectors "
             "over the n + 1 states",
+            "lockstep_peaks": f"tracemalloc peak of montecarlo.run, {REPLICA_EVENTS} events at "
+            "n = 100, by replica count, in blocks of montecarlo._CELLS float64 draws",
             "large_faults": f"ru_minflt of analytic's large pass, median of {FAULT_PASSES} "
             "passes after a warm-up pass; per_analysis = per_pass / 4",
             "launch/large_analysis_1e6": "fresh interpreter: build the chain at n = 10^6, "
@@ -675,7 +715,7 @@ def main(argv: list[str]) -> None:
             "what": f"every rescaled time of every group, {ROUNDS} rounds, each running every "
             "group for both revisions back to back, alternating which ran first; this and "
             "baseline are the low medians, ratio the median of the rounds' this / baseline "
-            f"and range their [min, max]; comparable: false where that range is wider than "
+            f"and range their [min, max]; comparable: whether that range is at most "
             f"{SPREAD_BOUND}",
             "rows": paired(runs["this"], runs["baseline"]),
             "src_lines": src_lines(baseline),
@@ -707,6 +747,8 @@ def main(argv: list[str]) -> None:
         for n, peaks in memory["stage_peaks"].items():
             cells = "  ".join(f"{stage} {arrays:.2f}" for stage, arrays in peaks.items())
             print(f"{name:8s} peaks at n = {n:>7s} {cells}")
+        cells = "  ".join(f"{r} replicas {blocks:.3f}" for r, blocks in memory["lockstep_peaks"].items())
+        print(f"{name:8s} lockstep peaks in _CELLS blocks: {cells}")
         launched = memory["launch/large_analysis_1e6"]
         print(f"{name:8s} large pass {memory['large_faults']['per_pass']:>8.0f} minor faults;"
               f" n = 10^6 launch {launched['ms']:.1f} ms, {launched['peak_rss_mb']:.1f} MB")

@@ -139,7 +139,7 @@ class TransitionKernel:
     # builds a new kernel, which starts with neither.
     @cached_property
     def _structure(self) -> ChainClass:
-        return classify(self)
+        return _classify(self)
 
     @cached_property
     def _absorption(self) -> np.ndarray:
@@ -281,6 +281,11 @@ def _rates(params: NetworkParams, population: PopulationConfig, rule: ImitationR
 
 
 def classify(kernel: TransitionKernel) -> ChainClass:
+    """The structural class of a kernel, computed once per kernel by :func:`_classify`."""
+    return kernel._structure
+
+
+def _classify(kernel: TransitionKernel) -> ChainClass:
     """Decide the structural class of a kernel from its zero pattern.
 
     Irreducible: every interior move is possible (up positive below n,
@@ -292,10 +297,11 @@ def classify(kernel: TransitionKernel) -> ChainClass:
     """
     up, down = kernel.up, kernel.down
     n = kernel.n
+    # Rates are never NaN, so a positive minimum means every move is possible.
+    if up[:n].min() > 0.0 and down[1:].min() > 0.0:
+        return ChainClass(kind="irreducible", detail="all interior moves possible")
     up_pos = up > 0.0
     down_pos = down > 0.0
-    if up_pos[:n].all() and bool(down_pos[1:].all()):
-        return ChainClass(kind="irreducible", detail="all interior moves possible")
     if not up_pos[0] and not down_pos[n]:
         # State k reaches n iff every up move from k onwards is possible,
         # and reaches 0 iff every down move below it is.

@@ -13,7 +13,7 @@ vector pass settles the draws that every state in a window around the
 walk's state would take alike, the rest are resolved one by one, and
 where the walk leaves its window it goes on in a window around its new
 state.  More replicas advance in lockstep: every event is one vector
-step over all of them, and row r of the block of draws comes from
+step over all of them, and column r of the block of draws comes from
 replica r's own stream.  Which engine ran cannot be seen in the output.
 """
 
@@ -58,9 +58,13 @@ _LOCKSTEP = 96
 _GROUP = 2048
 
 # A lockstep block holds at most this many draws, 4 MB, whatever the
-# group size: one buffer a replica per row, as the generators fill it,
-# and one an event per row, as the steps read it and write states over it.
+# group size, in one buffer an event per row: the steps read it and write
+# states over it.  A generator fills a contiguous row, so the replicas
+# draw into a scratch of _SCRATCH cells, 256 kB (one row where a row is
+# longer), a slab of replicas at a time, and each slab is copied into its
+# replicas' columns of the block.
 _CELLS = 2**19
+_SCRATCH = 2**15
 
 INITIAL_UNIFORM = "uniform-interior"
 
@@ -278,20 +282,25 @@ def _lockstep(
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
     """Walk every replica at once, one vector step per event.
 
-    Row r of the block of draws comes from ``gens[r]``, so replica r
-    consumes its stream exactly as :func:`_walk` would.  Yields blocks as
-    :func:`_walk` does, with k the int64 state vector and states an
-    (events, replicas) array; both are reused by the next block.
+    Column r of the block of draws comes from ``gens[r]``, one call per
+    block into a row of the scratch, so replica r consumes its stream
+    exactly as :func:`_walk` would.  Yields blocks as :func:`_walk` does,
+    with k the int64 state vector and states an (events, replicas) array;
+    both are reused by the next block.
     """
-    m = min(steps, max(1, _CELLS // len(gens)))
-    draws, events = np.empty((len(gens), m)), np.empty((m, len(gens)))
-    rows, path = list(zip(gens, draws)), events.view(np.int64)
+    width = len(gens)
+    m = min(steps, max(1, _CELLS // width))
+    slab = min(width, max(1, _SCRATCH // m))
+    scratch, events = np.empty((slab, m)), np.empty((m, width))
+    path = events.view(np.int64)
     t = 0
     while t < steps:
         end = min(t + m, burn if t < burn else steps)
-        for gen, row in rows:
-            gen.random(out=row if end - t == m else row[: end - t])
-        events[: end - t] = draws[:, : end - t].T
+        for r in range(0, width, slab):
+            rows = scratch[: width - r, : end - t]
+            for gen, row in zip(gens[r : r + slab], rows):
+                gen.random(out=row)
+            events[: end - t, r : r + len(rows)] = rows.T
         state = k
         for j in range(end - t):
             u = events[j]
@@ -348,7 +357,11 @@ def run(
         if keep:
             path[0] = starts[0]
         for t, k, states in walk:
-            if t >= burn:
+            if t >= burn and states.size <= n:
+                # Fewer states than the chain has: count over their own range.
+                low = int(states.min())
+                counts[low : int(states.max()) + 1] += np.bincount(states.ravel() - low)
+            elif t >= burn:
                 counts += np.bincount(states.ravel(), minlength=n + 1)
             if keep:
                 # Column 0 is replica 0; states[i] follows event t + i + 1,

@@ -774,7 +774,7 @@ def test_absorption_rejects_bad_start():
 def test_kernel_classifies_and_solves_its_absorption_table_once(monkeypatch):
     params = calibrated_params()
     kernel = build_kernel(params, PopulationConfig(n=12), fermi_from_ratio(params, 12, 1.0))
-    calls = {"classify": 0, "_eliminate": 0}
+    calls = {"_classify": 0, "_eliminate": 0}
     for name in calls:
 
         def spy(*args, real=getattr(chain, name), name=name):
@@ -787,14 +787,14 @@ def test_kernel_classifies_and_solves_its_absorption_table_once(monkeypatch):
     table = absorption_table(kernel)
     assert table is kernel._absorption and table.shape == (13, 3)
     assert table.tobytes() == rows.tobytes()
-    assert calls == {"classify": 1, "_eliminate": 1}
+    assert calls == {"_classify": 1, "_eliminate": 1}
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[5, 0] = 0.0
     fresh = dataclasses.replace(kernel, params=None)
     assert "_structure" not in vars(fresh) and "_absorption" not in vars(fresh)
     assert absorption_table(fresh).tobytes() == rows.tobytes()
-    assert calls == {"classify": 2, "_eliminate": 2}
+    assert calls == {"_classify": 2, "_eliminate": 2}
 
 
 # -- small tools ----------------------------------------------------------------------

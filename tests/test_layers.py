@@ -25,7 +25,11 @@ def layers(monkeypatch):
 def test_a_group_prints_its_rows_from_a_fresh_interpreter():
     argv = [sys.executable, str(LAYERS), "--group", "replicator"]
     row = json.loads(subprocess.run(argv, capture_output=True, text=True, check=True).stdout)
+    # The keys do not depend on the measured time, so records of the same code share them.
+    assert set(row) == {"ms", "scaled_ms", "comparable", "calls", "samples"}
     assert row["ms"] > 0 and row["scaled_ms"] > 0
+    assert type(row["comparable"]) is bool
+    assert type(row["calls"]) is int and row["calls"] >= 1
     assert type(row["samples"]) is int and row["samples"] > 1
 
 
@@ -36,22 +40,28 @@ def test_an_unknown_group_is_a_usage_error():
 
 
 def test_rounds_pair_on_every_rescaled_time(layers):
+    flags = {"comparable": True, "calls": 1}
     this = [
-        {"g": {"a": {"ms": 2.0, "scaled_ms": 1.0, "calls": 3}, "walk_scaled_ms": 4.0, "new_scaled_ms": 1}},
-        {"g": {"a": {"ms": 3.0, "scaled_ms": 1.2, "calls": 4}, "walk_scaled_ms": 4.0, "new_scaled_ms": 1}},
+        {"g": {"a": {"ms": 2.0, "scaled_ms": 1.0, "comparable": True, "calls": 3},
+               "walk_scaled_ms": 4.0, "new_scaled_ms": 1}},
+        {"g": {"a": {"ms": 0.9, "scaled_ms": 1.2, "comparable": False, "calls": 4},
+               "walk_scaled_ms": 4.0, "new_scaled_ms": 1}},
     ]
     baseline = [
-        {"g": {"a": {"ms": 2.0, "scaled_ms": 1.0}, "walk_scaled_ms": 2.0}},
-        {"g": {"a": {"ms": 2.0, "scaled_ms": 1.0}, "walk_scaled_ms": 4.0}},
+        {"g": {"a": {"ms": 2.0, "scaled_ms": 1.0, **flags}, "walk_scaled_ms": 2.0}},
+        {"g": {"a": {"ms": 2.0, "scaled_ms": 1.0, **flags}, "walk_scaled_ms": 4.0}},
     ]
     # A time only one revision has is not paired; a range wider than 0.25 is not comparable.
     assert layers.paired(this, baseline) == {
-        "g/a/scaled_ms": {"baseline": 1.0, "this": 1.0, "ratio": 1.1, "range": [1.0, 1.2]},
+        "g/a/scaled_ms": {
+            "baseline": 1.0, "this": 1.0, "ratio": 1.1, "range": [1.0, 1.2], "comparable": True
+        },
         "g/walk_scaled_ms": {
             "baseline": 2.0, "this": 4.0, "ratio": 1.5, "range": [1.0, 2.0], "comparable": False
         },
     }
-    # Over an even number of rounds, a count stays an integer.
+    # Over an even number of rounds, a count stays an integer and a flag a bool.
     medians = layers.median_rows(this)
-    assert medians["g"]["a"] == {"ms": 2.0, "scaled_ms": 1.0, "calls": 3}
+    assert medians["g"]["a"] == {"ms": 0.9, "scaled_ms": 1.0, "comparable": False, "calls": 3}
     assert type(medians["g"]["a"]["calls"]) is int
+    assert type(medians["g"]["a"]["comparable"]) is bool

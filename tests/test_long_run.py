@@ -95,10 +95,13 @@ def test_long_run_classifies_once(monkeypatch):
     population = PopulationConfig(n=10, anchored_primary=1, anchored_secondary=1)
     kernel = build_kernel(params, population, fermi_from_ratio(params, 10, 1.0))
     calls = []
-    real = chain.classify
-    monkeypatch.setattr(chain, "classify", lambda k: calls.append(k) or real(k))
+    real = chain._classify
+    monkeypatch.setattr(chain, "_classify", lambda k: calls.append(k) or real(k))
     structure, law = long_run(kernel)
     assert structure.kind == "irreducible" and law.kind == "product_form"
+    # The public classify and every later analysis read the kernel's class.
+    assert chain.classify(kernel) is structure
+    chain.stationary_eigen(kernel)
     assert len(calls) == 1
 
 

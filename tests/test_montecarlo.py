@@ -366,7 +366,9 @@ def test_block_walk_matches_the_step_loop(data):
     # sampling points cross in every arrangement; so does a small prime
     # cell count for the lockstep engine, which _LOCKSTEP = 1 forces on
     # every run and a threshold above the replica count keeps off.  A
-    # group of 1 or 2 splits the replicas into several lockstep walks.
+    # group of 1 or 2 splits the replicas into several lockstep walks, and
+    # a scratch of 1 to 3 block rows fills the widest group's columns in
+    # slabs of that many replicas, so that 3 replicas split 2 + 1.
     block = data.draw(st.sampled_from([2, 3, 5, 7, 13]), label="block")
     cells = data.draw(st.sampled_from([2, 3, 5, 7, 13]), label="cells")
     lockstep = data.draw(st.sampled_from([1, 4]), label="lockstep")
@@ -388,9 +390,13 @@ def test_block_walk_matches_the_step_loop(data):
     decimation = data.draw(
         st.sampled_from([None, 1, 2, 3]) | st.integers(steps + 1, 10**9), label="decimation"
     )
+    # _lockstep's block length for its widest group.
+    m = min(steps, max(1, cells // min(spec.replicas, group)))
+    scratch = m * data.draw(st.integers(1, 3), label="scratch rows")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_BLOCK", block)
         mp.setattr(montecarlo, "_CELLS", cells)
+        mp.setattr(montecarlo, "_SCRATCH", scratch)
         mp.setattr(montecarlo, "_LOCKSTEP", lockstep)
         mp.setattr(montecarlo, "_GROUP", group)
         result = run(spec, kernel, trajectory_decimation=decimation)
@@ -605,22 +611,24 @@ def test_counter_streams_are_the_jumped_streams(r):
 
 
 def test_lockstep_buffers_stay_bounded():
-    # 2,000 replicas take the lockstep engine.  It keeps two 4 MB buffers
-    # of _CELLS cells: the draws a replica per row, and the same draws an
-    # event per row, which each event's states overwrite.  Next to them
-    # sit about 2.6 MB of generators; a third block buffer would pass
-    # 12 MB, and blocks as long as the walk's would take 262 MB.
+    # Both runs take the lockstep engine.  It keeps one 4 MB buffer of
+    # _CELLS cells, the draws an event per row, which each event's states
+    # overwrite, and a 256 kB scratch that the generators fill.  Next to
+    # them sit the generators, under 2 MB for 2,000 replicas; a second
+    # block buffer would pass either bound, and blocks as long as the
+    # walk's would take 262 MB.
     kernel = fermi_kernel(n=100)
-    spec = SimulationSpec(seed=5, steps=2000, replicas=2000)
-    assert spec.replicas >= montecarlo._LOCKSTEP
-    tracemalloc.start()
-    try:
-        result = run(spec, kernel)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert result.histogram.events_counted == 1000 * 2000
-    assert peak < 12 * 2**20
+    for replicas, steps, blocks in ((2000, 2000, 1.6), (96, 20_000, 1.15)):
+        spec = SimulationSpec(seed=5, steps=steps, replicas=replicas)
+        assert spec.replicas >= montecarlo._LOCKSTEP
+        tracemalloc.start()
+        try:
+            result = run(spec, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.histogram.events_counted == steps // 2 * replicas
+        assert peak < blocks * 8 * montecarlo._CELLS, replicas
 
 
 def test_lockstep_groups_bound_the_live_generators(monkeypatch):
