@@ -52,7 +52,9 @@ events, untraced and traced at three decimations, and 2,000 replicas of
 traced at decimation 1,000) and at n = 10^6 (untraced, where each block's
 occupancy is counted over the block's own range of states), and
 ``absorption_frequency`` over 10^4
-replicas of the unanchored chain at n = 20.  The window rows count, in an
+replicas of the unanchored chain at n = 20; that row also counts, in an
+untimed replay of its stream, its events and replica-events and the share
+of each that its one-by-one tail steps.  The window rows count, in an
 untimed run of each one-replica walk and of one of 2*10^6 events at
 n = 10^4, the share of draws ``montecarlo._window`` resolves one by one,
 how often a block leaves a window, how many states a window spans and how
@@ -270,7 +272,35 @@ def montecarlo_rows() -> dict[str, dict[str, float]]:
     for name, (ops, fn) in timed.items():
         row = median_ms(fn)
         rows[name] = {**row, "per_s": round(ops / (row["ms"] / 1e3))}
+    rows["absorption_frequency"].update(absorption_counts(absorb, absorbing))
     return rows
+
+
+def absorption_counts(spec, kernel) -> dict[str, float]:
+    """Events and replica-events of ``absorption_frequency``, and the share
+    of each with fewer than ``montecarlo._LOCKSTEP`` replicas active, where
+    its replicas step one by one.  An untimed replay of its shared stream
+    from uniform starts tallies them: each event draws one uniform per
+    active replica."""
+    n, up, move = kernel.n, kernel.up, kernel.move
+    gen = np.random.Generator(np.random.Philox(key=spec.seed))
+    k = gen.integers(1, n, size=spec.replicas)
+    tally = {"events": 0, "replica_events": 0, "tail_events": 0, "tail_replica_events": 0}
+    while k.size and tally["events"] < spec.steps:
+        tail = k.size < montecarlo._LOCKSTEP
+        for key, count in (("events", 1), ("replica_events", k.size)):
+            tally[key] += count
+            tally[f"tail_{key}"] += count * tail
+        u = gen.random(k.size)
+        k = k + 2 * (u < up[k]) - (u < move[k])
+        k = k[(k != 0) & (k != n)]
+    events, replica_events = tally["events"], tally["replica_events"]
+    return {
+        "events": events,
+        "replica_events": replica_events,
+        "tail_event_share": round(tally["tail_events"] / events, 4),
+        "tail_replica_event_share": round(tally["tail_replica_events"] / replica_events, 4),
+    }
 
 
 def replicator_row() -> dict[str, float]:
@@ -666,6 +696,8 @@ def main(argv: list[str]) -> None:
             "absorption on it unanchored at n = 20",
             "rows": rows["montecarlo"],
             "per_s": "events per second; replicas per second for absorption_frequency",
+            "tail_*_share": "absorption_frequency's events (replica-events) with fewer than "
+            "montecarlo._LOCKSTEP replicas active / all its events (replica-events)",
         },
         "replicator": {
             "what": "replicator.integrate on the same economy from share 0.2, default settings",
@@ -727,6 +759,10 @@ def main(argv: list[str]) -> None:
         print(f"absorption_table {n:>8s}{row['ms']:>10.3f}/{row['scaled_ms']:<8.3f}")
     for name, row in rows["montecarlo"].items():
         print(f"{name:22s}{row['ms']:>12.2f}/{row['scaled_ms']:<10.2f} ms{row['per_s']:>14,d} /s")
+    absorb = rows["montecarlo"]["absorption_frequency"]
+    print(f"{'':22s}{absorb['events']:>12,d} events, {absorb['tail_event_share']:.4f} in the tail;"
+          f" {absorb['replica_events']:,d} replica-events,"
+          f" {absorb['tail_replica_event_share']:.4f}")
     ode = rows["replicator"]
     print(f"{'replicator_integrate':22s}{ode['ms']:>12.2f}/{ode['scaled_ms']:<10.2f} ms"
           f"{ode['samples']:>8d} samples")

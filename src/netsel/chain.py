@@ -143,6 +143,7 @@ class TransitionKernel:
 
     @cached_property
     def _absorption(self) -> np.ndarray:
+        _refuse_underflow(self, self.up[1:-1], self.down[1:-1], "absorption analysis")
         return _readonly(_absorption_solve(self))
 
 
@@ -269,15 +270,20 @@ def _rates(params: NetworkParams, population: PopulationConfig, rule: ImitationR
 
     def rates(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         k = np.arange(lo, hi, dtype=float)
-        pi_p = model.utility_primary_at_share(params, k / n)
-        gain = pi_p - pi_s
-        tie = np.maximum(np.abs(pi_p, out=pi_p), abs(pi_s), out=pi_p)
-        tie *= 32.0 * np.finfo(float).eps
-        gain[np.abs(gain) <= tie] = 0.0
-        q_up, q_down = rule.pair(gain)
+        q_up, q_down = rule.pair(_gain(params, pi_s, k / n))
         return (n - k) * (k + a_p) / denom * q_up, k * (n + a_s - k) / denom * q_down
 
     return rates
+
+
+def _gain(params: NetworkParams, pi_s: float, shares: np.ndarray) -> np.ndarray:
+    """pi_p - pi_s at each share, snapped to 0 within a few ulps (see build_kernel)."""
+    pi_p = model.utility_primary_at_share(params, shares)
+    gain = pi_p - pi_s
+    tie = np.maximum(np.abs(pi_p, out=pi_p), abs(pi_s), out=pi_p)
+    tie *= 32.0 * np.finfo(float).eps
+    gain[np.abs(gain) <= tie] = 0.0
+    return gain
 
 
 def classify(kernel: TransitionKernel) -> ChainClass:
@@ -293,15 +299,25 @@ def _classify(kernel: TransitionKernel) -> ChainClass:
     down[n] = 0) and every interior state has an all-positive path to at
     least one boundary.  Anything else — e.g. the one-way flow of a
     noise-free rule — is classed "other" with the zero pattern spelled
-    out in ``detail``.
+    out in ``detail``.  A move is possible where its rate is positive,
+    or, in a kernel built with a rule whose q is positive everywhere,
+    where its counting weight is: a zero rate there is q underflowing.
     """
     up, down = kernel.up, kernel.down
     n = kernel.n
     # Rates are never NaN, so a positive minimum means every move is possible.
     if up[:n].min() > 0.0 and down[1:].min() > 0.0:
         return ChainClass(kind="irreducible", detail="all interior moves possible")
-    up_pos = up > 0.0
-    down_pos = down > 0.0
+    up_pos, down_pos = up > 0.0, down > 0.0
+    if _positive_rule(kernel):
+        k, population = np.arange(n + 1), kernel.population
+        up_pos = (k < n) & ((k > 0) | (population.anchored_primary > 0))
+        down_pos = (k > 0) & ((k < n) | (population.anchored_secondary > 0))
+        if up_pos[:n].all() and down_pos[1:].all():
+            return ChainClass(
+                kind="irreducible",
+                detail="all interior moves possible; some rates underflow to 0 in float",
+            )
     if not up_pos[0] and not down_pos[n]:
         # State k reaches n iff every up move from k onwards is possible,
         # and reaches 0 iff every down move below it is.
@@ -319,6 +335,25 @@ def _classify(kernel: TransitionKernel) -> ChainClass:
         kind="other",
         detail=f"blocked up moves at k={zero_up}, blocked down moves at k={zero_down}",
     )
+
+
+def _positive_rule(kernel: TransitionKernel) -> bool:
+    """Whether the kernel was built from a model with a rule whose q is
+    positive everywhere, so that a zero rate is q underflowing."""
+    rule = kernel.rule
+    built = kernel.params is not None and kernel.population is not None
+    return built and rule is not None and rule.positive
+
+
+def _refuse_underflow(kernel: TransitionKernel, up, down, purpose: str) -> None:
+    """ChainStructureError naming ``purpose`` where a rule whose q is positive
+    everywhere has a rate among ``up`` and ``down`` that underflowed to 0:
+    the float chain cannot cross that coupling, and the real one can."""
+    if _positive_rule(kernel) and min(up.min(), down.min()) == 0.0:
+        raise ChainStructureError(
+            f"{purpose}: a rate underflows to 0 in float, and the solve cannot cross a "
+            "zero coupling"
+        )
 
 
 def _require(kernel: TransitionKernel, kind: str, purpose: str) -> None:
@@ -388,8 +423,30 @@ def _two_point(params: NetworkParams, n: int, rates) -> StationaryDistribution:
 
 
 def _log_profile(kernel: TransitionKernel) -> np.ndarray:
-    """log psi up to a constant: cumulative sum of log(up[k-1]/down[k])."""
-    return np.concatenate(([0.0], np.cumsum(np.log(kernel.up[:-1]) - np.log(kernel.down[1:]))))
+    """log psi up to a constant: cumulative sum of log(up[k-1]/down[k]).
+
+    In a kernel built with a rule whose q is positive everywhere, a step
+    where up[k-1] or down[k] is below the smallest normal float (q
+    underflowed, or lost digits) takes the rule's ``log_pair`` instead.
+    Every other step keeps the bits of the float rates' logs.
+    """
+    up, down = kernel.up[:-1], kernel.down[1:]
+    tiny = np.finfo(float).tiny
+    if not _positive_rule(kernel) or min(up.min(), down.min()) >= tiny:
+        return np.concatenate(([0.0], np.cumsum(np.log(up) - np.log(down))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = np.log(up) - np.log(down)
+    j = np.flatnonzero((up < tiny) | (down < tiny))  # from state j to j + 1
+    n, population = kernel.n, kernel.population
+    a_p, a_s = population.anchored_primary, population.anchored_secondary
+    lower = j.astype(float)
+    upper = lower + 1.0
+    gain = _gain(kernel.params, model.utility_secondary(kernel.params), np.append(lower, upper) / n)
+    log_q, log_q_minus = kernel.rule.log_pair(gain)
+    # The counting weights' common denominator cancels from the ratio.
+    weights = (n - lower) * (lower + a_p) / (upper * (n + a_s - upper))
+    steps[j] = np.log(weights) + log_q[: j.size] - log_q_minus[j.size :]
+    return np.concatenate(([0.0], np.cumsum(steps)))
 
 
 def stationary_product(kernel: TransitionKernel) -> StationaryDistribution:
@@ -484,6 +541,7 @@ def stationary_eigen(kernel: TransitionKernel) -> StationaryDistribution:
     :func:`_pin`), but never sets a value.
     """
     _require(kernel, "irreducible", "eigenvector route")
+    _refuse_underflow(kernel, kernel.up[:-1], kernel.down[1:], "eigenvector route")
     anchor, n = _pin(kernel), kernel.n
     below = _solve_balance_block(kernel, 0, anchor - 1, anchor_above=True) if anchor else []
     above = _solve_balance_block(kernel, anchor + 1, n, anchor_above=False) if anchor < n else []

@@ -15,6 +15,11 @@ where the walk leaves its window it goes on in a window around its new
 state.  More replicas advance in lockstep: every event is one vector
 step over all of them, and column r of the block of draws comes from
 replica r's own stream.  Which engine ran cannot be seen in the output.
+
+``absorption_frequency`` keeps its own contract: one stream
+``Philox(key=seed)`` shared by all replicas, one draw per still-active
+replica per event in replica order.  It steps them as one vector while
+at least _LOCKSTEP are active and the last few one by one in Python.
 """
 
 from __future__ import annotations
@@ -357,8 +362,9 @@ def run(
         if keep:
             path[0] = starts[0]
         for t, k, states in walk:
-            if t >= burn and states.size <= n:
-                # Fewer states than the chain has: count over their own range.
+            if t >= burn and 2 * states.size <= n:
+                # At most half as many states as the chain has: count over
+                # their own range.  Closer to n, the full bincount is cheaper.
                 low = int(states.min())
                 counts[low : int(states.max()) + 1] += np.bincount(states.ravel() - low)
             elif t >= burn:
@@ -386,10 +392,16 @@ def absorption_frequency(spec: SimulationSpec, kernel: TransitionKernel) -> Abso
     All replicas advance in lockstep from the single stream
     ``Philox(key=seed)``: each event consumes one uniform per still-active
     replica, in replica-index order, so results are bit-reproducible for a
-    given (spec, kernel).  ``spec.steps`` caps each replica; replicas still
-    interior at the cap are excluded from the fractions and the mean, and a
-    warning is raised when they exceed 1% of the total.  ``spec.burn_in``
-    is ignored — absorption has no stationary phase to wait for.
+    given (spec, kernel).  While at least _LOCKSTEP replicas are active an
+    event is one vector step, and the active set is compacted only after
+    an event that absorbs one.  The last few step one by one in a Python
+    loop, over draws taken _BLOCK at a time from the same stream: two
+    calls on one stream give the bits of one call for both, so every
+    replica reads the draw it would read one event at a time.
+    ``spec.steps`` caps each replica; replicas still interior at the cap
+    are excluded from the fractions and the mean, and a warning is raised
+    when they exceed 1% of the total.  ``spec.burn_in`` is ignored —
+    absorption has no stationary phase to wait for.
     """
     _require(kernel, "absorbing", "absorption sampling")
     n = kernel.n
@@ -407,18 +419,35 @@ def absorption_frequency(spec: SimulationSpec, kernel: TransitionKernel) -> Abso
     k = states[active_idx]
     up, move = kernel.up, kernel.move
     t = 0
-    while active_idx.size and t < spec.steps:
+    while active_idx.size >= _LOCKSTEP and t < spec.steps:
         t += 1
         u = gen.random(k.size)
-        k = k + 2 * (u < up[k]) - (u < move[k])  # the step of _lockstep
-        hit = (k == 0) | (k == n)
-        if hit.any():
-            absorbed_at[active_idx[hit]] = k[hit]
-            steps_taken[active_idx[hit]] = t
+        step = (u < up[k]).view(np.int8)  # the in-place step of _lockstep
+        step += step - (u < move[k]).view(np.int8)
+        k += step
+        if k.min() == 0 or k.max() == n:
+            hit = (k == 0) | (k == n)
+            lost = active_idx[hit]
+            absorbed_at[lost], steps_taken[lost] = k[hit], t
             keep = ~hit
-            active_idx = active_idx[keep]
-            k = k[keep]
-    unabsorbed = int(active_idx.size)
+            active_idx, k = active_idx[keep], k[keep]
+    # The last few step one by one, as _window resolves an odd draw.
+    ks, rows, up_at, move_at = k.tolist(), active_idx.tolist(), memoryview(up), memoryview(move)
+    draws, left = iter(()), 0
+    while ks and t < spec.steps:
+        t += 1
+        while left < len(ks):
+            draws, left = iter([*draws, *gen.random(_BLOCK).tolist()]), left + _BLOCK
+        # zip stops at the end of ks, so it takes one draw per replica.
+        ks = [s + 1 if v < up_at[s] else s - 1 if v < move_at[s] else s for s, v in zip(ks, draws)]
+        left -= len(ks)
+        if 0 in ks or n in ks:
+            for s, r in zip(ks, rows):
+                if s in (0, n):
+                    absorbed_at[r], steps_taken[r] = s, t
+            rows = [r for s, r in zip(ks, rows) if s not in (0, n)]
+            ks = [s for s in ks if s not in (0, n)]
+    unabsorbed = len(rows)
     if unabsorbed > 0.01 * total:
         warnings.warn(
             f"{unabsorbed} of {total} replicas were still interior after {spec.steps} "

@@ -35,7 +35,13 @@ class ImitationRule(abc.ABC):
     Subclasses define :meth:`pair` on a vector: a chain needs q at the
     gain of each state to climb and at its negation to descend, and a
     rule may share work between the two.  :meth:`probability` is derived.
+
+    ``positive`` says that q(z) > 0 at every z, so that a zero in float is
+    an underflow, not a blocked move; such a rule also defines
+    ``log_pair``, (log q(z), log q(-z)) without the underflow.
     """
+
+    positive = False
 
     @abc.abstractmethod
     def pair(self, payoff_diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -89,10 +95,19 @@ class Fermi(ImitationRule):
     """
 
     beta: float
+    positive = True
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.beta) and self.beta >= 0):
             raise ValueError(f"beta must be nonnegative and finite, got {self.beta}")
+
+    def log_pair(self, payoff_diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(log q(z), log q(-z)): -log1p(e) where the sign makes q 1 / (1 + e),
+        and -|beta * z| - log1p(e) where it makes q e / (1 + e)."""
+        z = self.beta * np.asarray(payoff_diffs, dtype=float)
+        high = -np.log1p(np.exp(-np.abs(z)))
+        low = high - np.abs(z)
+        return np.where(z >= 0.0, high, low), np.where(z <= 0.0, high, low)
 
     def pair(self, payoff_diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         diffs = np.asarray(payoff_diffs, dtype=float)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -290,6 +291,99 @@ def test_classify_frozen_interior_is_other():
     down = np.array([0.0, 0.0, 0.0, 0.0])
     kernel = TransitionKernel(up=up, down=down)
     assert classify(kernel).kind == "other"
+
+
+def test_only_fermi_promises_a_positive_q():
+    assert Fermi(beta=1.0).positive
+    assert not PairwiseProportional().positive
+    assert not CustomRule(lambda z: 0.5).positive
+
+
+def underflow_kernel(n=50, ratio=2000.0, anchors=1):
+    """At n = 50 and ratio 2000, q underflows to 0 at 6 up and 23 down
+    states of the anchored chain."""
+    params = calibrated_params()
+    population = PopulationConfig(n=n, anchored_primary=anchors, anchored_secondary=anchors)
+    return build_kernel(params, population, fermi_from_ratio(params, n, ratio))
+
+
+def test_classify_reads_an_underflowed_fermi_rate_as_possible():
+    kernel = underflow_kernel()
+    assert (kernel.up[:-1] == 0.0).sum() == 6 and (kernel.down[1:] == 0.0).sum() == 23
+    structure = classify(kernel)
+    assert structure.kind == "irreducible" and "underflow" in structure.detail
+    unanchored = underflow_kernel(anchors=0)
+    assert (unanchored.down[1:-1] == 0.0).any()
+    assert classify(unanchored).kind == "absorbing"
+
+
+def test_absorption_refuses_an_underflowed_coupling_by_name():
+    # The float chain is trapped around k*, so a solve would read P_0 + P_n = 0.
+    kernel = underflow_kernel(anchors=0)
+    for call in (absorption_table, lambda kernel: absorption_analysis(kernel, 25)):
+        with pytest.raises(ChainStructureError, match="cannot cross a zero coupling"):
+            call(kernel)
+    assert absorption_analysis(kernel, 0).prob_absorb_at_0 == 1.0
+
+
+def test_classify_keeps_the_zero_pattern_without_a_positive_rule():
+    kernel = underflow_kernel()
+    # The same rates by hand, and with a rule that may return 0.
+    assert classify(TransitionKernel(kernel.up, kernel.down)).kind == "other"
+    leaky = dataclasses.replace(kernel, rule=CustomRule(lambda z: 0.5))
+    assert classify(leaky).kind == "other"
+
+
+def test_eigen_refuses_a_zero_coupling_by_name():
+    kernel = underflow_kernel()
+    with pytest.raises(ChainStructureError, match="cannot cross a zero coupling"):
+        stationary_eigen(kernel)
+    assert stationary_product(kernel).kind == "product_form"
+
+
+def mp_log_profile(kernel):
+    """log psi of the kernel's law from its float gains, in 50 digits:
+    the exact counting weights and log q of each float exponent beta * g."""
+    params, population, rule = kernel.params, kernel.population, kernel.rule
+    n, a_p, a_s = population.n, population.anchored_primary, population.anchored_secondary
+    pi_s = utility_secondary(params)
+    z = rule.beta * chain._gain(params, pi_s, np.arange(n + 1, dtype=float) / n)
+    with mp.workdps(50):
+        log_q = [-mp.log1p(mp.exp(-mp.mpf(v))) for v in z.tolist()]
+        log_q_minus = [-mp.log1p(mp.exp(mp.mpf(v))) for v in z.tolist()]
+        log_psi, total = [mp.mpf(0)], mp.mpf(0)
+        for k in range(1, n + 1):
+            weight = mp.mpf((n - k + 1) * (k - 1 + a_p)) / (k * (n + a_s - k))
+            total += mp.log(weight) + log_q[k - 1] - log_q_minus[k]
+            log_psi.append(total)
+        peak = max(log_psi)
+        psi = [mp.exp(v - peak) for v in log_psi]
+        norm = mp.fsum(psi)
+        return np.array([float(v / norm) for v in psi]), float(max(abs(v) for v in log_psi))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    n=st.integers(10, 2_000),
+    ratio=st.sampled_from([1.0, 100.0, 2000.0]) | st.floats(1.0, 1e5),
+    arrival=st.floats(10.0, 99.0),
+    target=st.floats(0.05, 0.95),
+    anchors=st.integers(1, 3),
+)
+@example(n=50, ratio=2000.0, arrival=30.0, target=0.68, anchors=1)
+@example(n=2_000, ratio=1e5, arrival=99.0, target=0.68, anchors=1)
+def test_long_run_of_underflowing_fermi_chains_against_mpmath(n, ratio, arrival, target, anchors):
+    # Each step of log psi is good to a few ulps of its size, and their
+    # running sum to eps * n * max|log psi|, which bounds the law's error
+    # in TV.  Up to ratio 2000 the law stays within 1e-10 of the oracle.
+    params = calibrated_params(arrival, target)
+    population = PopulationConfig(n=n, anchored_primary=anchors, anchored_secondary=anchors)
+    kernel = build_kernel(params, population, fermi_from_ratio(params, n, ratio))
+    structure, law = chain.long_run(kernel)
+    assert structure.kind == "irreducible" and law.kind == "product_form"
+    exact, reach = mp_log_profile(kernel)
+    bound = 1e-10 if ratio <= 2000.0 else max(1e-10, np.finfo(float).eps * n * reach)
+    assert total_variation(law, exact) <= bound
 
 
 # -- noise-free stationary law -----------------------------------------------------

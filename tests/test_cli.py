@@ -391,6 +391,28 @@ def test_sweep_over_noise_ratios_is_monotone(tmp_path):
     assert all(v >= 1.0 for v in values)
 
 
+def test_stationary_and_sweep_at_ratio_2000(tmp_path):
+    # At n = 50 q underflows to 0 at 29 states; the law is the product form.
+    config = BASE.replace("n = 10", "n = 50").replace("beta_ratio = 1.0", "beta_ratio = 2000")
+    path = write_config(tmp_path, config)
+    out_dir = tmp_path / "res"
+    assert main(["stationary", "--config", path, "--out", str(out_dir), "--quiet"]) == EXIT_OK
+    meta = read_meta(out_dir / "stationary.csv")
+    assert (meta["chain_class"], meta["distribution_kind"]) == ("irreducible", "product_form")
+    _, rows = read_rows(out_dir / "stationary.csv")
+    assert sum(float(r[1]) for r in rows) == pytest.approx(1.0, abs=1e-12)
+    path = write_config(tmp_path, config + "\n[sweep]\nvariable = n\nvalues = 50, 200\n")
+    assert main(["sweep", "--config", path, "--out", str(out_dir), "--quiet"]) == EXIT_OK
+    _, rows = read_rows(out_dir / "sweep.csv")
+    assert [r[1] for r in rows] == ["poa_expected"] * 2
+    assert read_meta(out_dir / "sweep.csv")["failed_points"] == 0
+    # Without anchors the float chain cannot be absorbed: a named error.
+    unanchored = config.replace("anchored_primary = 1", "anchored_primary = 0")
+    unanchored = unanchored.replace("anchored_secondary = 1", "anchored_secondary = 0")
+    path = write_config(tmp_path, unanchored)
+    assert main(["stationary", "--config", path, "--out", str(tmp_path / "abs")]) == EXIT_ANALYSIS
+
+
 def test_sweep_keeps_going_past_a_bad_point(tmp_path):
     path = write_config(tmp_path, BASE + "\n[sweep]\nvariable = lambda\nvalues = 30, 150\n")
     out_dir = tmp_path / "res"

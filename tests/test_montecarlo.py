@@ -2,6 +2,7 @@
 with the analytic chain routes."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -745,6 +746,116 @@ def test_absorption_sampling_rejects_foreign_starts():
         absorption_frequency(
             SimulationSpec(seed=0, steps=10, initial_state=9), gambler_kernel()
         )
+
+
+def shared_stream_absorption(spec, kernel):
+    """The first shared-stream loop of :func:`absorption_frequency`, kept
+    verbatim as the reference (its structure check is left to the engine):
+    every event draws one uniform per still-active replica in replica order
+    and compacts the active set after each hit."""
+    n = kernel.n
+    total = spec.replicas
+    gen = np.random.Generator(np.random.Philox(key=spec.seed))
+    if isinstance(spec.initial_state, str):
+        states = gen.integers(1, n, size=total).astype(np.int64)
+    else:
+        k0 = int(spec.initial_state)
+        if k0 > n:
+            raise ValueError(f"initial_state {k0} exceeds the largest state {n}")
+        states = np.full(total, k0, dtype=np.int64)
+    absorbed_at = np.full(total, -1, dtype=np.int64)
+    steps_taken = np.zeros(total, dtype=np.int64)
+    at_boundary = (states == 0) | (states == n)
+    absorbed_at[at_boundary] = states[at_boundary]
+    active_idx = np.flatnonzero(~at_boundary)
+    k = states[active_idx]
+    up = kernel.up
+    move = kernel.up + kernel.down
+    t = 0
+    while active_idx.size and t < spec.steps:
+        t += 1
+        u = gen.random(k.size)
+        p_up = up[k]
+        p_move = move[k]
+        k = k + (u < p_up).astype(np.int64) - ((u >= p_up) & (u < p_move)).astype(np.int64)
+        hit = (k == 0) | (k == n)
+        if hit.any():
+            absorbed_at[active_idx[hit]] = k[hit]
+            steps_taken[active_idx[hit]] = t
+            keep = ~hit
+            active_idx = active_idx[keep]
+            k = k[keep]
+    unabsorbed = int(active_idx.size)
+    if unabsorbed > 0.01 * total:
+        warnings.warn(
+            f"{unabsorbed} of {total} replicas were still interior after {spec.steps} "
+            "events; fractions cover absorbed replicas only",
+            stacklevel=2,
+        )
+    done = absorbed_at >= 0
+    n_done = int(done.sum())
+    if n_done == 0:
+        return montecarlo.AbsorptionFrequency(
+            fraction_at_0=float("nan"),
+            fraction_at_n=float("nan"),
+            mean_steps=float("nan"),
+            replicas=total,
+            unabsorbed=unabsorbed,
+        )
+    return montecarlo.AbsorptionFrequency(
+        fraction_at_0=float((absorbed_at == 0).sum() / n_done),
+        fraction_at_n=float((absorbed_at == n).sum() / n_done),
+        mean_steps=float(steps_taken[done].mean()),
+        replicas=total,
+        unabsorbed=unabsorbed,
+    )
+
+
+def warned(call, *args):
+    """(repr of call(*args), the messages of the warnings it raised)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call(*args)
+    return repr(result), [str(w.message) for w in caught]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_absorption_sampling_matches_the_shared_stream_loop(data):
+    # Runs of 1 to 3,000 replicas cross _LOCKSTEP, below which the last
+    # replicas step one by one; a short cap leaves stragglers (the warning),
+    # a long one absorbs them all, and a block of 7 draws makes the tail
+    # refill its draws mid-event.
+    # The fair coin and an economy whose primary network always pays more
+    # (x* = 1) absorb every replica well within the long cap at n <= 60.
+    n = data.draw(st.integers(3, 60), label="n")
+    target, ratio = data.draw(st.sampled_from([(0.68, 0.0), (1.0, 1.0), (1.0, 10.0)]))
+    params = calibrated_params(target)
+    kernel = build_kernel(params, PopulationConfig(n=n), fermi_from_ratio(params, n, ratio))
+    spec = SimulationSpec(
+        seed=data.draw(st.integers(0, 2**64 - 1), label="seed"),
+        steps=data.draw(st.integers(1, 300) | st.just(100_000), label="cap"),
+        replicas=data.draw(st.integers(1, 3_000), label="replicas"),
+        initial_state=data.draw(st.just(INITIAL_UNIFORM) | st.integers(0, n), label="start"),
+    )
+    block = data.draw(st.sampled_from([7, montecarlo._BLOCK]), label="block")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_BLOCK", block)
+        got = warned(absorption_frequency, spec, kernel)
+    assert got == warned(shared_stream_absorption, spec, kernel)
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1), a=st.integers(0, 10_000), b=st.integers(0, 10_000)
+)
+@settings(max_examples=100, deadline=None, database=None)
+def test_consecutive_draws_concatenate(seed, a, b):
+    # The tail of absorption_frequency takes its draws in blocks that do not
+    # line up with its events; that is exact only because of this.
+    split = np.random.Generator(np.random.Philox(key=seed))
+    whole = np.random.Generator(np.random.Philox(key=seed))
+    drawn = np.concatenate((split.random(a), split.random(b)))
+    assert drawn.tobytes() == whole.random(a + b).tobytes()
 
 
 def test_absorption_sampling_reports_replicas_as_a_python_int():
