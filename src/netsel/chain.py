@@ -134,16 +134,27 @@ class TransitionKernel:
         """Largest state index (genuine population size)."""
         return self.up.size - 1
 
-    # A kernel is frozen and its arrays read-only, so its class and its
-    # absorption table are computed at most once; dataclasses.replace
-    # builds a new kernel, which starts with neither.
+    # A kernel is frozen and its arrays read-only, so its class, its
+    # smallest rate and its absorption table are computed at most once;
+    # dataclasses.replace builds a new kernel, which starts with none.
     @cached_property
     def _structure(self) -> ChainClass:
         return _classify(self)
 
     @cached_property
+    def _min_rate(self) -> float:
+        """The smallest rate with a positive counting weight, in a kernel built
+        with a rule that promises q > 0 by defining ``log_pair``; inf in any other."""
+        population, rule = self.population, self.rule
+        if self.params is None or population is None or rule is None or rule.log_pair is None:
+            return math.inf
+        up = self.up[0 if population.anchored_primary else 1 : self.n]
+        down = self.down[1 : self.n + 1 if population.anchored_secondary else self.n]
+        return float(min(up.min(), down.min()))
+
+    @cached_property
     def _absorption(self) -> np.ndarray:
-        _refuse_underflow(self, self.up[1:-1], self.down[1:-1], "absorption analysis")
+        _refuse_underflow(self, "absorption analysis")
         return _readonly(_absorption_solve(self))
 
 
@@ -159,7 +170,7 @@ def _check_rates(up: np.ndarray, down: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class ChainClass:
-    """Structural class of a kernel, decided from its zero pattern alone.
+    """Structural class of a kernel, decided from which moves are possible.
 
     kind is "irreducible" (every state reaches every other),
     "absorbing" (both boundary states trap and every interior state
@@ -300,8 +311,8 @@ def _classify(kernel: TransitionKernel) -> ChainClass:
     least one boundary.  Anything else — e.g. the one-way flow of a
     noise-free rule — is classed "other" with the zero pattern spelled
     out in ``detail``.  A move is possible where its rate is positive,
-    or, in a kernel built with a rule whose q is positive everywhere,
-    where its counting weight is: a zero rate there is q underflowing.
+    or, in a kernel with a finite ``_min_rate``, where its
+    counting weight is: a zero rate there is q underflowing.
     """
     up, down = kernel.up, kernel.down
     n = kernel.n
@@ -309,11 +320,11 @@ def _classify(kernel: TransitionKernel) -> ChainClass:
     if up[:n].min() > 0.0 and down[1:].min() > 0.0:
         return ChainClass(kind="irreducible", detail="all interior moves possible")
     up_pos, down_pos = up > 0.0, down > 0.0
-    if _positive_rule(kernel):
-        k, population = np.arange(n + 1), kernel.population
-        up_pos = (k < n) & ((k > 0) | (population.anchored_primary > 0))
-        down_pos = (k > 0) & ((k < n) | (population.anchored_secondary > 0))
-        if up_pos[:n].all() and down_pos[1:].all():
+    if kernel._min_rate < math.inf:  # a boundary weight is positive only with an anchor
+        up_pos[1:n] = down_pos[1:n] = True
+        up_pos[0] = kernel.population.anchored_primary > 0
+        down_pos[n] = kernel.population.anchored_secondary > 0
+        if up_pos[0] and down_pos[n]:
             return ChainClass(
                 kind="irreducible",
                 detail="all interior moves possible; some rates underflow to 0 in float",
@@ -337,19 +348,10 @@ def _classify(kernel: TransitionKernel) -> ChainClass:
     )
 
 
-def _positive_rule(kernel: TransitionKernel) -> bool:
-    """Whether the kernel was built from a model with a rule whose q is
-    positive everywhere, so that a zero rate is q underflowing."""
-    rule = kernel.rule
-    built = kernel.params is not None and kernel.population is not None
-    return built and rule is not None and rule.positive
-
-
-def _refuse_underflow(kernel: TransitionKernel, up, down, purpose: str) -> None:
-    """ChainStructureError naming ``purpose`` where a rule whose q is positive
-    everywhere has a rate among ``up`` and ``down`` that underflowed to 0:
-    the float chain cannot cross that coupling, and the real one can."""
-    if _positive_rule(kernel) and min(up.min(), down.min()) == 0.0:
+def _refuse_underflow(kernel: TransitionKernel, purpose: str) -> None:
+    """ChainStructureError naming ``purpose`` where a q > 0 underflowed to 0 in
+    float: the float chain cannot cross that coupling, and the real one can."""
+    if kernel._min_rate == 0.0:
         raise ChainStructureError(
             f"{purpose}: a rate underflows to 0 in float, and the solve cannot cross a "
             "zero coupling"
@@ -425,14 +427,14 @@ def _two_point(params: NetworkParams, n: int, rates) -> StationaryDistribution:
 def _log_profile(kernel: TransitionKernel) -> np.ndarray:
     """log psi up to a constant: cumulative sum of log(up[k-1]/down[k]).
 
-    In a kernel built with a rule whose q is positive everywhere, a step
-    where up[k-1] or down[k] is below the smallest normal float (q
-    underflowed, or lost digits) takes the rule's ``log_pair`` instead.
-    Every other step keeps the bits of the float rates' logs.
+    In a kernel whose ``_min_rate`` is below the smallest normal
+    float, a step where up[k-1] or down[k] is below it (q underflowed, or
+    lost digits) takes the rule's ``log_pair`` instead.  Every other step
+    keeps the bits of the float rates' logs.
     """
     up, down = kernel.up[:-1], kernel.down[1:]
     tiny = np.finfo(float).tiny
-    if not _positive_rule(kernel) or min(up.min(), down.min()) >= tiny:
+    if kernel._min_rate >= tiny:
         return np.concatenate(([0.0], np.cumsum(np.log(up) - np.log(down))))
     with np.errstate(divide="ignore", invalid="ignore"):
         steps = np.log(up) - np.log(down)
@@ -541,7 +543,7 @@ def stationary_eigen(kernel: TransitionKernel) -> StationaryDistribution:
     :func:`_pin`), but never sets a value.
     """
     _require(kernel, "irreducible", "eigenvector route")
-    _refuse_underflow(kernel, kernel.up[:-1], kernel.down[1:], "eigenvector route")
+    _refuse_underflow(kernel, "eigenvector route")
     anchor, n = _pin(kernel), kernel.n
     below = _solve_balance_block(kernel, 0, anchor - 1, anchor_above=True) if anchor else []
     above = _solve_balance_block(kernel, anchor + 1, n, anchor_above=False) if anchor < n else []
@@ -691,27 +693,26 @@ def long_run(kernel: TransitionKernel) -> tuple[ChainClass, StationaryDistributi
     """Classify a kernel once and return its long-run law by the route its class dictates.
 
     An irreducible chain gets the product form; an absorbing chain has no
-    stationary law and gets None (see :func:`absorption_table`); any
-    other chain gets the two-point law of :func:`stationary_noise_free`,
-    built from this kernel and its ``params``.  A chain with none of the
-    three raises ChainStructureError.
+    stationary law and gets None (see :func:`absorption_table`); any other
+    chain whose rule can return 0 gets the two-point law of :func:`stationary_noise_free`,
+    built from this kernel and its ``params``.  Any other chain raises ChainStructureError.
     """
     structure = kernel._structure
     if structure.kind == "irreducible":
         return structure, _product_form(kernel)
     if structure.kind == "absorbing":
         return structure, None
-    if kernel.params is None:
+    if kernel.params is None or kernel._min_rate < math.inf:
         raise ChainStructureError(
-            f"chain is neither irreducible nor absorbing ({structure.detail}) and the kernel "
-            "records no network parameters for the two-point law"
+            f"chain is neither irreducible nor absorbing ({structure.detail}); the two-point "
+            "law needs network parameters and a rule that can return 0"
         )
     up, down = kernel.up, kernel.down
     return structure, _two_point(kernel.params, kernel.n, lambda lo, hi: (up[lo:hi], down[lo:hi]))
 
 
-def distribution_mode(distribution, rel_tol: float = 1e-12) -> tuple[int, ...]:
-    """States attaining the distribution's maximum, with ties within rel_tol.
+def distribution_mode(distribution) -> tuple[int, ...]:
+    """States attaining the distribution's maximum, with ties within a relative 1e-12.
 
     The tolerance makes genuinely tied weights (equal adjacent masses)
     robust to last-ulp accumulation noise; a uniform vector returns every
@@ -719,7 +720,7 @@ def distribution_mode(distribution, rel_tol: float = 1e-12) -> tuple[int, ...]:
     """
     psi = np.asarray(getattr(distribution, "psi", distribution), dtype=float)
     peak = float(psi.max())
-    return tuple(int(k) for k in np.flatnonzero(psi >= peak * (1.0 - rel_tol)))
+    return tuple(int(k) for k in np.flatnonzero(psi >= peak * (1.0 - 1e-12)))
 
 
 def total_variation(p, q) -> float:

@@ -36,12 +36,12 @@ class ImitationRule(abc.ABC):
     gain of each state to climb and at its negation to descend, and a
     rule may share work between the two.  :meth:`probability` is derived.
 
-    ``positive`` says that q(z) > 0 at every z, so that a zero in float is
-    an underflow, not a blocked move; such a rule also defines
-    ``log_pair``, (log q(z), log q(-z)) without the underflow.
+    A rule promises q(z) > 0 at every z by defining ``log_pair``, (log q(z),
+    log q(-z)) without underflow: a zero of its q in float is an underflow,
+    not a blocked move.  Rules that may return 0 leave it None.
     """
 
-    positive = False
+    log_pair = None
 
     @abc.abstractmethod
     def pair(self, payoff_diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -95,7 +95,6 @@ class Fermi(ImitationRule):
     """
 
     beta: float
-    positive = True
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.beta) and self.beta >= 0):

@@ -37,7 +37,13 @@ from netsel.model import (
     utility_primary,
     utility_secondary,
 )
-from netsel.protocols import CustomRule, Fermi, PairwiseProportional, fermi_from_ratio
+from netsel.protocols import (
+    CustomRule,
+    Fermi,
+    PairwiseProportional,
+    beta_reference,
+    fermi_from_ratio,
+)
 from test_protocols import scalar_q
 
 
@@ -294,9 +300,10 @@ def test_classify_frozen_interior_is_other():
 
 
 def test_only_fermi_promises_a_positive_q():
-    assert Fermi(beta=1.0).positive
-    assert not PairwiseProportional().positive
-    assert not CustomRule(lambda z: 0.5).positive
+    # A rule promises q > 0 by defining log_pair; the others leave it None.
+    assert callable(Fermi(beta=1.0).log_pair)
+    assert PairwiseProportional().log_pair is None
+    assert CustomRule(lambda z: 0.5).log_pair is None
 
 
 def underflow_kernel(n=50, ratio=2000.0, anchors=1):
@@ -384,6 +391,128 @@ def test_long_run_of_underflowing_fermi_chains_against_mpmath(n, ratio, arrival,
     exact, reach = mp_log_profile(kernel)
     bound = 1e-10 if ratio <= 2000.0 else max(1e-10, np.finfo(float).eps * n * reach)
     assert total_variation(law, exact) <= bound
+
+
+# The decision whether a zero rate is an underflowed q, as five places made it
+# before each kernel kept its smallest rate: kept verbatim as the reference
+# for the kernel's one decision.  Only ``rule.positive`` is gone; it was true
+# on Fermi alone, so the reference reads the rule's type instead.
+
+
+def reference_positive_rule(kernel):
+    rule = kernel.rule
+    built = kernel.params is not None and kernel.population is not None
+    return built and rule is not None and isinstance(rule, Fermi)
+
+
+def reference_classify(kernel):
+    up, down = kernel.up, kernel.down
+    n = kernel.n
+    if up[:n].min() > 0.0 and down[1:].min() > 0.0:
+        return chain.ChainClass(kind="irreducible", detail="all interior moves possible")
+    up_pos, down_pos = up > 0.0, down > 0.0
+    if reference_positive_rule(kernel):
+        k, population = np.arange(n + 1), kernel.population
+        up_pos = (k < n) & ((k > 0) | (population.anchored_primary > 0))
+        down_pos = (k > 0) & ((k < n) | (population.anchored_secondary > 0))
+        if up_pos[:n].all() and down_pos[1:].all():
+            return chain.ChainClass(
+                kind="irreducible",
+                detail="all interior moves possible; some rates underflow to 0 in float",
+            )
+    if not up_pos[0] and not down_pos[n]:
+        suffix_up = np.logical_and.accumulate(up_pos[n - 1 : 0 : -1])[::-1]
+        prefix_down = np.logical_and.accumulate(down_pos[1:n])
+        if (suffix_up | prefix_down).all():
+            return chain.ChainClass(
+                kind="absorbing",
+                absorbing_states=(0, n),
+                detail="boundary states trap and every interior state drains to a boundary",
+            )
+    zero_up = np.flatnonzero(~up_pos[:n]).tolist()
+    zero_down = (np.flatnonzero(~down_pos[1:]) + 1).tolist()
+    return chain.ChainClass(
+        kind="other",
+        detail=f"blocked up moves at k={zero_up}, blocked down moves at k={zero_down}",
+    )
+
+
+def reference_refuses_underflow(kernel, up, down):
+    return reference_positive_rule(kernel) and min(up.min(), down.min()) == 0.0
+
+
+def reference_log_profile(kernel):
+    up, down = kernel.up[:-1], kernel.down[1:]
+    tiny = np.finfo(float).tiny
+    if not reference_positive_rule(kernel) or min(up.min(), down.min()) >= tiny:
+        return np.concatenate(([0.0], np.cumsum(np.log(up) - np.log(down))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = np.log(up) - np.log(down)
+    j = np.flatnonzero((up < tiny) | (down < tiny))
+    n, population = kernel.n, kernel.population
+    a_p, a_s = population.anchored_primary, population.anchored_secondary
+    lower = j.astype(float)
+    upper = lower + 1.0
+    gain = chain._gain(kernel.params, utility_secondary(kernel.params), np.append(lower, upper) / n)
+    log_q, log_q_minus = kernel.rule.log_pair(gain)
+    weights = (n - lower) * (lower + a_p) / (upper * (n + a_s - upper))
+    steps[j] = np.log(weights) + log_q[: j.size] - log_q_minus[j.size :]
+    return np.concatenate(([0.0], np.cumsum(steps)))
+
+
+@st.composite
+def underflow_prone_kernels(draw):
+    """Kernels of every rule at intensities up to ratio 1e5, with 0-2 anchors
+    on each side, as built, without params, by hand, or built and then
+    given extra zero rates by hand."""
+    n = draw(st.integers(2, 300))
+    population = PopulationConfig(n, draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+    params = calibrated_params(draw(st.floats(10.0, 99.0)), draw(st.floats(0.05, 0.95)))
+    ratio = draw(st.sampled_from([0.0, 1.0, 2000.0, 1e5]) | st.floats(0.0, 1e5))
+    beta = ratio / beta_reference(params, n)
+    rules = {
+        "fermi": lambda: fermi_from_ratio(params, n, ratio),
+        "proportional": PairwiseProportional,
+        # One-sided exponential: 1 at z >= 0, it underflows to 0 far below.
+        "custom": lambda: CustomRule(lambda z: math.exp(min(0.0, beta * z))),
+    }
+    rule = rules[draw(st.sampled_from(["fermi", "fermi", "fermi", "proportional", "custom"]))]()
+    kernel = build_kernel(params, population, rule)
+    form = draw(st.sampled_from(["built", "built", "without params", "by hand", "zeroed"]))
+    if form == "without params":
+        return dataclasses.replace(kernel, params=None)
+    up, down = kernel.up.copy(), kernel.down.copy()
+    zeros = draw(st.lists(st.integers(0, n), max_size=3))
+    up[zeros] = down[zeros] = 0.0
+    if form == "by hand":
+        return TransitionKernel(up, down)
+    return dataclasses.replace(kernel, up=up, down=down) if form == "zeroed" else kernel
+
+
+def refusal(call, kernel):
+    """Whether ``call`` refuses the kernel for a zero coupling."""
+    try:
+        call(kernel)
+    except ChainStructureError as err:
+        return "cannot cross a zero coupling" in str(err)
+    except np.linalg.LinAlgError:
+        pass
+    return False
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(kernel=underflow_prone_kernels())
+def test_the_kernels_one_decision_matches_the_five_it_replaced(kernel):
+    structure = reference_classify(kernel)
+    assert classify(kernel) == structure
+    up, down = kernel.up, kernel.down
+    irreducible, absorbing = structure.kind == "irreducible", structure.kind == "absorbing"
+    if irreducible:
+        assert chain._log_profile(kernel).tobytes() == reference_log_profile(kernel).tobytes()
+    eigen = irreducible and reference_refuses_underflow(kernel, up[:-1], down[1:])
+    assert refusal(stationary_eigen, kernel) == eigen
+    table = absorbing and reference_refuses_underflow(kernel, up[1:-1], down[1:-1])
+    assert refusal(absorption_table, kernel) == table
 
 
 # -- noise-free stationary law -----------------------------------------------------
@@ -876,19 +1005,28 @@ def test_kernel_classifies_and_solves_its_absorption_table_once(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(chain, name, spy)
+    min_rate, calls["_min_rate"] = TransitionKernel.__dict__["_min_rate"], 0
+
+    def count_minima(kernel, real=min_rate.func):
+        calls["_min_rate"] += 1
+        return real(kernel)
+
+    monkeypatch.setattr(min_rate, "func", count_minima)
     assert chain.long_run(kernel)[1] is None
     rows = np.array([dataclasses.astuple(absorption_analysis(kernel, k0)) for k0 in range(13)])
     table = absorption_table(kernel)
     assert table is kernel._absorption and table.shape == (13, 3)
     assert table.tobytes() == rows.tobytes()
-    assert calls == {"_classify": 1, "_eliminate": 1}
+    # The minimum rate is taken once, by the classification, and the
+    # absorption refusal reads it.
+    assert calls == {"_classify": 1, "_eliminate": 1, "_min_rate": 1}
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[5, 0] = 0.0
     fresh = dataclasses.replace(kernel, params=None)
     assert "_structure" not in vars(fresh) and "_absorption" not in vars(fresh)
     assert absorption_table(fresh).tobytes() == rows.tobytes()
-    assert calls == {"_classify": 2, "_eliminate": 2}
+    assert calls == {"_classify": 2, "_eliminate": 2, "_min_rate": 2}
 
 
 # -- small tools ----------------------------------------------------------------------

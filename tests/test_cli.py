@@ -306,6 +306,16 @@ def test_stationary_analysis_failure_exits_three(tmp_path, capsys):
     assert "analysis error" in capsys.readouterr().err
 
 
+def test_one_sided_fermi_chain_names_the_missing_anchor(tmp_path, capsys):
+    # Fermi's q is positive, so the down move out of n is blocked by the
+    # missing secondary anchor, not by the rule.
+    path = write_config(tmp_path, BASE.replace("anchored_secondary = 1", "anchored_secondary = 0"))
+    assert main(["stationary", "--config", path, "--out", str(tmp_path / "res")]) == EXIT_ANALYSIS
+    err = capsys.readouterr().err
+    assert "blocked down moves at k=[10]" in err and "network parameters" in err
+    assert "not noise-free" not in err
+
+
 def test_anchor_count_beyond_exact_weights_exits_three(tmp_path, capsys):
     config = BASE.replace("anchored_primary = 1", "anchored_primary = 10000000000000000")
     path = write_config(tmp_path, config)

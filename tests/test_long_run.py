@@ -94,15 +94,19 @@ def test_long_run_classifies_once(monkeypatch):
     params = NetworkParams(100.0, 30.0, 1.0, calibrate_price_gap(100.0, 30.0, 1.0, 0.68), 0.0)
     population = PopulationConfig(n=10, anchored_primary=1, anchored_secondary=1)
     kernel = build_kernel(params, population, fermi_from_ratio(params, 10, 1.0))
-    calls = []
+    calls, minima = [], []
     real = chain._classify
     monkeypatch.setattr(chain, "_classify", lambda k: calls.append(k) or real(k))
+    min_rate = chain.TransitionKernel.__dict__["_min_rate"]
+    monkeypatch.setattr(min_rate, "func", lambda k, real=min_rate.func: minima.append(k) or real(k))
     structure, law = long_run(kernel)
     assert structure.kind == "irreducible" and law.kind == "product_form"
-    # The public classify and every later analysis read the kernel's class.
+    # The public classify and every later analysis read the kernel's class,
+    # and its minimum rate, which the first product form took.
     assert chain.classify(kernel) is structure
     chain.stationary_eigen(kernel)
-    assert len(calls) == 1
+    assert chain.stationary_product(kernel).psi.tobytes() == law.psi.tobytes()
+    assert len(calls) == 1 and len(minima) == 1
 
 
 def test_long_run_needs_params_for_a_one_way_kernel():
