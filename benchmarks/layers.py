@@ -43,7 +43,9 @@ thread count, the way a plain ``import netsel`` runs it.
 The layer rows time one anchored Fermi chain per population size n = 10^3
 to 10^6: ratio 1, one anchor per side, on the calibrated economy of the
 figures (C = 100, lambda = 30, x* = 0.68); they are the rows of the
-ROADMAP baseline table.  The absorption rows time ``absorption_table``
+ROADMAP baseline table.  ``expected_poa`` times the chain's product-form
+law and ``expected_poa_two_point`` the noise-free two-point law of the
+same economy and anchors.  The absorption rows time ``absorption_table``
 on the same chain without anchors at n = 10^3 to 10^5, a fresh kernel
 per call, built outside the timed span.  The Monte Carlo rows time
 ``montecarlo.run`` on the same chain at n = 100 (one replica of 2*10^5
@@ -69,7 +71,9 @@ netsel.cli``, ``netsel reproduce --figure all``, ``simulate``,
 ``replicator`` and ``stationary`` on the README's config (the last also
 without anchors), and one ``stationary_eigen`` at n = 10^5.  The memory
 rows are the tracemalloc peak of each large-n stage at n = 10^5 and
-10^6, result included, in float64 vectors over the n + 1 states; the
+10^6, result included, in float64 vectors over the n + 1 states, and of
+``stationary_product`` at n = 10^5 and ratio 10^5, where the Fermi q
+underflows at nearly every step and takes the log-domain value; the
 tracemalloc peak of a lockstep ``run`` of 2*10^4 events at n = 100 with
 96 and with 2,000 replicas, in lockstep blocks of ``montecarlo._CELLS``
 float64 draws; the minor page faults of perfbench's ``analytic``
@@ -204,12 +208,14 @@ def layers_at(n: int) -> dict[str, float]:
     rule = protocols.fermi_from_ratio(params, n, 1.0)
     kernel = chain.build_kernel(params, population, rule)
     law = chain.stationary_product(kernel)
+    two_point = chain.stationary_noise_free(params, population)
     timed = {
         "fermi_from_ratio": lambda: protocols.fermi_from_ratio(params, n, 1.0),
         "build_kernel": lambda: chain.build_kernel(params, population, rule),
         "stationary_product": lambda: chain.stationary_product(kernel),
         "stationary_eigen": lambda: chain.stationary_eigen(kernel),
         "expected_poa": lambda: model.expected_poa(params, law),
+        "expected_poa_two_point": lambda: model.expected_poa(params, two_point),
     }
     return {name: median_ms(fn, digits=4) for name, fn in timed.items()}
 
@@ -497,6 +503,17 @@ def stage_peaks(n: int) -> dict[str, float]:
     }
 
 
+def log_domain_peak() -> float:
+    """``stationary_product``'s peak at n = 10^5 and ratio 10^5, where the
+    Fermi q underflows at nearly every step."""
+    params, n = economy(LOAD), 10**5
+    population = chain.PopulationConfig(n=n, anchored_primary=1, anchored_secondary=1)
+    rule = protocols.fermi_from_ratio(params, n, 1e5)
+    kernel = chain.build_kernel(params, population, rule)
+    chain.stationary_product(kernel)  # the kernel keeps its class: classify stays outside
+    return peak_arrays(n, chain.stationary_product, kernel)[1]
+
+
 def lockstep_peaks() -> dict[str, float]:
     """The peak of a lockstep ``run`` at n = 100 with each of
     LOCKSTEP_PEAK_REPLICAS replicas, in blocks of _CELLS float64 draws."""
@@ -535,6 +552,7 @@ def memory_rows() -> dict:
         launch_1e6 = launch_row(["-c", LARGE_LAUNCH], tmp)
     return {
         "stage_peaks": {str(n): stage_peaks(n) for n in MEMORY_SIZES},
+        "log_domain_product_peak": log_domain_peak(),
         "lockstep_peaks": lockstep_peaks(),
         "large_faults": faults,
         "launch/large_analysis_1e6": launch_1e6,
@@ -725,6 +743,8 @@ def main(argv: list[str]) -> None:
             "chain": "the layer rows' chain",
             "stage_peaks": "tracemalloc peak of one call, result included, in float64 vectors "
             "over the n + 1 states",
+            "log_domain_product_peak": "the same for stationary_product at n = 10^5, ratio 10^5, "
+            "where nearly every step takes the log-domain value",
             "lockstep_peaks": f"tracemalloc peak of montecarlo.run, {REPLICA_EVENTS} events at "
             "n = 100, by replica count, in blocks of montecarlo._CELLS float64 draws",
             "large_faults": f"ru_minflt of analytic's large pass, median of {FAULT_PASSES} "
@@ -783,6 +803,7 @@ def main(argv: list[str]) -> None:
         for n, peaks in memory["stage_peaks"].items():
             cells = "  ".join(f"{stage} {arrays:.2f}" for stage, arrays in peaks.items())
             print(f"{name:8s} peaks at n = {n:>7s} {cells}")
+        print(f"{name:8s} log-domain stationary_product peak {memory['log_domain_product_peak']:.2f}")
         cells = "  ".join(f"{r} replicas {blocks:.3f}" for r, blocks in memory["lockstep_peaks"].items())
         print(f"{name:8s} lockstep peaks in _CELLS blocks: {cells}")
         launched = memory["launch/large_analysis_1e6"]

@@ -429,8 +429,9 @@ def _log_profile(kernel: TransitionKernel) -> np.ndarray:
 
     In a kernel whose ``_min_rate`` is below the smallest normal
     float, a step where up[k-1] or down[k] is below it (q underflowed, or
-    lost digits) takes the rule's ``log_pair`` instead.  Every other step
-    keeps the bits of the float rates' logs.
+    lost digits) takes the rule's ``log_pair`` instead, one _CHUNK of
+    states at a time.  Every other step keeps the bits of the float rates'
+    logs.
     """
     up, down = kernel.up[:-1], kernel.down[1:]
     tiny = np.finfo(float).tiny
@@ -438,17 +439,22 @@ def _log_profile(kernel: TransitionKernel) -> np.ndarray:
         return np.concatenate(([0.0], np.cumsum(np.log(up) - np.log(down))))
     with np.errstate(divide="ignore", invalid="ignore"):
         steps = np.log(up) - np.log(down)
-    j = np.flatnonzero((up < tiny) | (down < tiny))  # from state j to j + 1
     n, population = kernel.n, kernel.population
     a_p, a_s = population.anchored_primary, population.anchored_secondary
-    lower = j.astype(float)
-    upper = lower + 1.0
-    gain = _gain(kernel.params, model.utility_secondary(kernel.params), np.append(lower, upper) / n)
-    log_q, log_q_minus = kernel.rule.log_pair(gain)
-    # The counting weights' common denominator cancels from the ratio.
-    weights = (n - lower) * (lower + a_p) / (upper * (n + a_s - upper))
-    steps[j] = np.log(weights) + log_q[: j.size] - log_q_minus[j.size :]
-    return np.concatenate(([0.0], np.cumsum(steps)))
+    pi_s = model.utility_secondary(kernel.params)
+    for lo in range(0, n, _CHUNK):
+        # Steps from state j to j + 1.
+        j = lo + np.flatnonzero((up[lo : lo + _CHUNK] < tiny) | (down[lo : lo + _CHUNK] < tiny))
+        if j.size == 0:
+            continue
+        lower = j.astype(float)
+        upper = lower + 1.0
+        gain = _gain(kernel.params, pi_s, np.append(lower, upper) / n)
+        log_q, log_q_minus = kernel.rule.log_pair(gain)
+        # The counting weights' common denominator cancels from the ratio.
+        weights = (n - lower) * (lower + a_p) / (upper * (n + a_s - upper))
+        steps[j] = np.log(weights) + log_q[: j.size] - log_q_minus[j.size :]
+    return np.concatenate(([0.0], np.cumsum(steps, out=steps)))
 
 
 def stationary_product(kernel: TransitionKernel) -> StationaryDistribution:

@@ -15,6 +15,7 @@ operation is a deterministic function of its arguments.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -316,9 +317,19 @@ def expected_poa(params: NetworkParams, distribution) -> float:
 def _chunked_dot(weights: np.ndarray, values) -> float:
     """Sum of np.dot(values(lo, hi), weights[lo:hi]) over _CHUNK-state chunks, in order:
     the same bits at any BLAS thread count, which may split one long dot, and
-    np.dot's own value up to _CHUNK states."""
+    np.dot's own value up to _CHUNK states.
+
+    A chunk whose weights are all zero is skipped, values included: with
+    finite values its dot is +-0.0, and the sum, which starts at +0.0 and so
+    is never -0.0, keeps its bits when +-0.0 is added.
+    """
     total = 0.0
-    for lo in range(0, weights.size, _CHUNK):
+    starts = range(0, weights.size, _CHUNK)
+    if len(starts) > 1:  # the chunks that hold a nonzero weight, in two reductions
+        full = weights.size - weights.size % _CHUNK
+        held = weights[:full].reshape(-1, _CHUNK).any(axis=1).tolist() + [weights[full:].any()]
+        starts = itertools.compress(starts, held)
+    for lo in starts:
         hi = min(lo + _CHUNK, weights.size)
         total += float(np.dot(values(lo, hi), weights[lo:hi]))
     return total

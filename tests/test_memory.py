@@ -20,6 +20,8 @@ from netsel import model
 from netsel.chain import (
     ChainStructureError,
     PopulationConfig,
+    _gain,
+    _log_profile,
     build_kernel,
     detailed_balance_residual,
     stationary_eigen,
@@ -81,6 +83,16 @@ def test_stationary_laws_and_poa_keep_their_arrays_few(chain):
     _, peak = peak_arrays(N, total_variation, product, eigen)
     assert peak <= 1.1
     assert "move" not in vars(kernel)  # the balance solve adds its own slices
+
+
+def test_the_log_domain_product_form_keeps_its_arrays_few():
+    # At ratio 10^5 the Fermi q underflows to 0 at nearly every step, and
+    # each such step takes the log-domain value.
+    params = economy()
+    kernel = build_kernel(params, PopulationConfig(N, 1, 1), fermi_from_ratio(params, N, 1e5))
+    assert kernel._structure.kind == "irreducible" and kernel._min_rate == 0.0
+    _, peak = peak_arrays(N, stationary_product, kernel)
+    assert peak <= 2.25
 
 
 # Recorded before the stages were changed to reuse their buffers: the bytes
@@ -149,6 +161,40 @@ def test_chunked_rates_keep_the_one_pass_bits(n, rule):
     psi[k - 1] = down[k] / (up[k - 1] + down[k])
     psi[k] = 1.0 - psi[k - 1]
     assert stationary_noise_free(params, population, rule).psi.tobytes() == psi.tobytes()
+
+
+def one_pass_log_profile(kernel):
+    """The log-domain branch of chain._log_profile as it was before it took
+    the underflowed steps in chunks: one array pass over all of them."""
+    up, down = kernel.up[:-1], kernel.down[1:]
+    tiny = np.finfo(float).tiny
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = np.log(up) - np.log(down)
+    j = np.flatnonzero((up < tiny) | (down < tiny))  # from state j to j + 1
+    n, population = kernel.n, kernel.population
+    a_p, a_s = population.anchored_primary, population.anchored_secondary
+    lower = j.astype(float)
+    upper = lower + 1.0
+    gain = _gain(kernel.params, model.utility_secondary(kernel.params), np.append(lower, upper) / n)
+    log_q, log_q_minus = kernel.rule.log_pair(gain)
+    # The counting weights' common denominator cancels from the ratio.
+    weights = (n - lower) * (lower + a_p) / (upper * (n + a_s - upper))
+    steps[j] = np.log(weights) + log_q[: j.size] - log_q_minus[j.size :]
+    return np.concatenate(([0.0], np.cumsum(steps)))
+
+
+# At n = 2 * 10^4 the underflowed steps fill all five chunks at ratio 10^5,
+# and chunks 0-2 and 4 at ratio 2000 with anchors (1, 2).  At n = CHUNK + 1
+# the last step, from n - 1 to n, is the only one in its chunk.
+@pytest.mark.parametrize(
+    "n, ratio, anchors",
+    [(20_000, 1e5, (1, 1)), (20_000, 2000.0, (1, 2)), (CHUNK + 1, 1e5, (2, 1))],
+)
+def test_chunked_log_domain_steps_keep_the_one_pass_bits(n, ratio, anchors):
+    params = economy()
+    kernel = build_kernel(params, PopulationConfig(n, *anchors), fermi_from_ratio(params, n, ratio))
+    assert kernel._min_rate < np.finfo(float).tiny  # the log-domain branch
+    assert _log_profile(kernel).tobytes() == one_pass_log_profile(kernel).tobytes()
 
 
 @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])

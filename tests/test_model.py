@@ -8,7 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from netsel import model
+from netsel.chain import PopulationConfig, stationary_noise_free
 from netsel.model import (
     NetworkParams,
     calibrate_price_gap,
@@ -435,3 +439,105 @@ def test_expected_poa_rejects_negative_mass():
 def test_expected_poa_rejects_non_finite_mass(bad):
     with pytest.raises(ValueError, match="non-finite"):
         expected_poa(calibrated_params(), np.array([bad, 0.5, 0.5]))
+
+
+# -- chunks without mass -------------------------------------------------------
+
+CHUNK = model._CHUNK
+
+
+def chunked_dot_before_skipping(weights, values):
+    """model._chunked_dot as it was before it skipped chunks without mass."""
+    total = 0.0
+    for lo in range(0, weights.size, CHUNK):
+        hi = min(lo + CHUNK, weights.size)
+        total += float(np.dot(values(lo, hi), weights[lo:hi]))
+    return total
+
+
+def expected_poa_before_skipping(params, psi):
+    n = psi.size - 1
+    mean = chunked_dot_before_skipping(
+        psi, lambda lo, hi: social_welfare(params, np.arange(lo, hi) / n)
+    )
+    return mean / social_optimum(params)[1]
+
+
+@st.composite
+def sparse_laws(draw):
+    """A law over 2 to 6 chunks of states: a few blocks of mass, with runs of
+    -0.0, subnormal entries and entries down to -1e-12 where it has none, or
+    a pair of states on either side of the first chunk boundary."""
+    n = draw(st.integers(CHUNK, 6 * CHUNK - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = np.zeros(n + 1)
+    if draw(st.booleans()):
+        psi[CHUNK - 1] = draw(st.floats(0.0, 1.0))
+        psi[CHUNK] = 1.0 - psi[CHUNK - 1]
+        return psi
+    for _ in range(draw(st.integers(1, 3))):
+        lo = draw(st.integers(0, n))
+        block = psi[lo : lo + draw(st.integers(1, 3 * CHUNK))]
+        block[:] = rng.random(block.size)
+    psi /= psi.sum()
+    for kind in draw(st.lists(st.sampled_from(["-0.0", "subnormal", "negative"]), max_size=6)):
+        lo = draw(st.integers(0, n))
+        run = psi[lo : lo + draw(st.integers(1, 2 * CHUNK))]
+        # -0.0 fills the run's zeros; the others sit at up to 64 of them.
+        at = np.flatnonzero(run == 0.0)
+        if kind != "-0.0":
+            at = rng.choice(at, size=min(at.size, draw(st.integers(1, 64))), replace=False)
+        run[at] = {
+            "-0.0": -0.0,
+            "subnormal": rng.integers(1, 2**52, at.size) * 5e-324,
+            "negative": -1e-12 * rng.random(at.size),
+        }[kind]
+    return psi
+
+
+# At n = 6,023 the critical pair {4095, 4096} of the noise-free law straddles
+# the first two chunks.
+STRADDLING_PAIR = stationary_noise_free(calibrated_params(), PopulationConfig(6023)).psi
+
+
+@example(arrival=30.0, target=0.68, psi=STRADDLING_PAIR)
+@settings(max_examples=200, deadline=None, database=None)
+@given(arrival=st.floats(1.0, 99.0), target=st.floats(0.05, 0.95), psi=sparse_laws())
+def test_expected_poa_keeps_its_bits_when_it_skips_chunks_without_mass(arrival, target, psi):
+    params = calibrated_params(arrival=arrival, target=target)
+    assert expected_poa(params, psi).hex() == expected_poa_before_skipping(params, psi).hex()
+
+
+def test_the_two_point_law_at_large_n_sums_one_chunk(monkeypatch):
+    params, n = calibrated_params(), 100_000
+    law = stationary_noise_free(params, PopulationConfig(n, 1, 1))
+    welfare, shares = model.social_welfare, []
+
+    def spy(params, share):
+        shares.append(share)
+        return welfare(params, share)
+
+    monkeypatch.setattr(model, "social_welfare", spy)
+    poa = expected_poa(params, law)
+    assert [(round(s[0] * n), s.size) for s in shares] == [(16 * CHUNK, CHUNK)]  # k* = 68,000
+    monkeypatch.undo()
+    assert poa == expected_poa_before_skipping(params, law.psi)
+
+
+def test_expected_poa_is_finite_where_only_chunks_without_mass_have_infinite_welfare():
+    # At this capacity 1 / (capacity - arrival) overflows, so S(k/n) is inf
+    # below a share of about 0.82 and at k = n.  build_kernel and
+    # stationary_noise_free refuse such an economy: only a hand-made law
+    # reaches it.  The sum used to take 0 * inf = NaN from the chunks without
+    # mass; it now skips them.
+    params, n = NetworkParams(1e-300, 1e-300 - 1e-309), 8 * CHUNK
+    psi = np.zeros(n + 1)
+    psi[30_000:30_010] = 0.1
+    held = slice(7 * CHUNK, 8 * CHUNK)
+    with np.errstate(over="ignore", invalid="ignore"):
+        welfare = social_welfare(params, np.arange(n + 1) / n)
+        assert math.isnan(expected_poa_before_skipping(params, psi))
+    assert np.isinf(welfare[0]) and np.isinf(welfare[n]) and np.isfinite(welfare[held]).all()
+    poa = expected_poa(params, psi)
+    assert math.isfinite(poa)
+    assert poa == float(np.dot(welfare[held], psi[held])) / social_optimum(params)[1]
