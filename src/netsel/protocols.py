@@ -34,7 +34,7 @@ class ImitationRule(abc.ABC):
 
     Subclasses define :meth:`pair` on a vector: a chain needs q at the
     gain of each state to climb and at its negation to descend, and a
-    rule may share work between the two.  :meth:`probability` is derived.
+    rule may share work between the two.
 
     A rule promises q(z) > 0 at every z by defining ``log_pair``, (log q(z),
     log q(-z)) without underflow: a zero of its q in float is an underflow,
@@ -46,10 +46,6 @@ class ImitationRule(abc.ABC):
     @abc.abstractmethod
     def pair(self, payoff_diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(q(z), q(-z)) for each element z of a float vector."""
-
-    def probability(self, payoff_diff: float) -> float:
-        """Probability of copying the opponent given the payoff difference."""
-        return float(self.pair(np.array([payoff_diff], dtype=float))[0][0])
 
 
 @dataclass(frozen=True)
@@ -87,11 +83,13 @@ class Fermi(ImitationRule):
 
     Both directions share e = exp(-|beta * z|): q is 1 / (1 + e) on the
     side where beta * z >= 0 and e / (1 + e) on the other, so large |z|
-    saturates to 0/1 instead of overflowing.  Each exponential comes from
-    ``math.exp``, once per element: numpy's vectorised ``exp`` may differ
-    from libm in the last ulp.  That pass holds a Python float and its list
-    slot, 32 bytes, per element, so it runs in chunks of _CHUNK
-    elements: 128 kB of Python floats, not 32 MB at n = 10^6.
+    saturates to 0/1 instead of overflowing.  e is the real part of a
+    complex ``np.exp``, once per element: numpy has no SIMD loop for it, so
+    each element goes through C99 ``cexp``, which at a zero imaginary part
+    returns libm's exp(x) bit for bit (exp(x) * cos 0 in glibc, exp(x) + 0i
+    in numpy's own fallback); float ``np.exp`` differs from libm in the last
+    ulp on about 5% of exponents.  The pass runs in chunks of _CHUNK
+    elements, so its 16-byte complex temporaries take 64 kB, not 16 MB.
     """
 
     beta: float
@@ -113,7 +111,7 @@ class Fermi(ImitationRule):
         q_up, q_down = np.empty(diffs.size), np.empty(diffs.size)
         for lo in range(0, diffs.size, _CHUNK):
             z = self.beta * diffs[lo : lo + _CHUNK]
-            e = np.fromiter(map(math.exp, (-np.abs(z)).tolist()), float, z.size)
+            e = np.exp((-np.abs(z)).astype(complex)).real
             high, low = 1.0 / (1.0 + e), e / (1.0 + e)
             q_up[lo : lo + _CHUNK] = np.where(z >= 0.0, high, low)
             q_down[lo : lo + _CHUNK] = np.where(z <= 0.0, high, low)

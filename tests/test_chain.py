@@ -44,7 +44,7 @@ from netsel.protocols import (
     beta_reference,
     fermi_from_ratio,
 )
-from test_protocols import scalar_q
+from test_protocols import q_at, scalar_q
 
 
 def calibrated_params(arrival=30.0, target=0.68):
@@ -136,7 +136,7 @@ def test_hand_computed_entries_no_anchors():
     rule = PairwiseProportional()
     kernel = build_kernel(params, PopulationConfig(n=2), rule)
     gain = utility_primary(params, 1, 2) - utility_secondary(params)
-    assert kernel.up[1] == pytest.approx(0.5 * rule.probability(gain), rel=1e-15)
+    assert kernel.up[1] == pytest.approx(0.5 * q_at(rule, gain), rel=1e-15)
     assert kernel.down[1] == 0.0
 
 
@@ -148,8 +148,8 @@ def test_hand_computed_entries_with_anchors():
     )
     gain = utility_primary(params, 1, 2) - utility_secondary(params)
     # focal pool 2, opponent pool 1 + 3 anchored: weights 2/8 up, 3/8 down.
-    assert kernel.up[1] == pytest.approx((2.0 / 8.0) * rule.probability(gain), rel=1e-15)
-    assert kernel.down[1] == pytest.approx((3.0 / 8.0) * rule.probability(-gain), rel=1e-15)
+    assert kernel.up[1] == pytest.approx((2.0 / 8.0) * q_at(rule, gain), rel=1e-15)
+    assert kernel.down[1] == pytest.approx((3.0 / 8.0) * q_at(rule, -gain), rel=1e-15)
 
 
 def test_anchors_open_the_boundaries():

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netsel.chain import PopulationConfig, build_kernel
+from netsel import protocols
+from netsel.chain import PopulationConfig, _gain, build_kernel
 from netsel.model import NetworkParams, calibrate_price_gap, utility_primary, utility_secondary
 from netsel.protocols import (
     CustomRule,
@@ -34,6 +35,11 @@ def scalar_q(rule, z):
     return float(rule.fn(z))
 
 
+def q_at(rule, z):
+    """q(z) at one payoff difference, read from ``pair``."""
+    return float(rule.pair(np.array([z], dtype=float))[0][0])
+
+
 def calibrated_params():
     gap = calibrate_price_gap(100.0, 30.0, 1.0, 0.68)
     return NetworkParams(100.0, 30.0, 1.0, gap, 0.0)
@@ -44,19 +50,19 @@ def calibrated_params():
 
 def test_proportional_never_copies_losers():
     rule = PairwiseProportional()
-    assert rule.probability(-0.3) == 0.0
-    assert rule.probability(0.0) == 0.0
+    assert q_at(rule, -0.3) == 0.0
+    assert q_at(rule, 0.0) == 0.0
 
 
 def test_proportional_linear_in_gain():
     rule = PairwiseProportional(scale=2.0)
-    assert rule.probability(0.1) == pytest.approx(0.2)
-    assert rule.probability(0.25) == pytest.approx(0.5)
+    assert q_at(rule, 0.1) == pytest.approx(0.2)
+    assert q_at(rule, 0.25) == pytest.approx(0.5)
 
 
 def test_proportional_caps_at_one():
-    assert PairwiseProportional().probability(5.0) == 1.0
-    assert PairwiseProportional(scale=10.0).probability(0.5) == 1.0
+    assert q_at(PairwiseProportional(), 5.0) == 1.0
+    assert q_at(PairwiseProportional(scale=10.0), 0.5) == 1.0
 
 
 def test_proportional_rejects_bad_scale():
@@ -71,38 +77,38 @@ def test_proportional_rejects_bad_scale():
 
 def test_fermi_fair_coin_at_zero_difference():
     for beta in (0.0, 0.5, 3.0, 1e4):
-        assert Fermi(beta=beta).probability(0.0) == 0.5
+        assert q_at(Fermi(beta=beta), 0.0) == 0.5
 
 
 def test_fermi_zero_beta_ignores_payoffs():
     rule = Fermi(beta=0.0)
     for z in (-100.0, -0.01, 0.3, 42.0):
-        assert rule.probability(z) == 0.5
+        assert q_at(rule, z) == 0.5
 
 
 def test_fermi_complement_identity():
     rng = np.random.default_rng(5)
     rule = Fermi(beta=rng.uniform(0.1, 50.0))
     for z in rng.normal(scale=3.0, size=200):
-        assert rule.probability(z) + rule.probability(-z) == pytest.approx(1.0, abs=1e-12)
+        assert q_at(rule, z) + q_at(rule, -z) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fermi_strictly_increasing():
     rng = np.random.default_rng(6)
     rule = Fermi(beta=2.5)
     zs = np.sort(rng.normal(scale=2.0, size=100))
-    values = [rule.probability(z) for z in zs]
+    values = [q_at(rule, z) for z in zs]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_fermi_saturates_without_overflow():
     rule = Fermi(beta=1e3)
-    assert rule.probability(1e6) == 1.0
-    assert rule.probability(-1e6) == 0.0
+    assert q_at(rule, 1e6) == 1.0
+    assert q_at(rule, -1e6) == 0.0
 
 
 def test_fermi_explicit_value():
-    assert Fermi(beta=2.0).probability(0.5) == pytest.approx(1.0 / (1.0 + math.exp(-1.0)))
+    assert q_at(Fermi(beta=2.0), 0.5) == pytest.approx(1.0 / (1.0 + math.exp(-1.0)))
 
 
 def test_fermi_rejects_negative_beta():
@@ -115,8 +121,8 @@ def test_fermi_rejects_negative_beta():
 
 def test_custom_rule_wraps_callable():
     rule = CustomRule(fn=lambda z: 0.5 + 0.4 * math.tanh(z))
-    assert rule.probability(0.0) == pytest.approx(0.5)
-    assert rule.probability(1.0) == pytest.approx(0.5 + 0.4 * math.tanh(1.0))
+    assert q_at(rule, 0.0) == pytest.approx(0.5)
+    assert q_at(rule, 1.0) == pytest.approx(0.5 + 0.4 * math.tanh(1.0))
 
 
 def test_custom_rule_rejects_decreasing_map():
@@ -154,17 +160,20 @@ EDGE_DIFFS = [
 ]  # fmt: skip
 
 
+def assert_pair_is_scalar_q_bitwise(rule, zs):
+    q_up, q_down = rule.pair(zs)
+    for got, diffs in ((q_up, zs.tolist()), (q_down, (-zs).tolist())):
+        assert got.dtype == np.float64 and got.shape == zs.shape
+        assert got.tobytes() == np.array([scalar_q(rule, z) for z in diffs]).tobytes()
+
+
 @pytest.mark.parametrize("rule", RULES)
 def test_rule_arrays_match_the_scalar_rule_bitwise(rule):
     rng = np.random.default_rng(21)
     zs = np.concatenate(
         [EDGE_DIFFS, rng.normal(scale=1e-3, size=500), rng.normal(scale=3.0, size=500)]
     )
-    q_up, q_down = rule.pair(zs)
-    for got, diffs in ((q_up, zs.tolist()), (q_down, (-zs).tolist())):
-        assert got.dtype == np.float64 and got.shape == zs.shape
-        assert got.tobytes() == np.array([scalar_q(rule, z) for z in diffs]).tobytes()
-    assert np.array([rule.probability(z) for z in zs.tolist()]).tobytes() == q_up.tobytes()
+    assert_pair_is_scalar_q_bitwise(rule, zs)
 
 
 def step(z):
@@ -172,7 +181,7 @@ def step(z):
 
 
 class Step(ImitationRule):
-    """A third-party rule that defines the scalar method only, so it stays abstract."""
+    """A third-party rule that defines a scalar map but not ``pair``, so it stays abstract."""
 
     def probability(self, payoff_diff):
         return step(payoff_diff)
@@ -194,13 +203,65 @@ def test_scalar_only_rule_builds_a_kernel():
 
 
 def test_fermi_kernel_takes_each_exponential_once(monkeypatch):
-    calls = []
-    exp = math.exp
-    monkeypatch.setattr(math, "exp", lambda x: calls.append(x) or exp(x))
+    sizes = []
+
+    class CountingNumpy:
+        """The module's numpy, with the elements that reach complex ``exp`` counted."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, x, *args, **kwargs):
+            if np.iscomplexobj(x):
+                sizes.append(np.size(x))
+            return np.exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(protocols, "np", CountingNumpy())
     n = 1000
     build_kernel(calibrated_params(), PopulationConfig(n, 1, 1), Fermi(beta=0.3))
     # One exponential per state serves both directions.
-    assert len(calls) == n + 1
+    assert sum(sizes) == n + 1
+
+
+def ulps_around(x, count):
+    """x and the ``count`` floats on each side of it."""
+    below, above = [x], [x]
+    for _ in range(count):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[::-1] + above[1:]
+
+
+# exp(x) is subnormal on [-745.13, -708.4] and the smallest subnormal or 0
+# across -745.1332191019412; e / (1 + e) = e there, so q carries every bit of e.
+@pytest.mark.parametrize(
+    "lo, hi, size",
+    [(-746.0, -700.0, 200_001), (-40.0, 0.0, 200_001), (-1e-8, 0.0, 20_001)],
+)
+def test_fermi_exponentials_keep_libm_bits_on_dense_grids(lo, hi, size):
+    assert_pair_is_scalar_q_bitwise(Fermi(beta=1.0), np.linspace(lo, hi, size))
+
+
+def test_fermi_exponentials_keep_libm_bits_at_the_edges():
+    zs = np.array(ulps_around(-745.1332191019412, 100) + ulps_around(0.0, 20) + [-0.0])
+    assert_pair_is_scalar_q_bitwise(Fermi(beta=1.0), np.concatenate([zs, -zs]))
+    # beta * z overflows to +-inf, where q is exactly 1 or 0.
+    with np.errstate(over="ignore"):
+        assert_pair_is_scalar_q_bitwise(Fermi(beta=1e3), np.array([1e306, -1e306]))
+
+
+@pytest.mark.parametrize("size", [4095, 4096, 4097, 3 * 4096 + 1])
+def test_fermi_exponentials_keep_libm_bits_across_chunk_seams(size):
+    zs = np.random.default_rng(size).normal(scale=30.0, size=size)
+    assert_pair_is_scalar_q_bitwise(Fermi(beta=1.0), zs)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.floats(0.0, 1e5), st.integers(2, 3000))
+def test_fermi_from_ratio_rates_keep_libm_bits(ratio, n):
+    params = calibrated_params()
+    gains = _gain(params, utility_secondary(params), np.arange(n + 1) / n)
+    assert_pair_is_scalar_q_bitwise(fermi_from_ratio(params, n, ratio), gains)
 
 
 # -- payoff scale ------------------------------------------------------------------
