@@ -45,7 +45,11 @@ to 10^6: ratio 1, one anchor per side, on the calibrated economy of the
 figures (C = 100, lambda = 30, x* = 0.68); they are the rows of the
 ROADMAP baseline table.  ``expected_poa`` times the chain's product-form
 law and ``expected_poa_two_point`` the noise-free two-point law of the
-same economy and anchors.  The absorption rows time ``absorption_table``
+same economy and anchors, which ``stationary_noise_free`` times.  The
+sweep point rows time ``cli._sweep_point``, one point of ``netsel sweep``
+from its rule to its expected price of anarchy, on the README's config
+(ratio 1, one anchor per side) and on the same config without anchors,
+at n = 10, 100 and 1,000.  The absorption rows time ``absorption_table``
 on the same chain without anchors at n = 10^3 to 10^5, a fresh kernel
 per call, built outside the timed span.  The Monte Carlo rows time
 ``montecarlo.run`` on the same chain at n = 100 (one replica of 2*10^5
@@ -112,9 +116,10 @@ import numpy as np  # noqa: E402
 from common import economy  # noqa: E402
 from speed import Speedometer  # noqa: E402
 
-from netsel import chain, model, montecarlo, protocols, replicator  # noqa: E402
+from netsel import chain, cli, model, montecarlo, protocols, replicator  # noqa: E402
 
 SIZES = (10**3, 10**4, 10**5, 10**6)
+SWEEP_POINT_SIZES = (10, 100, 1000)
 ABSORB_SIZES = (10**3, 10**4, 10**5)
 REPEATS = 5
 SPAN_S = 0.02
@@ -160,6 +165,9 @@ trajectory_decimation = 500
 [replicator]
 initial_share = 0.2
 """
+UNANCHORED_CONFIG = README_CONFIG.replace("anchored_primary = 1", "anchored_primary = 0").replace(
+    "anchored_secondary = 1", "anchored_secondary = 0"
+)
 # Samples the machine's speed while a group runs.
 SPEED = Speedometer()
 
@@ -216,6 +224,7 @@ def layers_at(n: int) -> dict[str, float]:
         "stationary_eigen": lambda: chain.stationary_eigen(kernel),
         "expected_poa": lambda: model.expected_poa(params, law),
         "expected_poa_two_point": lambda: model.expected_poa(params, two_point),
+        "stationary_noise_free": lambda: chain.stationary_noise_free(params, population),
     }
     return {name: median_ms(fn, digits=4) for name, fn in timed.items()}
 
@@ -224,6 +233,21 @@ def layer_rows() -> dict[str, dict[str, dict[str, float]]]:
     """layers_at every size, by layer and then by size."""
     by_size = {str(n): layers_at(n) for n in SIZES}
     return {layer: {n: rows[layer] for n, rows in by_size.items()} for layer in by_size[str(SIZES[0])]}
+
+
+def sweep_point_rows() -> dict[str, dict[str, dict[str, float]]]:
+    """``cli._sweep_point`` at each SWEEP_POINT_SIZES size, with and without anchors."""
+    rows = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in (("anchored", README_CONFIG), ("unanchored", UNANCHORED_CONFIG)):
+            path = Path(tmp) / f"{name}.ini"
+            path.write_text(text, encoding="utf-8")
+            points = {n: cli.parse_config(path).swept("n", n) for n in SWEEP_POINT_SIZES}
+            rows[name] = {
+                str(n): median_ms(lambda point=point: cli._sweep_point(point), digits=4)
+                for n, point in points.items()
+            }
+    return rows
 
 
 def default_threads_rows() -> dict[str, dict[str, float]]:
@@ -446,12 +470,7 @@ def launch_rows() -> dict[str, dict[str, float]]:
         config = Path(tmp) / "experiment.ini"
         config.write_text(README_CONFIG, encoding="utf-8")
         unanchored = Path(tmp) / "unanchored.ini"
-        unanchored.write_text(
-            README_CONFIG.replace("anchored_primary = 1", "anchored_primary = 0").replace(
-                "anchored_secondary = 1", "anchored_secondary = 0"
-            ),
-            encoding="utf-8",
-        )
+        unanchored.write_text(UNANCHORED_CONFIG, encoding="utf-8")
         launches = {
             "import_netsel_cli": ["-c", "import netsel.cli"],
             "reproduce_all": ["-m", "netsel.cli", "reproduce", "--figure", "all", "--out", "figs"],
@@ -562,6 +581,7 @@ def memory_rows() -> dict:
 # Each section of the record and the function that times its rows.
 GROUPS = {
     "layers": layer_rows,
+    "sweep_point": sweep_point_rows,
     "absorption_table": absorption_rows,
     "montecarlo": montecarlo_rows,
     "replicator": replicator_row,
@@ -704,6 +724,11 @@ def main(argv: list[str]) -> None:
         "unit": "ms",
         "scaled_ms": "the same calls rescaled to perfbench/speed.py's reference speed, one core",
         "layers": rows["layers"],
+        "sweep_point": {
+            "what": "cli._sweep_point on the README's config (ratio 1, one anchor per side) "
+            "and on it without anchors, by n: rule, kernel, long-run law, expected PoA",
+            "rows": rows["sweep_point"],
+        },
         "absorption_table": {
             "chain": "the same chain without anchors; a fresh kernel per call, built untimed",
             "rows": rows["absorption_table"],
@@ -775,6 +800,10 @@ def main(argv: list[str]) -> None:
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     for layer, row in rows["layers"].items():
         print(f"{layer:20s}" + "".join(f"{v['ms']:>10.3f}/{v['scaled_ms']:<8.3f}" for v in row.values()))
+    for name, by_n in rows["sweep_point"].items():
+        print(f"sweep_point {name:10s}" + "".join(
+            f"{v['ms']:>10.4f}/{v['scaled_ms']:<8.4f}" for v in by_n.values()
+        ))
     for n, row in rows["absorption_table"].items():
         print(f"absorption_table {n:>8s}{row['ms']:>10.3f}/{row['scaled_ms']:<8.3f}")
     for name, row in rows["montecarlo"].items():

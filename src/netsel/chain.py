@@ -48,6 +48,10 @@ __all__ = [
 ]
 
 _DISTRIBUTION_KINDS = ("two_point_noise_free", "product_form", "eigenvector", "empirical")
+# Half-width of a payoff tie relative to the payoffs' scale (see build_kernel),
+# and the smallest normal float, below which a rate has lost digits.
+_TIE = 32.0 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 class ChainStructureError(ValueError):
@@ -256,9 +260,12 @@ def build_kernel(
     of magnitude ~1e-19.
     """
     rates, n = _rates(params, population, rule), population.n
-    up, down = np.empty(n + 1), np.empty(n + 1)
-    for lo in range(0, n + 1, _CHUNK):
-        up[lo : lo + _CHUNK], down[lo : lo + _CHUNK] = rates(lo, min(lo + _CHUNK, n + 1))
+    if n < _CHUNK:  # one chunk: its vectors are the kernel's
+        up, down = rates(0, n + 1)
+    else:
+        up, down = np.empty(n + 1), np.empty(n + 1)
+        for lo in range(0, n + 1, _CHUNK):
+            up[lo : lo + _CHUNK], down[lo : lo + _CHUNK] = rates(lo, min(lo + _CHUNK, n + 1))
     return TransitionKernel(_readonly(up), _readonly(down), params, population, rule)
 
 
@@ -292,7 +299,7 @@ def _gain(params: NetworkParams, pi_s: float, shares: np.ndarray) -> np.ndarray:
     pi_p = model.utility_primary_at_share(params, shares)
     gain = pi_p - pi_s
     tie = np.maximum(np.abs(pi_p, out=pi_p), abs(pi_s), out=pi_p)
-    tie *= 32.0 * np.finfo(float).eps
+    tie *= _TIE
     gain[np.abs(gain) <= tie] = 0.0
     return gain
 
@@ -320,7 +327,8 @@ def _classify(kernel: TransitionKernel) -> ChainClass:
     if up[:n].min() > 0.0 and down[1:].min() > 0.0:
         return ChainClass(kind="irreducible", detail="all interior moves possible")
     up_pos, down_pos = up > 0.0, down > 0.0
-    if kernel._min_rate < math.inf:  # a boundary weight is positive only with an anchor
+    positive = kernel._min_rate < math.inf
+    if positive:  # every interior weight is positive, and a boundary one only with an anchor
         up_pos[1:n] = down_pos[1:n] = True
         up_pos[0] = kernel.population.anchored_primary > 0
         down_pos[n] = kernel.population.anchored_secondary > 0
@@ -331,10 +339,12 @@ def _classify(kernel: TransitionKernel) -> ChainClass:
             )
     if not up_pos[0] and not down_pos[n]:
         # State k reaches n iff every up move from k onwards is possible,
-        # and reaches 0 iff every down move below it is.
-        suffix_up = np.logical_and.accumulate(up_pos[n - 1 : 0 : -1])[::-1]
-        prefix_down = np.logical_and.accumulate(down_pos[1:n])
-        if (suffix_up | prefix_down).all():
+        # and reaches 0 iff every down move below it is: with every interior
+        # move possible, each state reaches both.
+        if positive or (
+            np.logical_and.accumulate(up_pos[n - 1 : 0 : -1])[::-1]
+            | np.logical_and.accumulate(down_pos[1:n])
+        ).all():
             return ChainClass(
                 kind="absorbing",
                 absorbing_states=(0, n),
@@ -398,11 +408,17 @@ def _two_point(params: NetworkParams, n: int, rates) -> StationaryDistribution:
     (lo, hi) -> (up, down) at the states lo..hi-1."""
     k_star = model.critical_state(params, n)
     away = False  # a move down from below k* or up from k* onwards
+    t_up = t_down = 0.0  # up[k*-1] and down[k*], kept from the chunks that hold them
     for lo in range(0, n + 1, _CHUNK):
         up, down = rates(lo, min(lo + _CHUNK, n + 1))
         _check_rates(up, down)  # so no rate is negative, and down[0] is 0
         cut = max(k_star - lo, 0)
         away = away or down[:cut].any() or up[cut:].any()
+        if lo < k_star <= lo + up.size:
+            t_up = float(up[k_star - 1 - lo])
+        if lo <= k_star < lo + down.size:
+            t_down = float(down[k_star - lo])
+    del up, down  # so that the last chunk is not held beside psi
     if not 1 <= k_star <= n - 1:
         raise ChainStructureError(
             f"critical state k*={k_star} sits on the boundary of 0..{n}; "
@@ -412,8 +428,6 @@ def _two_point(params: NetworkParams, n: int, rates) -> StationaryDistribution:
         raise ChainStructureError(
             "rule is not noise-free: the kernel allows moves away from the critical pair"
         )
-    up, down = rates(k_star - 1, k_star + 1)
-    t_up, t_down = float(up[0]), float(down[1])
     if t_up + t_down == 0.0:
         raise ChainStructureError(
             "chain is frozen around the critical state; two-point law undefined"
@@ -434,8 +448,7 @@ def _log_profile(kernel: TransitionKernel) -> np.ndarray:
     logs.
     """
     up, down = kernel.up[:-1], kernel.down[1:]
-    tiny = np.finfo(float).tiny
-    if kernel._min_rate >= tiny:
+    if kernel._min_rate >= _TINY:
         return np.concatenate(([0.0], np.cumsum(np.log(up) - np.log(down))))
     with np.errstate(divide="ignore", invalid="ignore"):
         steps = np.log(up) - np.log(down)
@@ -444,7 +457,7 @@ def _log_profile(kernel: TransitionKernel) -> np.ndarray:
     pi_s = model.utility_secondary(kernel.params)
     for lo in range(0, n, _CHUNK):
         # Steps from state j to j + 1.
-        j = lo + np.flatnonzero((up[lo : lo + _CHUNK] < tiny) | (down[lo : lo + _CHUNK] < tiny))
+        j = lo + np.flatnonzero((up[lo : lo + _CHUNK] < _TINY) | (down[lo : lo + _CHUNK] < _TINY))
         if j.size == 0:
             continue
         lower = j.astype(float)

@@ -224,6 +224,11 @@ def social_welfare(params: NetworkParams, share_primary: float | np.ndarray) -> 
     x = share_primary
     if not (np.min(x) >= 0.0 and np.max(x) <= 1.0):
         raise ValueError(f"share must lie in [0, 1], got {x}")
+    return _welfare(params, x)
+
+
+def _welfare(params: NetworkParams, x: float | np.ndarray) -> float | np.ndarray:
+    """S(x) of :func:`social_welfare`, for splits already known to lie in [0, 1]."""
     cap, lam = params.capacity, params.arrival
     return lam * (x / (cap - lam * x) + (1.0 - x) / (cap - lam))
 
@@ -295,8 +300,9 @@ def expected_poa(params: NetworkParams, distribution) -> float:
     length n + 1).  Returns sum_k S(k/n) * psi_k / S_min, which is >= 1
     for every distribution because S >= S_min pointwise.  Rejects vectors
     that carry negative or non-finite mass or fail to sum to 1 within
-    1e-9.  S comes from array calls of :func:`social_welfare` over a few
-    thousand states each, bitwise the scalar values, and the sum is
+    1e-9.  S comes from array calls of :func:`social_welfare`'s formula over
+    a few thousand states each, bitwise the scalar values, without its range
+    check: the grid k/n lies in [0, 1] by construction.  The sum is
     :func:`_chunked_dot`'s.
     """
     psi = np.asarray(getattr(distribution, "psi", distribution), dtype=float)
@@ -310,7 +316,7 @@ def expected_poa(params: NetworkParams, distribution) -> float:
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"distribution is not normalised: entries sum to {total!r}")
     n = psi.size - 1
-    mean_welfare = _chunked_dot(psi, lambda lo, hi: social_welfare(params, np.arange(lo, hi) / n))
+    mean_welfare = _chunked_dot(psi, lambda lo, hi: _welfare(params, np.arange(lo, hi) / n))
     return mean_welfare / _minimal_welfare(params)
 
 

@@ -112,9 +112,11 @@ class Fermi(ImitationRule):
         for lo in range(0, diffs.size, _CHUNK):
             z = self.beta * diffs[lo : lo + _CHUNK]
             e = np.exp((-np.abs(z)).astype(complex)).real
-            high, low = 1.0 / (1.0 + e), e / (1.0 + e)
-            q_up[lo : lo + _CHUNK] = np.where(z >= 0.0, high, low)
-            q_down[lo : lo + _CHUNK] = np.where(z <= 0.0, high, low)
+            total = 1.0 + e
+            high, low = 1.0 / total, np.divide(e, total, out=total)
+            rises = z >= 0.0  # at z = +-0, e = 1 and high = low = 0.5: either side serves
+            q_up[lo : lo + _CHUNK] = np.where(rises, high, low)
+            q_down[lo : lo + _CHUNK] = np.where(rises, low, high)
         return q_up, q_down
 
 

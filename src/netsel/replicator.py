@@ -22,12 +22,10 @@ import numpy as np
 
 from . import model
 from .model import NetworkParams
-from .protocols import ImitationRule
 
 __all__ = [
     "IntegrationResult",
     "replicator_rhs",
-    "mean_dynamics_rhs",
     "integrate",
 ]
 
@@ -48,14 +46,6 @@ class IntegrationResult:
     converged: bool
 
     @property
-    def times(self) -> np.ndarray:
-        return self.trajectory[:, 0]
-
-    @property
-    def shares(self) -> np.ndarray:
-        return self.trajectory[:, 1]
-
-    @property
     def fixed_point(self) -> float:
         return float(self.trajectory[-1, 1])
 
@@ -73,22 +63,6 @@ def replicator_rhs(params: NetworkParams, share: float, gain: float = 1.0) -> fl
         raise ValueError(f"gain must be positive and finite, got {gain}")
     advantage = model.utility_primary_at_share(params, share) - model.utility_secondary(params)
     return gain * share * (1.0 - share) * advantage
-
-
-def mean_dynamics_rhs(rule: ImitationRule, params: NetworkParams, share: float) -> float:
-    """Expected drift of the imitation process at one share value.
-
-    share * (1 - share) * (q(diff) - q(-diff)) with diff the primary
-    payoff advantage: the rate of secondary users copying primaries minus
-    the reverse.  For the proportional rule with scale s this equals
-    replicator_rhs with gain = s identically; other rules bend the speed
-    but keep the same sign structure and rest points.
-    """
-    if not 0.0 <= share <= 1.0:
-        raise ValueError(f"share must lie in [0, 1], got {share}")
-    diff = model.utility_primary_at_share(params, share) - model.utility_secondary(params)
-    q_up, q_down = rule.pair(np.array([diff]))
-    return share * (1.0 - share) * float(q_up[0] - q_down[0])
 
 
 def integrate(

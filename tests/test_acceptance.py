@@ -34,8 +34,9 @@ from netsel.model import (
 )
 from netsel.montecarlo import SimulationSpec, absorption_frequency, run
 from netsel.protocols import fermi_from_ratio
-from netsel.replicator import integrate, mean_dynamics_rhs, replicator_rhs
+from netsel.replicator import integrate, replicator_rhs
 from netsel.protocols import PairwiseProportional
+from test_replicator import imitation_flow
 
 
 def _report(criterion: int, description: str, checks: list[tuple[str, bool]]) -> None:
@@ -226,7 +227,7 @@ def test_criterion_08_replicator_consistency():
     rule = PairwiseProportional(scale=1.0)
     grid = np.linspace(0.0, 1.0, 1001)
     field_gap = max(
-        abs(mean_dynamics_rhs(rule, params, float(x)) - replicator_rhs(params, float(x)))
+        abs(imitation_flow(rule, params, float(x)) - replicator_rhs(params, float(x)))
         for x in grid
     )
     checks = [

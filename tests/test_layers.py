@@ -33,6 +33,19 @@ def test_a_group_prints_its_rows_from_a_fresh_interpreter():
     assert type(row["samples"]) is int and row["samples"] > 1
 
 
+def test_the_sweep_point_group_prints_rows_with_the_standard_keys():
+    argv = [sys.executable, str(LAYERS), "--group", "sweep_point"]
+    rows = json.loads(subprocess.run(argv, capture_output=True, text=True, check=True).stdout)
+    assert set(rows) == {"anchored", "unanchored"}
+    for by_n in rows.values():
+        assert list(by_n) == ["10", "100", "1000"]
+        for row in by_n.values():
+            assert set(row) == {"ms", "scaled_ms", "comparable", "calls"}
+            assert row["ms"] > 0 and row["scaled_ms"] > 0
+            assert type(row["comparable"]) is bool
+            assert type(row["calls"]) is int and row["calls"] >= 1
+
+
 def test_an_unknown_group_is_a_usage_error():
     argv = [sys.executable, str(LAYERS), "--group", "nonesuch"]
     done = subprocess.run(argv, capture_output=True, text=True)

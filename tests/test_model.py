@@ -511,13 +511,13 @@ def test_expected_poa_keeps_its_bits_when_it_skips_chunks_without_mass(arrival, 
 def test_the_two_point_law_at_large_n_sums_one_chunk(monkeypatch):
     params, n = calibrated_params(), 100_000
     law = stationary_noise_free(params, PopulationConfig(n, 1, 1))
-    welfare, shares = model.social_welfare, []
+    welfare, shares = model._welfare, []
 
     def spy(params, share):
         shares.append(share)
         return welfare(params, share)
 
-    monkeypatch.setattr(model, "social_welfare", spy)
+    monkeypatch.setattr(model, "_welfare", spy)
     poa = expected_poa(params, law)
     assert [(round(s[0] * n), s.size) for s in shares] == [(16 * CHUNK, CHUNK)]  # k* = 68,000
     monkeypatch.undo()

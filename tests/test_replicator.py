@@ -10,9 +10,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from netsel.model import NetworkParams, calibrate_price_gap, equilibrium
+from netsel.model import (
+    NetworkParams,
+    calibrate_price_gap,
+    equilibrium,
+    utility_primary_at_share,
+    utility_secondary,
+)
 from netsel.protocols import Fermi, PairwiseProportional
-from netsel.replicator import integrate, mean_dynamics_rhs, replicator_rhs
+from netsel.replicator import integrate, replicator_rhs
 
 # The closed form takes no step that could overflow or divide by zero.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -21,6 +27,18 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 def calibrated_params(target=0.68):
     gap = calibrate_price_gap(100.0, 30.0, 1.0, target)
     return NetworkParams(100.0, 30.0, 1.0, gap, 0.0)
+
+
+def imitation_flow(rule, params, share):
+    """Expected drift of the imitation process at one share value.
+
+    share * (1 - share) * (q(diff) - q(-diff)) with diff the primary payoff
+    advantage, from the rule's ``pair``: the rate of secondary users copying
+    primaries minus the reverse.
+    """
+    diff = utility_primary_at_share(params, share) - utility_secondary(params)
+    q_up, q_down = rule.pair(np.array([diff]))
+    return share * (1.0 - share) * float(q_up[0] - q_down[0])
 
 
 # -- vector fields -------------------------------------------------------------
@@ -58,7 +76,7 @@ def test_rhs_domain_errors():
         replicator_rhs(p, 0.5, gain=0.0)
     for share in (-0.01, 1.01):
         with pytest.raises(ValueError, match=r"share must lie in \[0, 1\]"):
-            mean_dynamics_rhs(Fermi(beta=1.0), p, share)
+            replicator_rhs(p, share)
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.5])
@@ -69,7 +87,7 @@ def test_proportional_mean_dynamics_is_the_replicator_field(scale):
     rule = PairwiseProportional(scale=scale)
     grid = np.linspace(0.0, 1.0, 1001)
     worst = max(
-        abs(mean_dynamics_rhs(rule, p, float(x)) - replicator_rhs(p, float(x), gain=scale))
+        abs(imitation_flow(rule, p, float(x)) - replicator_rhs(p, float(x), gain=scale))
         for x in grid
     )
     assert worst < 1e-12
@@ -78,11 +96,11 @@ def test_proportional_mean_dynamics_is_the_replicator_field(scale):
 def test_fermi_mean_dynamics_shares_rest_points():
     p = calibrated_params()
     rule = Fermi(beta=500.0)
-    assert mean_dynamics_rhs(rule, p, 0.0) == 0.0
-    assert mean_dynamics_rhs(rule, p, 1.0) == 0.0
-    assert abs(mean_dynamics_rhs(rule, p, 0.68)) < 1e-9
-    assert mean_dynamics_rhs(rule, p, 0.3) > 0.0
-    assert mean_dynamics_rhs(rule, p, 0.9) < 0.0
+    assert imitation_flow(rule, p, 0.0) == 0.0
+    assert imitation_flow(rule, p, 1.0) == 0.0
+    assert abs(imitation_flow(rule, p, 0.68)) < 1e-9
+    assert imitation_flow(rule, p, 0.3) > 0.0
+    assert imitation_flow(rule, p, 0.9) < 0.0
 
 
 # -- integration ----------------------------------------------------------------
@@ -107,23 +125,23 @@ def test_integration_from_the_rest_point_stays_put():
 
 def test_trajectory_is_monotone_toward_equilibrium():
     p = calibrated_params()
-    up = integrate(p, 0.2, rtol=1e-9).shares
+    up = integrate(p, 0.2, rtol=1e-9).trajectory[:, 1]
     assert (np.diff(up) >= -1e-12).all()
-    down = integrate(p, 0.95, rtol=1e-9).shares
+    down = integrate(p, 0.95, rtol=1e-9).trajectory[:, 1]
     assert (np.diff(down) <= 1e-12).all()
 
 
 def test_distance_to_equilibrium_never_grows():
     p = calibrated_params()
     result = integrate(p, 0.05, rtol=1e-9)
-    gaps = np.abs(result.shares - 0.68)
+    gaps = np.abs(result.trajectory[:, 1] - 0.68)
     assert (np.diff(gaps) <= 1e-12).all()
 
 
 def test_trajectory_stays_in_the_simplex():
     p = calibrated_params()
     for start in (0.02, 0.98):
-        shares = integrate(p, start, rtol=1e-9).shares
+        shares = integrate(p, start, rtol=1e-9).trajectory[:, 1]
         assert shares.min() >= 0.0 and shares.max() <= 1.0
 
 
@@ -131,7 +149,7 @@ def test_short_horizon_reports_non_convergence():
     p = calibrated_params()
     result = integrate(p, 0.1, horizon=1e-3, rtol=1e-10)
     assert not result.converged
-    assert result.times[-1] == pytest.approx(1e-3)
+    assert result.trajectory[-1, 0] == pytest.approx(1e-3)
 
 
 def test_short_horizon_matches_the_field():
@@ -149,7 +167,7 @@ def test_gain_speeds_time_but_not_the_destination():
     slow = integrate(p, 0.2, rtol=1e-10, gain=1.0)
     fast = integrate(p, 0.2, rtol=1e-10, gain=10.0)
     assert abs(slow.fixed_point - fast.fixed_point) < 1e-6
-    assert fast.times[-1] < slow.times[-1]
+    assert fast.trajectory[-1, 0] < slow.trajectory[-1, 0]
 
 
 def test_integration_rejects_boundary_starts():
@@ -256,9 +274,10 @@ def test_a_horizon_inside_the_first_float_step_keeps_the_trajectory_ordered(hori
 def test_times_and_shares_views_align():
     p = calibrated_params()
     result = integrate(p, 0.4, rtol=1e-9)
-    assert len(result.times) == len(result.shares) == len(result.trajectory)
-    assert result.times[0] == 0.0
-    assert result.shares[0] == pytest.approx(0.4)
+    times, shares = result.trajectory[:, 0], result.trajectory[:, 1]
+    assert result.trajectory.shape == (len(times), 2) and len(times) == len(shares) > 1
+    assert times[0] == 0.0
+    assert shares[0] == pytest.approx(0.4)
 
 
 # -- oracles: scipy's solve_ivp and mpmath ---------------------------------------
@@ -325,10 +344,11 @@ def test_integrate_follows_solve_ivp(
     if len(got.trajectory) == 1:
         assert got.converged and abs(replicator_rhs(params, start, gain)) <= rtol * gain * 1.001
         return
-    shares, settled, end = solve_ivp_shares(params, start, got.times, rtol, gain, horizon)
+    times, got_shares = got.trajectory[:, 0], got.trajectory[:, 1]
+    shares, settled, end = solve_ivp_shares(params, start, times, rtol, gain, horizon)
     assert settled == got.converged
-    assert end == pytest.approx(got.times[-1], rel=1e-4)
-    assert np.abs(shares - got.shares).max() <= 1e-9
+    assert end == pytest.approx(times[-1], rel=1e-4)
+    assert np.abs(shares - got_shares).max() <= 1e-9
 
 
 def exact_flow(params, gain):
@@ -382,7 +402,7 @@ def check_against_mpmath(params, start, rtol, gain, horizon):
     is not ends on the last float reached by the horizon.  Both ends are
     checked on the exact field and times, to rounding."""
     result = integrate(params, start, horizon=horizon, rtol=rtol, gain=gain)
-    times, shares = result.times, result.shares
+    times, shares = result.trajectory[:, 0], result.trajectory[:, 1]
     last = len(shares) - 1
     with mp.workdps(50):
         field, star = exact_flow(params, gain)
