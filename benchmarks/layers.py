@@ -22,7 +22,11 @@ and ``baseline`` pairs every rescaled time of every group, each key that
 ends in ``scaled_ms``: the low median of each revision, the median of
 the rounds' ratios this / baseline, and their range [min, max].  A pair
 whose range is wider than SPREAD_BOUND, perfbench's bound, says
-``"comparable": false``: it cannot show a change of that size.
+``"comparable": false``: it cannot show a change of that size.  Each
+revision runs from a copy of its source tree in a temporary directory,
+the two at paths of equal length, which ``sources`` records: perfbench
+read the same code up to 5% apart from trees at paths of different
+lengths.
 
 Each layer is timed in REPEATS spans after one warm-up call.  ``ms`` is
 the median wall time of a call, and ``scaled_ms`` the median of the same
@@ -90,11 +94,13 @@ kept per revision.  ``src_lines`` is the ``wc -l`` of each
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import platform
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -615,15 +621,31 @@ def run_group(group: str, src: Path) -> dict:
     return json.loads(out)
 
 
-def rounds(baseline: Path | None) -> dict[str, list[dict]]:
+@contextlib.contextmanager
+def equal_paths(baseline: Path | None):
+    """This revision's source tree, and the ``baseline`` checkout's, by name,
+    each copied into a temporary directory of its own; the directories are
+    siblings whose names have the same length, and are removed after."""
+    trees = {"this": SRC} if baseline is None else {"this": SRC, "baseline": baseline / "src"}
+    copies = {}
+    try:
+        for name, tree in trees.items():
+            copies[name] = Path(tempfile.mkdtemp(prefix="netsel-layers-")) / "src"
+            shutil.copytree(tree, copies[name], ignore=shutil.ignore_patterns("__pycache__"))
+        yield copies
+    finally:
+        for copy in copies.values():
+            shutil.rmtree(copy.parent, ignore_errors=True)
+
+
+def rounds(sources: dict[str, Path]) -> dict[str, list[dict]]:
     """Each revision's rounds, each a dict of every group's rows.
 
-    With a ``baseline`` checkout, ROUNDS rounds run every group for both
-    revisions back to back, alternating from round to round which goes
-    first; without one, a single round runs this revision alone.
+    With a baseline among the ``sources``, ROUNDS rounds run every group
+    for both revisions back to back, alternating from round to round which
+    goes first; without one, a single round runs this revision alone.
     """
-    sources = {"this": SRC} if baseline is None else {"this": SRC, "baseline": baseline / "src"}
-    count = 1 if baseline is None else ROUNDS
+    count = 1 if len(sources) == 1 else ROUNDS
     runs: dict[str, list[dict]] = {name: [{} for _ in range(count)] for name in sources}
     for r in range(count):
         for group in GROUPS:
@@ -700,7 +722,8 @@ def main(argv: list[str]) -> None:
         )
     out = ROOT / f"BENCH_{argv[0]}.json"
     baseline = Path(argv[2]).resolve() if len(argv) == 3 else None
-    runs = rounds(baseline)
+    with equal_paths(baseline) as sources:
+        runs = rounds(sources)
     medians = {name: median_rows(rounds_of) for name, rounds_of in runs.items()}
     rows = medians["this"]
     try:
@@ -785,6 +808,7 @@ def main(argv: list[str]) -> None:
             **{name: rows_of[THREADED] for name, rows_of in medians.items()},
         },
         "src_lines": src_lines(),
+        "sources": {name: str(path) for name, path in sources.items()},
     }
     if baseline is not None:
         record["baseline"] = {

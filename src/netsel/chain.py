@@ -102,11 +102,10 @@ class TransitionKernel:
 
     ``up`` and ``down`` are read-only vectors indexed by the state
     k = 0..n, with the structural zeros up[n] = down[0] = 0.  The kernel
-    holds only them, and derives the read-only ``move = up + down`` and
-    ``stay = 1 - up - down`` (refused if negative) on first use.
-    ``params``, ``population`` and ``rule`` record what the kernel was
-    built from and stay None for hand-made kernels.  Kernels compare by
-    identity.
+    holds them and their interior minima, which its validation measures and
+    its classification reads, and derives the read-only ``move = up + down``
+    on first use.  ``params``, ``population`` and ``rule`` record what it was
+    built from and stay None for hand-made kernels.  Kernels compare by identity.
     """
 
     up: np.ndarray
@@ -119,19 +118,16 @@ class TransitionKernel:
         up, down = _frozen(self.up), _frozen(self.down)
         if up.shape != down.shape or up.ndim != 1 or up.size < 3:
             raise ValueError("up/down must be equal-length vectors over k = 0..n with n >= 2")
-        _check_rates(up, down)
-        if up[-1] != 0.0 or down[0] != 0.0:
+        low = up[:-1].min(), down[1:].min()  # the interior minima, which _classify reads
+        if not (min(low) >= 0.0 and up[-1] == 0.0 == down[0] and _rows_fit(up, down)):
+            _check_rates(up, down)  # raises unless the rates are valid (a NaN fails _rows_fit)
             raise ValueError("structural zeros violated: need up[n] == 0 and down[0] == 0")
-        for name, arr in (("up", up), ("down", down)):
-            object.__setattr__(self, name, _readonly(arr))
+        for name, value in (("up", _readonly(up)), ("down", _readonly(down)), ("_low", low)):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def move(self) -> np.ndarray:
         return _readonly(self.up + self.down)
-
-    @cached_property
-    def stay(self) -> np.ndarray:
-        return _readonly(1.0 - self.up - self.down)
 
     @property
     def n(self) -> int:
@@ -152,6 +148,8 @@ class TransitionKernel:
         population, rule = self.population, self.rule
         if self.params is None or population is None or rule is None or rule.log_pair is None:
             return math.inf
+        if population.anchored_primary and population.anchored_secondary:
+            return float(min(self._low))  # its slices are the interior ones
         up = self.up[0 if population.anchored_primary else 1 : self.n]
         down = self.down[1 : self.n + 1 if population.anchored_secondary else self.n]
         return float(min(up.min(), down.min()))
@@ -162,14 +160,23 @@ class TransitionKernel:
         return _readonly(_absorption_solve(self))
 
 
-def _check_rates(up: np.ndarray, down: np.ndarray) -> None:
-    """ValueError unless up and down are probabilities whose sum stays within 1."""
-    for name, arr in (("up", up), ("down", down)):
+def _check_rates(up: np.ndarray, down: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """up and down, after a ValueError unless they are probabilities whose sum stays within 1."""
+    if up.min() >= 0.0 and down.min() >= 0.0 and _rows_fit(up, down):  # three reductions
+        return up, down
+    for name, arr in (("up", up), ("down", down)):  # only invalid rates get this diagnosis
         if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # false on a NaN too
             raise ValueError(f"{name} entries must be probabilities in [0, 1]")
+    raise ValueError("rows must sum to 1: up + down exceeds 1 at some state")
+
+
+def _rows_fit(up: np.ndarray, down: np.ndarray) -> bool:
+    """Whether 1 - up - down >= 0 at every state, tested as 1 - up >= down: a float
+    difference has the sign of the exact one, and a comparison cannot overflow."""
     for lo in range(0, up.size, _CHUNK):
-        if (1.0 - up[lo : lo + _CHUNK] - down[lo : lo + _CHUNK]).min() < 0.0:
-            raise ValueError("rows must sum to 1: up + down exceeds 1 at some state")
+        if not (1.0 - up[lo : lo + _CHUNK] >= down[lo : lo + _CHUNK]).all():
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -204,6 +211,11 @@ class StationaryDistribution:
         psi = _frozen(self.psi)
         if psi.ndim != 1 or psi.size < 2:
             raise ValueError("psi must be a vector over at least two states")
+        # A law with no NaN or negative entry and a finite sum within 1e-9 of 1 is
+        # accepted; the checks below sum only finite entries, so no sum here warns.
+        with np.errstate(over="ignore"):
+            if psi.min() >= 0.0 and abs(float(psi.sum()) - 1.0) <= 1e-9:
+                return object.__setattr__(self, "psi", _readonly(psi))
         if not np.isfinite(psi).all():
             raise ValueError("psi entries must be finite")
         if psi.min() < 0.0:
@@ -304,6 +316,9 @@ def _gain(params: NetworkParams, pi_s: float, shares: np.ndarray) -> np.ndarray:
     return gain
 
 
+_IRREDUCIBLE = ChainClass(kind="irreducible", detail="all interior moves possible")
+
+
 def classify(kernel: TransitionKernel) -> ChainClass:
     """The structural class of a kernel, computed once per kernel by :func:`_classify`."""
     return kernel._structure
@@ -321,11 +336,11 @@ def _classify(kernel: TransitionKernel) -> ChainClass:
     or, in a kernel with a finite ``_min_rate``, where its
     counting weight is: a zero rate there is q underflowing.
     """
+    # Rates are never NaN, so positive interior minima mean every move is possible.
+    if kernel._low[0] > 0.0 and kernel._low[1] > 0.0:
+        return _IRREDUCIBLE
     up, down = kernel.up, kernel.down
     n = kernel.n
-    # Rates are never NaN, so a positive minimum means every move is possible.
-    if up[:n].min() > 0.0 and down[1:].min() > 0.0:
-        return ChainClass(kind="irreducible", detail="all interior moves possible")
     up_pos, down_pos = up > 0.0, down > 0.0
     positive = kernel._min_rate < math.inf
     if positive:  # every interior weight is positive, and a boundary one only with an anchor
@@ -400,18 +415,18 @@ def stationary_noise_free(
     rates are checked _CHUNK states at a time and only two are kept.
     """
     rates = _rates(params, population, PairwiseProportional() if rule is None else rule)
-    return _two_point(params, population.n, rates)
+    # Checked as a kernel's rates are: so no rate is negative, and down[0] is 0.
+    return _two_point(params, population.n, lambda lo, hi: _check_rates(*rates(lo, hi)))
 
 
 def _two_point(params: NetworkParams, n: int, rates) -> StationaryDistribution:
-    """The two-point law of :func:`stationary_noise_free` from its rates
+    """The two-point law of :func:`stationary_noise_free` from valid rates
     (lo, hi) -> (up, down) at the states lo..hi-1."""
     k_star = model.critical_state(params, n)
     away = False  # a move down from below k* or up from k* onwards
     t_up = t_down = 0.0  # up[k*-1] and down[k*], kept from the chunks that hold them
     for lo in range(0, n + 1, _CHUNK):
         up, down = rates(lo, min(lo + _CHUNK, n + 1))
-        _check_rates(up, down)  # so no rate is negative, and down[0] is 0
         cut = max(k_star - lo, 0)
         away = away or down[:cut].any() or up[cut:].any()
         if lo < k_star <= lo + up.size:

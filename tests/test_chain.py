@@ -95,7 +95,8 @@ def reconstruct_detailed_balance(kernel):
 
 def dense_matrix(kernel):
     """The (n+1) x (n+1) transition matrix of a kernel, from its vectors."""
-    return np.diag(kernel.stay) + np.diag(kernel.up[:-1], 1) + np.diag(kernel.down[1:], -1)
+    stay = 1.0 - kernel.up - kernel.down
+    return np.diag(stay) + np.diag(kernel.up[:-1], 1) + np.diag(kernel.down[1:], -1)
 
 
 def payoff_step(params, k, n):
@@ -127,8 +128,9 @@ def test_population_validation(kwargs):
 def test_boundary_states_trap_without_anchors():
     params = calibrated_params()
     kernel = build_kernel(params, PopulationConfig(n=10), Fermi(beta=400.0))
-    assert kernel.up[0] == 0.0 and kernel.down[0] == 0.0 and kernel.stay[0] == 1.0
-    assert kernel.up[10] == 0.0 and kernel.down[10] == 0.0 and kernel.stay[10] == 1.0
+    stay = 1.0 - kernel.up - kernel.down
+    assert kernel.up[0] == 0.0 and kernel.down[0] == 0.0 and stay[0] == 1.0
+    assert kernel.up[10] == 0.0 and kernel.down[10] == 0.0 and stay[10] == 1.0
 
 
 def test_hand_computed_entries_no_anchors():
@@ -175,10 +177,11 @@ def test_rows_are_stochastic():
             else PairwiseProportional(scale=float(rng.uniform(0.5, 100.0)))
         )
         kernel = build_kernel(params, population, rule)
-        total = kernel.up + kernel.down + kernel.stay
+        stay = 1.0 - kernel.up - kernel.down
+        total = kernel.up + kernel.down + stay
         assert np.abs(total - 1.0).max() < 1e-12
         assert kernel.up.min() >= 0.0 and kernel.down.min() >= 0.0
-        assert kernel.stay.min() >= 0.0
+        assert stay.min() >= 0.0
 
 
 def test_kernel_records_provenance():
@@ -224,7 +227,7 @@ def test_kernel_validation_rejects_broken_rows():
     st.floats(0.0, 1e4),
     st.integers(0, 2**32 - 1),
 )
-def test_kernel_derives_stay_and_move_once(n, a_p, a_s, beta, seed):
+def test_kernel_derives_move_once(n, a_p, a_s, beta, seed):
     built = build_kernel(calibrated_params(), PopulationConfig(n, a_p, a_s), Fermi(beta=beta))
     rng = np.random.default_rng(seed)
     up, down = rng.uniform(0.0, 0.5, n + 1), rng.uniform(0.0, 0.5, n + 1)
@@ -232,9 +235,9 @@ def test_kernel_derives_stay_and_move_once(n, a_p, a_s, beta, seed):
     hand = TransitionKernel(up=up, down=down)
     halved = dataclasses.replace(hand, down=hand.down / 2)
     for kernel in (built, hand, halved, dataclasses.replace(built, params=None)):
-        assert kernel.stay.tobytes() == (1.0 - kernel.up - kernel.down).tobytes()
+        assert (1.0 - kernel.up - kernel.down).min() >= 0.0  # each row's stay
         assert kernel.move.tobytes() == (kernel.up + kernel.down).tobytes()
-        assert not kernel.stay.flags.writeable and not kernel.move.flags.writeable
+        assert kernel.move is kernel.move and not kernel.move.flags.writeable
     assert halved.move.tobytes() == (up + down / 2).tobytes()
 
 
@@ -690,7 +693,7 @@ def power_reference(kernel):
     """Stationary law by power iteration of the tridiagonal operator from
     the uniform vector, until the sup change drops below 1e-13."""
     psi = np.full(kernel.n + 1, 1.0 / (kernel.n + 1))
-    up, down, stay = kernel.up, kernel.down, kernel.stay
+    up, down, stay = kernel.up, kernel.down, 1.0 - kernel.up - kernel.down
     for _ in range(200_000):
         nxt = psi * stay
         nxt[1:] += psi[:-1] * up[:-1]
@@ -1305,7 +1308,7 @@ def test_array_kernel_and_poa_match_the_loops(game):
     up, down, stay, _ = loop_kernel(params, population, rule)
     assert np.array_equal(kernel.up, up)
     assert np.array_equal(kernel.down, down)
-    assert np.array_equal(kernel.stay, stay)
+    assert np.array_equal(1.0 - kernel.up - kernel.down, stay)
     weights = np.random.default_rng(game["seed"]).random(population.n + 1)
     for psi in (weights / weights.sum(), np.full(population.n + 1, 1.0 / (population.n + 1))):
         assert expected_poa(params, psi) == loop_expected_poa(params, psi)
@@ -1320,7 +1323,8 @@ def test_array_kernel_snaps_lattice_ties_like_the_loop(n, k_star):
         kernel = build_kernel(params, population, rule)
         up, down, stay, snapped = loop_kernel(params, population, rule)
         assert snapped == [k_star]
-        assert (kernel.up.tobytes(), kernel.down.tobytes(), kernel.stay.tobytes()) == (
+        stays = 1.0 - kernel.up - kernel.down
+        assert (kernel.up.tobytes(), kernel.down.tobytes(), stays.tobytes()) == (
             up.tobytes(), down.tobytes(), stay.tobytes()
         )  # fmt: skip
 

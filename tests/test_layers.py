@@ -78,3 +78,27 @@ def test_rounds_pair_on_every_rescaled_time(layers):
     assert medians["g"]["a"] == {"ms": 0.9, "scaled_ms": 1.0, "comparable": False, "calls": 3}
     assert type(medians["g"]["a"]["calls"]) is int
     assert type(medians["g"]["a"]["comparable"]) is bool
+
+
+def test_both_revisions_run_from_copies_at_paths_of_equal_length(layers, monkeypatch, tmp_path):
+    package = tmp_path / "src" / "netsel"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("", encoding="utf-8")
+    seen = []
+
+    def spy(group, src):
+        assert (src / "netsel" / "__init__.py").is_file()
+        seen.append(str(src))
+        return {}
+
+    monkeypatch.setattr(layers, "run_group", spy)
+    with layers.equal_paths(tmp_path) as sources:
+        runs = layers.rounds(sources)
+    assert len(runs["this"]) == len(runs["baseline"]) == layers.ROUNDS
+    assert set(seen) == {str(sources["this"]), str(sources["baseline"])}
+    assert len(seen) == 2 * layers.ROUNDS * len(layers.GROUPS)
+    # Neither side runs from its own tree, the two paths have the same
+    # length, and the copies are gone afterwards.
+    assert str(layers.SRC) not in seen and str(tmp_path / "src") not in seen
+    assert len({len(path) for path in seen}) == 1
+    assert not any(Path(path).exists() for path in seen)
