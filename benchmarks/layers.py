@@ -66,8 +66,9 @@ replicas of the unanchored chain at n = 20; that row also counts, in an
 untimed replay of its stream, its events and replica-events and the share
 of each that its one-by-one tail steps.  The window rows count, in an
 untimed run of each one-replica walk and of one of 2*10^6 events at
-n = 10^4, the share of draws ``montecarlo._window`` resolves one by one,
-how often a block leaves a window, how many states a window spans and how
+n = 10^4, the share of all draws ``montecarlo._window`` resolves one by
+one, the share the walk skips because they stay at every state, how
+often a block leaves a window, how many states a window spans and how
 many a block's path spans, and time each walk with ``montecarlo._SPREAD``
 at each of SPREADS.  The engine rows time both engines of ``run`` at 32
 to 2,000 replicas of 2*10^4 events, forcing each by setting
@@ -355,24 +356,26 @@ def window_rows() -> dict[str, dict[str, float]]:
     for n, events in ((100, WALK_EVENTS), (LONG_WALK_N, LONG_WALK_EVENTS), (10**4, LONG_WALK_EVENTS)):
         kernel = fermi_kernel(params, n)
         spec = montecarlo.SimulationSpec(seed=1, steps=events, burn_in=0, initial_state=n // 2)
-        tally = {"draws": 0, "odd": 0, "windows": 0, "width": 0, "blocks": 0, "range": 0}
+        tally = {"walked": 0, "odd": 0, "windows": 0, "width": 0, "blocks": 0, "range": 0}
 
         def window(up, move, k0, lo, hi, u):
             states = real_window(up, move, k0, lo, hi, u)
             # _window's bounds: the draws they leave undecided are odd.
             a, b, u = up[lo : hi + 1], move[lo : hi + 1], u[: states.size]
             settled = (u < a.min()) | ((u >= a.max()) & (u < b.min())) | (u >= b.max())
-            tally["draws"] += u.size
             tally["odd"] += int(u.size - settled.sum())
             tally["windows"] += 1
             tally["width"] += hi - lo + 1
             return states
 
         def walk(*args):
-            for t, k, states in real_walk(*args):
+            for block in real_walk(*args):
+                # Blocks of (t, k, states), without offsets, walk every draw.
+                states, walked = block[2], block[3].size - 2 if len(block) == 4 else block[2].size
                 tally["blocks"] += 1
                 tally["range"] += int(states.max() - states.min()) + 1
-                yield t, k, states
+                tally["walked"] += walked
+                yield block
 
         montecarlo._window, montecarlo._walk = window, walk
         try:
@@ -381,7 +384,8 @@ def window_rows() -> dict[str, dict[str, float]]:
             montecarlo._window, montecarlo._walk = real_window, real_walk
         row = {
             "events": events,
-            "resolved_share": round(tally["odd"] / tally["draws"], 4),
+            "resolved_share": round(tally["odd"] / events, 4),
+            "skipped_share": round(1 - tally["walked"] / events, 4),
             "exits_per_block": round(tally["windows"] / tally["blocks"] - 1, 3),
             "mean_window": round(tally["width"] / tally["windows"], 1),
             "mean_range": round(tally["range"] / tally["blocks"], 1),
@@ -772,10 +776,13 @@ def main(argv: list[str]) -> None:
         "window": {
             "what": "one-replica walks from n // 2, burn-in 0, by population size",
             "rows": rows["window"],
-            "resolved_share": "draws resolved one by one / draws",
+            "resolved_share": "draws resolved one by one / all draws",
+            "skipped_share": "draws at or past max(move), which stay at every state and "
+            "so are not walked / all draws",
             "exits_per_block": "_window calls / blocks - 1: the times a block left a window",
             "mean_window": "states per window, hi - lo + 1, over _window calls",
-            "mean_range": "states a block's path spans, max - min + 1, over blocks",
+            "mean_range": "states a block's path spans from the state before it, "
+            "max - min + 1, over blocks",
             "spread_*_scaled_ms": "scaled_ms of the same walk with montecarlo._SPREAD at that value",
         },
         "engines": {
@@ -841,6 +848,7 @@ def main(argv: list[str]) -> None:
           f"{ode['samples']:>8d} samples")
     for n, row in rows["window"].items():
         print(f"window at n = {n:>5s}{row['resolved_share']:>10.4f} resolved"
+              f"{row['skipped_share']:>8.4f} skipped"
               f"{row['exits_per_block']:>8.3f} exits/block{row['mean_window']:>8.1f} wide"
               f"{row['mean_range']:>8.1f} range")
         print(" " * 19 + "  ".join(

@@ -8,13 +8,14 @@ never disturbs existing ones, and any (spec, kernel) pair replays bit
 for bit.  Each imitation event consumes exactly one uniform draw.
 
 ``run`` has two engines that keep this contract to the bit.  Fewer than
-_LOCKSTEP replicas walk one after another, each in blocks of draws: one
-vector pass settles the draws that every state in a window around the
-walk's state would take alike, the rest are resolved one by one, and
-where the walk leaves its window it goes on in a window around its new
-state.  More replicas advance in lockstep: every event is one vector
-step over all of them, and column r of the block of draws comes from
-replica r's own stream.  Which engine ran cannot be seen in the output.
+_LOCKSTEP replicas walk one after another, each in blocks of draws: the
+draws at or past max(move) stay at every state, one vector pass settles
+those of the others that every state in a window around the walk's state
+would take alike, the rest are resolved one by one, and where the walk
+leaves its window it goes on in a window around its new state.  More
+replicas advance in lockstep: every event is one vector step over all of
+them, and column r of the block of draws comes from replica r's own
+stream.  Which engine ran cannot be seen in the output.
 
 ``absorption_frequency`` keeps its own contract: one stream
 ``Philox(key=seed)`` shared by all replicas, one draw per still-active
@@ -46,14 +47,14 @@ __all__ = [
 # block by the square root of their lengths), or _MIN_REACH, to each side.
 # Wider ones leave more draws odd, narrower ones are left more often.  At
 # n = 1,000, blocks of 2,048 and 65,536 took 1.3x and 1.4x the time of
-# 8,192; a _SPREAD of 1 took the least time at n = 100 and within 6% of
-# the least at 1,000 and 10^4 (benchmarks/layers.py, the window rows).
+# 8,192; a _SPREAD of 1 took the least time at n = 100 and within 10% and
+# 5% of the least at 1,000 and 10^4 (benchmarks/layers.py, the window rows).
 _BLOCK = 8192
 _SPREAD, _MIN_REACH = 1.0, 8
 
 # Runs of at least this many replicas take the lockstep engine.  At n = 100
-# it took 2.3x the time of the walk with 32 replicas, 1.14x with 64, 0.93x
-# with 80 (unpaired 1.04x), 0.82x with 96 and 0.25x with 2,000 (layers.py).
+# it took 1.88x the time of the walk with 32 replicas, 0.89x with 64, 0.87x
+# with 80, 0.74x with 96 and 0.20x with 2,000 (layers.py, the engine rows).
 _LOCKSTEP = 96
 
 # Lockstep replicas advance in near-equal groups of at most this many,
@@ -206,31 +207,34 @@ def _walk(
     steps: int,
     burn: int,
     gen: np.random.Generator,
-    keep_burn_in: bool,
-) -> Iterator[tuple[int, int, np.ndarray | None]]:
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """Walk one replica in blocks of at most _BLOCK events, one draw each.
 
-    Yields (t, k, states) per block: t is the block's first event, k the
-    state after its last, and states the int64 state after each of its
-    events, as an (events, 1) column.  No block straddles ``burn``;
-    burn-in blocks yield states None unless ``keep_burn_in`` asks for
-    them.  A block is walked in :func:`_window` steps, each in a window
-    around the state the one before ended on, of the same width at the
-    ends of the chain; sqrt(_BLOCK) is the range before the first block.
+    Yields (t, k, states, at) per block in run-length form: t is its first
+    event, k the state after its last, and states[j] the int64 state after
+    its events at offsets at[j] to at[j + 1] - 1, where states[0] is the
+    state before it, at[0] = 0 and at[-1] its length; the others are the
+    walked events' states and offsets.  Only draws below max(move) are
+    walked, as the others stay at every state.  No block straddles
+    ``burn``.  The walked draws go through :func:`_window` steps, each in
+    a window around the state the one before ended on, of the same width
+    at the ends of the chain; sqrt(_BLOCK) is the range before the first block.
     """
-    n, span = up.size - 1, int(_BLOCK**0.5)
+    n, span, top = up.size - 1, int(_BLOCK**0.5), move.max()
     t = 0
     while t < steps:
         end = min(t + _BLOCK, burn if t < burn else steps)
         u = gen.random(end - t)
-        reach, pieces, i = max(_MIN_REACH, int(_SPREAD * span)), [], 0
+        at = np.flatnonzero(u < top)
+        u = u[at]
+        reach, pieces, i = max(_MIN_REACH, int(_SPREAD * span)), [np.array([k], np.int64)], 0
         while i < u.size:
             lo = max(0, min(k - reach, n - 2 * reach))
             pieces.append(_window(up, move, k, lo, min(lo + 2 * reach, n), u[i:]))
             i, k = i + pieces[-1].size, int(pieces[-1][-1])
-        states = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-        span = int(states.max() - states.min()) * (_BLOCK / u.size) ** 0.5
-        yield t, k, states.reshape(-1, 1) if t >= burn or keep_burn_in else None
+        states = np.concatenate(pieces)
+        span = int(states.max() - states.min()) * (_BLOCK / (end - t)) ** 0.5
+        yield t, k, states, np.concatenate(([0], at, [end - t]))
         t = end
 
 
@@ -289,9 +293,9 @@ def _lockstep(
 
     Column r of the block of draws comes from ``gens[r]``, one call per
     block into a row of the scratch, so replica r consumes its stream
-    exactly as :func:`_walk` would.  Yields blocks as :func:`_walk` does,
-    with k the int64 state vector and states an (events, replicas) array;
-    both are reused by the next block.
+    exactly as :func:`_walk` would.  Yields (t, k, states) per block, split
+    as in :func:`_walk`: k the int64 states after it and states (events,
+    replicas), None in burn-in unless ``keep_burn_in``; the next reuses both.
     """
     width = len(gens)
     m = min(steps, max(1, _CELLS // width))
@@ -356,13 +360,18 @@ def run(
         keep = traced and lo == 0
         if lockstep:
             k0 = np.array(starts, dtype=np.int64)
-            walk = _lockstep(up, move, k0, spec.steps, burn, gens, keep)
+            walk = ((*block, None) for block in _lockstep(up, move, k0, spec.steps, burn, gens, keep))
         else:
-            walk = _walk(up, move, starts[0], spec.steps, burn, gens[0], keep)
+            walk = _walk(up, move, starts[0], spec.steps, burn, gens[0])
         if keep:
             path[0] = starts[0]
-        for t, k, states in walk:
-            if t >= burn and 2 * states.size <= n:
+        for t, k, states, at in walk:
+            if t >= burn and at is not None:
+                # Over its own range, each state weighed by the events it holds for.
+                low = int(states.min())
+                held = np.bincount(states - low, weights=np.diff(at))
+                counts[low : low + held.size] += held.astype(np.int64)
+            elif t >= burn and 2 * states.size <= n:
                 # At most half as many states as the chain has: count over
                 # their own range.  Closer to n, the full bincount is cheaper.
                 low = int(states.min())
@@ -370,10 +379,16 @@ def run(
             elif t >= burn:
                 counts += np.bincount(states.ravel(), minlength=n + 1)
             if keep:
-                # Column 0 is replica 0; states[i] follows event t + i + 1,
-                # which is a multiple of d from i = (-t - 1) % d on.
+                # Event t + i + 1 is a multiple of d from i = (-t - 1) % d on; column 0
+                # is replica 0, and in a walk block the last run to begin by i holds it.
                 i = (-t - 1) % d
-                picks, j = states[i::d, 0], (t + 1 + i) // d
+                j = (t + 1 + i) // d
+                if at is None:
+                    picks = states[i::d, 0]
+                elif d < 32:  # a search per pick costs about what spelling out 32 events does
+                    picks = np.repeat(states, np.diff(at))[i::d]
+                else:
+                    picks = states[np.searchsorted(at, np.arange(i, at[-1], d), "right") - 1]
                 path[j : j + picks.size] = picks
         finals.append(k)
     final_states = np.hstack(finals).astype(np.int64, copy=False)

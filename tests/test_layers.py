@@ -46,6 +46,23 @@ def test_the_sweep_point_group_prints_rows_with_the_standard_keys():
             assert type(row["calls"]) is int and row["calls"] >= 1
 
 
+def test_the_window_group_shares_out_every_draw_of_each_walk(layers):
+    argv = [sys.executable, str(LAYERS), "--group", "window"]
+    rows = json.loads(subprocess.run(argv, capture_output=True, text=True, check=True).stdout)
+    assert list(rows) == ["100", "1000", "10000"]
+    spreads = [f"spread_{spread:g}_scaled_ms" for spread in layers.SPREADS]
+    for n, row in rows.items():
+        assert [key for key in row if key.startswith("spread_")] == spreads
+        assert all(row[key] > 0 for key in spreads)
+        # Every draw of the walk is the denominator: a replay of its stream
+        # gives the share at or past max(move), which the walk skips.
+        kernel = layers.fermi_kernel(layers.economy(layers.LOAD), int(n))
+        draws = layers.montecarlo._stream(1, 0).random(row["events"])
+        assert row["skipped_share"] == round(float((draws >= kernel.move.max()).mean()), 4)
+        assert 0 < row["resolved_share"] < 1 - row["skipped_share"] < 1
+        assert row["exits_per_block"] >= 0 and row["mean_window"] > 1 and row["mean_range"] > 1
+
+
 def test_an_unknown_group_is_a_usage_error():
     argv = [sys.executable, str(LAYERS), "--group", "nonesuch"]
     done = subprocess.run(argv, capture_output=True, text=True)

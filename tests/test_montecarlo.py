@@ -281,6 +281,18 @@ def test_full_path_trajectory():
     assert traj[-1, 1] == result.final_states[0]
 
 
+@pytest.mark.parametrize("decimation", [31, 32, 33, 1000])
+def test_every_decimation_samples_the_full_path(decimation):
+    # A walk block takes its picks from its runs spelt out below a
+    # decimation of 32 and by a search of its walked offsets from 32 on;
+    # either way they are the full path's states at the sampled events.
+    kernel = fermi_kernel(n=100)
+    spec = SimulationSpec(seed=21, steps=50_000, burn_in=7_000, initial_state=50)
+    full = run(spec, kernel, trajectory_decimation=1).trajectory
+    events = np.append(np.arange(0, spec.steps, decimation), spec.steps)
+    assert np.array_equal(run(spec, kernel, trajectory_decimation=decimation).trajectory, full[events])
+
+
 def test_run_rejects_bad_decimation_and_start():
     kernel = fermi_kernel()
     spec = SimulationSpec(seed=0, steps=10, initial_state=5)
@@ -389,7 +401,7 @@ def test_block_walk_matches_the_step_loop(data):
         ),
     )
     decimation = data.draw(
-        st.sampled_from([None, 1, 2, 3]) | st.integers(steps + 1, 10**9), label="decimation"
+        st.sampled_from([None, 1, 2, 3, 40]) | st.integers(steps + 1, 10**9), label="decimation"
     )
     # _lockstep's block length for its widest group.
     m = min(steps, max(1, cells // min(spec.replicas, group)))
@@ -412,8 +424,8 @@ def test_block_walk_matches_the_step_loop(data):
 
 
 def test_traced_walk_keeps_no_block_alive():
-    # Each block's states take 8 B per event; a trajectory that held views
-    # into them would keep 4 MB alive here instead of 501 rows.
+    # Each block's states take 8 B per walked event; a trajectory that held
+    # views into them would keep about 1 MB alive here instead of 501 rows.
     kernel = fermi_kernel(n=1000)
     spec = SimulationSpec(seed=3, steps=500_000, initial_state=500)
     tracemalloc.start()
@@ -426,23 +438,38 @@ def test_traced_walk_keeps_no_block_alive():
     assert peak < 2 * 2**20
 
 
-def reference_walk(up, move, k, steps, burn, gen, keep_burn_in):
+def reference_walk(up, move, k, steps, burn, gen):
     """Reference for montecarlo._walk, with its signature and its blocks:
-    a plain loop over each block's draws, one event at a time."""
+    a plain loop over each block's draws, one event at a time, that
+    reports every event as walked, stays included."""
     up, move = up.tolist(), move.tolist()
     t = 0
     while t < steps:
         end = min(t + montecarlo._BLOCK, burn if t < burn else steps)
-        path = []
+        path = [k]
         for u in gen.random(end - t).tolist():
             if u < up[k]:
                 k += 1
             elif u < move[k]:
                 k -= 1
             path.append(k)
-        states = np.array(path, dtype=np.int64).reshape(-1, 1)
-        yield t, k, states if t >= burn or keep_burn_in else None
+        yield t, k, np.array(path, dtype=np.int64), np.array([0, *range(end - t + 1)])
         t = end
+
+
+def no_stay_kernel(n=9):
+    """Hand-made anchored chain with up + down = 1 at every state, in
+    dyadic rates whose sums are exact: no event ever stays."""
+    up = np.resize([0.25, 0.5, 0.75], n + 1)
+    up[0], up[n] = 1.0, 0.0
+    return TransitionKernel(up=up, down=1.0 - up)
+
+
+def walked_draws(spec, kernel):
+    """Replica 0's draws below max(move), replayed from its stream: the
+    draws the walk passes to _window (a given start draws nothing)."""
+    gen = np.random.Generator(np.random.Philox(key=spec.seed).jumped(0))
+    return int((gen.random(spec.steps) < kernel.move.max()).sum())
 
 
 def walk_both_ways(spec, kernel, decimation, block=None):
@@ -462,13 +489,20 @@ def test_window_walk_matches_the_plain_loop(data):
     # Noise-free, up == move below k*, so no draw steps down there.
     # Unanchored, the walk stops at an absorbing state and its window
     # closes to that one state.  Steep, up jumps across k* at ratio 2000,
-    # so full-size blocks cross rows that differ most.
-    case = data.draw(st.sampled_from(["noise-free", "unanchored", "steep"]), label="case")
+    # so full-size blocks cross rows that differ most.  With no stay,
+    # every draw is walked.
+    cases = ["noise-free", "unanchored", "steep", "no-stay"]
+    case = data.draw(st.sampled_from(cases), label="case")
     if case == "steep":
         kernel = fermi_kernel(n=data.draw(st.integers(200, 400), label="n"), ratio=2000.0)
         block, steps = 8192, data.draw(st.integers(1, 30_000), label="steps")
     else:
-        kernel = proportional_kernel() if case == "noise-free" else fermi_kernel(n=9, anchors=0)
+        kernels = {
+            "noise-free": proportional_kernel(),
+            "unanchored": fermi_kernel(n=9, anchors=0),
+            "no-stay": no_stay_kernel(),
+        }
+        kernel = kernels[case]
         block = data.draw(st.sampled_from([2, 3, 5, 7, 13, 64]), label="block")
         steps = data.draw(st.integers(1, 400), label="steps")
     spec = SimulationSpec(
@@ -480,7 +514,7 @@ def test_window_walk_matches_the_plain_loop(data):
             st.just(INITIAL_UNIFORM) | st.integers(0, kernel.n), label="initial_state"
         ),
     )
-    decimation = data.draw(st.sampled_from([None, 1, 7]), label="decimation")
+    decimation = data.draw(st.sampled_from([None, 1, 7, 33, 1000]), label="decimation")
     result, expected = walk_both_ways(spec, kernel, decimation, block)
     assert np.array_equal(result.histogram.counts, expected.histogram.counts)
     assert np.array_equal(result.final_states, expected.final_states)
@@ -520,7 +554,7 @@ def test_window_walk_goes_on_from_where_a_block_leaves_its_window(monkeypatch):
     result, expected = walk_both_ways(spec, kernel, decimation=1)
     blocks = -(-spec.steps // montecarlo._BLOCK)
     assert len(calls) > blocks and sum(states.size < draws for draws, states in calls) >= 3
-    assert sum(states.size for _, states in calls) == spec.steps
+    assert sum(states.size for _, states in calls) == walked_draws(spec, kernel)
     # A call that stops short leaves the rest of its block to the next.
     for (draws, states), (rest, _) in zip(calls, calls[1:]):
         assert rest == draws - states.size or states.size == draws
@@ -554,10 +588,40 @@ def test_narrow_windows_keep_the_walk_bits(data):
         mp.setattr(montecarlo, "_MIN_REACH", reach)
         calls = spy_on_windows(mp)
         result, expected = walk_both_ways(spec, kernel, decimation=1, block=block)
-    assert sum(states.size for _, states in calls) == steps
+    assert sum(states.size for _, states in calls) == walked_draws(spec, kernel)
     assert np.array_equal(result.trajectory, expected.trajectory)
     assert np.array_equal(result.histogram.counts, expected.histogram.counts)
     assert np.array_equal(result.final_states, expected.final_states)
+
+
+class FixedDraws:
+    """A stand-in stream that hands out the given draws in order, as
+    consecutive calls on one stream would."""
+
+    def __init__(self, draws):
+        self.draws = np.array(draws)
+
+    def random(self, size):
+        out, self.draws = self.draws[:size], self.draws[size:]
+        return out
+
+
+def test_a_draw_at_max_move_stays_and_a_block_may_walk_none(monkeypatch):
+    # The gambler's walk moves with probability 1/2 inside: move is 0.5
+    # there, its maximum.  A draw of exactly 0.5 stays, as it does in the
+    # plain loop, where 0.5 < move[k] is false.  In blocks of 4, the
+    # second block draws nothing below 0.5 and walks no draw at all.
+    draws = [0.5, 0.1, 0.5, 0.3, 0.5, 0.75, 0.999, 0.5, 0.2, 0.5]
+    monkeypatch.setattr(montecarlo, "_stream", lambda seed, r: FixedDraws(draws))
+    calls = spy_on_windows(monkeypatch)
+    spec = SimulationSpec(seed=0, steps=len(draws), burn_in=4, initial_state=2)
+    result, expected = walk_both_ways(spec, gambler_kernel(), decimation=1, block=4)
+    path = [2, 2, 3, 3, 2, 2, 2, 2, 2, 3, 3]
+    assert result.trajectory[:, 1].tolist() == expected.trajectory[:, 1].tolist() == path
+    assert np.array_equal(result.histogram.counts, expected.histogram.counts)
+    assert result.histogram.counts.tolist() == [0, 0, 4, 2, 0]
+    assert result.final_states.tolist() == expected.final_states.tolist() == [3]
+    assert [draws for draws, _ in calls] == [2, 1]
 
 
 def test_window_stops_at_the_first_state_outside_it():
