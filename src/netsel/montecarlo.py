@@ -287,15 +287,14 @@ def _lockstep(
     steps: int,
     burn: int,
     gens: list[np.random.Generator],
-    keep_burn_in: bool,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Walk every replica at once, one vector step per event.
 
     Column r of the block of draws comes from ``gens[r]``, one call per
     block into a row of the scratch, so replica r consumes its stream
     exactly as :func:`_walk` would.  Yields (t, k, states) per block, split
     as in :func:`_walk`: k the int64 states after it and states (events,
-    replicas), None in burn-in unless ``keep_burn_in``; the next reuses both.
+    replicas), a view of the block's buffer; the next block reuses both.
     """
     width = len(gens)
     m = min(steps, max(1, _CELLS // width))
@@ -321,7 +320,7 @@ def _lockstep(
             step += step - (u < move[state]).view(np.int8)
             state = np.add(state, step, out=path[j])
         k[:] = state
-        yield t, k, path[: end - t] if t >= burn or keep_burn_in else None
+        yield t, k, path[: end - t]
         t = end
 
 
@@ -360,7 +359,7 @@ def run(
         keep = traced and lo == 0
         if lockstep:
             k0 = np.array(starts, dtype=np.int64)
-            walk = ((*block, None) for block in _lockstep(up, move, k0, spec.steps, burn, gens, keep))
+            walk = ((*block, None) for block in _lockstep(up, move, k0, spec.steps, burn, gens))
         else:
             walk = _walk(up, move, starts[0], spec.steps, burn, gens[0])
         if keep:

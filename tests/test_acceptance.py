@@ -13,7 +13,6 @@ import pytest
 
 from netsel.chain import (
     PopulationConfig,
-    TransitionKernel,
     absorption_analysis,
     build_kernel,
     distribution_mode,
@@ -36,7 +35,7 @@ from netsel.montecarlo import SimulationSpec, absorption_frequency, run
 from netsel.protocols import fermi_from_ratio
 from netsel.replicator import integrate, replicator_rhs
 from netsel.protocols import PairwiseProportional
-from test_replicator import imitation_flow
+from oracle import calibrated_params, imitation_flow, random_irreducible_kernel
 
 
 def _report(criterion: int, description: str, checks: list[tuple[str, bool]]) -> None:
@@ -44,11 +43,6 @@ def _report(criterion: int, description: str, checks: list[tuple[str, bool]]) ->
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {criterion}: {description}")
     failed = [name for name, flag in checks if not flag]
     assert ok, f"criterion {criterion} failed checks: {failed}"
-
-
-def _calibrated(capacity=100.0, arrival=30.0, alpha=1.0, target=0.68):
-    gap = calibrate_price_gap(capacity, arrival, alpha, target)
-    return NetworkParams(capacity, arrival, alpha, gap, 0.0)
 
 
 def _nonincreasing(values, slack=1e-12):
@@ -69,7 +63,7 @@ def test_criterion_01_equilibrium_and_critical_state():
 
 
 def test_criterion_02_noise_free_two_point_support():
-    params = _calibrated()
+    params = calibrated_params()
     psi = stationary_noise_free(params, PopulationConfig(n=10)).psi
     support = {int(k) for k in np.flatnonzero(psi)}
     checks = [
@@ -81,8 +75,8 @@ def test_criterion_02_noise_free_two_point_support():
 
 
 def test_criterion_03_absorbing_poa_values():
-    poa_30 = poa_absorbing(_calibrated(arrival=30.0))
-    poa_35 = poa_absorbing(_calibrated(arrival=35.0))
+    poa_30 = poa_absorbing(calibrated_params(arrival=30.0))
+    poa_35 = poa_absorbing(calibrated_params(arrival=35.0))
     checks = [
         ("PoA(30) = 1.0976 +- 1e-3", abs(poa_30 - 1.0976) <= 1e-3),
         ("PoA(35) = 1.1202 +- 1e-3", abs(poa_35 - 1.1202) <= 1e-3),
@@ -136,7 +130,7 @@ def test_criterion_04_mode_confined_to_the_critical_pair():
 
 
 def test_criterion_05_zero_noise_uniform_law():
-    params = _calibrated()
+    params = calibrated_params()
     worst = 0.0
     for n in (10, 100, 1000):
         kernel = build_kernel(params, PopulationConfig(n, 1, 1), fermi_from_ratio(params, n, 0.0))
@@ -146,27 +140,12 @@ def test_criterion_05_zero_noise_uniform_law():
     _report(5, "zero imitation noise yields the exact uniform law", checks)
 
 
-def _random_irreducible_kernel(rng, n, spread=120.0):
-    steps = rng.normal(scale=rng.uniform(0.05, 0.7), size=n)
-    profile = np.concatenate(([0.0], np.cumsum(steps)))
-    span = profile.max() - profile.min()
-    if span > spread:
-        profile *= spread / span
-    ratios = np.exp(np.diff(profile))
-    scale = rng.uniform(0.2, 0.45)
-    up = np.zeros(n + 1)
-    down = np.zeros(n + 1)
-    up[:n] = scale * np.minimum(1.0, ratios)
-    down[1:] = scale * np.minimum(1.0, 1.0 / ratios)
-    return TransitionKernel(up=up, down=down)
-
-
 def test_criterion_06_three_stationary_routes_agree():
     rng = np.random.default_rng(6)
     sizes = [int(rng.integers(3, 301)) for _ in range(95)] + [1000] * 5
     worst = 0.0
     for n in sizes:
-        kernel = _random_irreducible_kernel(rng, n)
+        kernel = random_irreducible_kernel(rng, n)
         product = stationary_product(kernel).psi
         eigen = stationary_eigen(kernel).psi
         balance = np.zeros(n + 1)
@@ -186,7 +165,7 @@ def test_criterion_06_three_stationary_routes_agree():
 
 def test_criterion_07_monte_carlo_matches_the_analytic_laws():
     start = time.perf_counter()
-    params = _calibrated()
+    params = calibrated_params()
     rule = fermi_from_ratio(params, 10, 1.0)
     recurrent = build_kernel(params, PopulationConfig(10, 1, 1), rule)
     spec = SimulationSpec(
@@ -220,7 +199,7 @@ def test_criterion_07_monte_carlo_matches_the_analytic_laws():
 
 
 def test_criterion_08_replicator_consistency():
-    params = _calibrated()
+    params = calibrated_params()
     settle_errors = [
         abs(integrate(params, x0, rtol=1e-10).fixed_point - 0.68) for x0 in (0.1, 0.5, 0.9)
     ]
@@ -238,7 +217,7 @@ def test_criterion_08_replicator_consistency():
 
 
 def test_criterion_09_noise_and_size_trends():
-    params = _calibrated()
+    params = calibrated_params()
     poa_by_ratio = []
     mode_ok = []
     for ratio in (0.0, 1.0, 10.0):
@@ -266,7 +245,7 @@ def test_criterion_09_noise_and_size_trends():
 
 
 def test_criterion_10_welfare_identities():
-    params = _calibrated()
+    params = calibrated_params()
     boundary_value = 30.0 / 70.0
     grid = np.linspace(0.0, 1.0, 100_001)
     welfare_min = min(social_welfare(params, float(x)) for x in grid)

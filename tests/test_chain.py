@@ -3,15 +3,15 @@
 import dataclasses
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from netsel import chain
 from netsel.chain import (
+    ChainClass,
     ChainStructureError,
     PopulationConfig,
     StationaryDistribution,
@@ -31,9 +31,8 @@ from netsel.model import (
     NetworkParams,
     calibrate_price_gap,
     critical_state,
+    equilibrium,
     expected_poa,
-    social_optimum,
-    social_welfare,
     utility_primary,
     utility_secondary,
 )
@@ -44,12 +43,37 @@ from netsel.protocols import (
     beta_reference,
     fermi_from_ratio,
 )
-from test_protocols import q_at, scalar_q
-
-
-def calibrated_params(arrival=30.0, target=0.68):
-    gap = calibrate_price_gap(100.0, arrival, 1.0, target)
-    return NetworkParams(100.0, arrival, 1.0, gap, 0.0)
+from oracle import (
+    anchors,
+    bits,
+    calibrated_params,
+    dense_matrix,
+    economies,
+    loop_balance_block,
+    loop_expected_poa,
+    loop_kernel,
+    make_rule,
+    mp_log_profile,
+    oracle_eigen,
+    outcome,
+    power_reference,
+    q_at,
+    random_irreducible_kernel,
+    reference_build_kernel,
+    reference_check_rates,
+    reference_classify,
+    reference_gain,
+    reference_kernel_post_init,
+    reference_law_post_init,
+    reference_log_profile,
+    reference_min_rate,
+    reference_refuses_underflow,
+    reference_stationary_noise_free,
+    reference_two_point,
+    rule_specs,
+    same,
+    sizes,
+)
 
 
 def random_calibrated(rng, n_range=(4, 200)):
@@ -62,28 +86,6 @@ def random_calibrated(rng, n_range=(4, 200)):
     return params, n
 
 
-def random_irreducible_kernel(rng, n, spread=120.0):
-    """Hand-made irreducible kernel with a bounded stationary dynamic range.
-
-    The log-stationary profile is a rescaled random walk, so the product
-    form spans at most e^spread — large enough to stress log-space
-    accumulation, small enough that a direct-space reconstruction stays
-    representable for cross-checks.
-    """
-    steps = rng.normal(scale=rng.uniform(0.05, 0.7), size=n)
-    profile = np.concatenate(([0.0], np.cumsum(steps)))
-    span = profile.max() - profile.min()
-    if span > spread:
-        profile *= spread / span
-    ratios = np.exp(np.diff(profile))
-    scale = rng.uniform(0.2, 0.45)
-    up = np.zeros(n + 1)
-    down = np.zeros(n + 1)
-    up[:n] = scale * np.minimum(1.0, ratios)
-    down[1:] = scale * np.minimum(1.0, 1.0 / ratios)
-    return TransitionKernel(up=up, down=down)
-
-
 def reconstruct_detailed_balance(kernel):
     """Independent stationary oracle: iterate the edge balance directly."""
     psi = np.zeros(kernel.n + 1)
@@ -91,12 +93,6 @@ def reconstruct_detailed_balance(kernel):
     for k in range(kernel.n):
         psi[k + 1] = psi[k] * kernel.up[k] / kernel.down[k + 1]
     return psi / psi.sum()
-
-
-def dense_matrix(kernel):
-    """The (n+1) x (n+1) transition matrix of a kernel, from its vectors."""
-    stay = 1.0 - kernel.up - kernel.down
-    return np.diag(stay) + np.diag(kernel.up[:-1], 1) + np.diag(kernel.down[1:], -1)
 
 
 def payoff_step(params, k, n):
@@ -255,6 +251,77 @@ def test_kernel_validation_rejects_negative_probabilities():
         TransitionKernel(up=up, down=down)
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(params=economies, n=sizes, seed=st.integers(0, 2**32 - 1))
+def test_gain_keeps_its_bits(params, n, seed):
+    pi_s = utility_secondary(params)
+    # The lattice k/n, whose ties the snap is for; random shares in [0, 1]; and
+    # 400 ulps each side of the equilibrium share, where the gain crosses the
+    # snap's width of 32 ulps of the payoff.
+    x_star = equilibrium(params).share_primary
+    near = np.clip(x_star * (1.0 + np.arange(-400, 401) * 2.0**-52), 0.0, 1.0)
+    for shares in (np.arange(n + 1) / n, np.random.default_rng(seed).random(n + 1), near):
+        same(
+            outcome(chain._gain, params, pi_s, shares), outcome(reference_gain, params, pi_s, shares)
+        )
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(params=economies, n=sizes, a_p=anchors, a_s=anchors, spec=rule_specs)
+@example(NetworkParams(100.0, 30.0), 5000, 0, 0, ("ratio", 2000.0))
+def test_build_kernel_keeps_its_bits(params, n, a_p, a_s, spec):
+    population = PopulationConfig(n, a_p, a_s)
+    rule = make_rule(spec, params, n) or PairwiseProportional()
+    same(
+        outcome(build_kernel, params, population, rule),
+        outcome(reference_build_kernel, params, population, rule),
+    )
+
+
+ULP = 2.0**-52
+SPECIALS = [
+    math.nan, 0.0, -0.0, -5e-324, 5e-324, 1.0, 1.0 + ULP, math.inf, -math.inf, 1e308, -1e308, 0.25
+]  # fmt: skip
+# What a flaw does at one state: an entry set to a special value; or a row
+# exactly at 1, or one ulp past it, through the down rate.
+flaw_kinds = st.one_of(
+    st.tuples(st.sampled_from(["up", "down"]), st.sampled_from(SPECIALS)),
+    st.tuples(st.sampled_from(["row at 1", "row past 1"]), st.floats(0.0, 1.0)),
+)
+
+
+@st.composite
+def rate_vectors(draw, structural=True):
+    """(up, down) over n + 1 states: random rates with zeros and flaws."""
+    n = draw(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.5, 0.5, 1.0]))  # rows may pass 1 at scale 1
+    zeros = draw(st.sampled_from([0.0, 0.0, 0.3, 1.0]))
+    up, down = (scale * rng.random(n + 1) * (rng.random(n + 1) >= zeros) for _ in range(2))
+    if structural:
+        up[n] = down[0] = 0.0
+    for (kind, value), k in draw(st.lists(st.tuples(flaw_kinds, st.integers(0, n)), max_size=4)):
+        if kind in ("up", "down"):
+            (up if kind == "up" else down)[k] = value
+        else:
+            up[k] = value
+            down[k] = 1.0 - value if kind == "row at 1" else np.nextafter(1.0 - value, 2.0)
+    return up, down
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(vectors=rate_vectors(structural=False), cut=st.integers(0, 3))
+def test_check_rates_keeps_its_verdict_and_message(vectors, cut):
+    up, down = (arr[cut:] for arr in vectors)  # a chunk of the noise-free route, at any offset
+    if up.size == 0:
+        return
+    new = outcome(chain._check_rates, up, down)
+    old = outcome(reference_check_rates, up, down)
+    if new[0] == bits((up, down)):  # accepted: the rates come back as they were
+        new = None, new[1]
+    same(new, old)
+
+
 # -- classification -------------------------------------------------------------
 
 
@@ -351,27 +418,6 @@ def test_eigen_refuses_a_zero_coupling_by_name():
     assert stationary_product(kernel).kind == "product_form"
 
 
-def mp_log_profile(kernel):
-    """log psi of the kernel's law from its float gains, in 50 digits:
-    the exact counting weights and log q of each float exponent beta * g."""
-    params, population, rule = kernel.params, kernel.population, kernel.rule
-    n, a_p, a_s = population.n, population.anchored_primary, population.anchored_secondary
-    pi_s = utility_secondary(params)
-    z = rule.beta * chain._gain(params, pi_s, np.arange(n + 1, dtype=float) / n)
-    with mp.workdps(50):
-        log_q = [-mp.log1p(mp.exp(-mp.mpf(v))) for v in z.tolist()]
-        log_q_minus = [-mp.log1p(mp.exp(mp.mpf(v))) for v in z.tolist()]
-        log_psi, total = [mp.mpf(0)], mp.mpf(0)
-        for k in range(1, n + 1):
-            weight = mp.mpf((n - k + 1) * (k - 1 + a_p)) / (k * (n + a_s - k))
-            total += mp.log(weight) + log_q[k - 1] - log_q_minus[k]
-            log_psi.append(total)
-        peak = max(log_psi)
-        psi = [mp.exp(v - peak) for v in log_psi]
-        norm = mp.fsum(psi)
-        return np.array([float(v / norm) for v in psi]), float(max(abs(v) for v in log_psi))
-
-
 @settings(max_examples=40, deadline=None, database=None)
 @given(
     n=st.integers(10, 2_000),
@@ -396,71 +442,21 @@ def test_long_run_of_underflowing_fermi_chains_against_mpmath(n, ratio, arrival,
     assert total_variation(law, exact) <= bound
 
 
-# The decision whether a zero rate is an underflowed q, as five places made it
-# before each kernel kept its smallest rate: kept verbatim as the reference
-# for the kernel's one decision.  Only ``rule.positive`` is gone; it was true
-# on Fermi alone, so the reference reads the rule's type instead.
+# -- the kernel's one decision against the references ---------------------------------
+#
+# Each kernel is drawn as the fields of a TransitionKernel, of four kinds:
+# underflow-prone kernels of every rule, random rate vectors with flaws,
+# hand-made zero patterns, and kernels built across the 4,096-state seam.
+# Hand-made kernels carry a Fermi record, under which a zero rate reads as an
+# underflowed q, or none.
 
 
-def reference_positive_rule(kernel):
-    rule = kernel.rule
-    built = kernel.params is not None and kernel.population is not None
-    return built and rule is not None and isinstance(rule, Fermi)
+def fields(kernel):
+    return kernel.up, kernel.down, kernel.params, kernel.population, kernel.rule
 
 
-def reference_classify(kernel):
-    up, down = kernel.up, kernel.down
-    n = kernel.n
-    if up[:n].min() > 0.0 and down[1:].min() > 0.0:
-        return chain.ChainClass(kind="irreducible", detail="all interior moves possible")
-    up_pos, down_pos = up > 0.0, down > 0.0
-    if reference_positive_rule(kernel):
-        k, population = np.arange(n + 1), kernel.population
-        up_pos = (k < n) & ((k > 0) | (population.anchored_primary > 0))
-        down_pos = (k > 0) & ((k < n) | (population.anchored_secondary > 0))
-        if up_pos[:n].all() and down_pos[1:].all():
-            return chain.ChainClass(
-                kind="irreducible",
-                detail="all interior moves possible; some rates underflow to 0 in float",
-            )
-    if not up_pos[0] and not down_pos[n]:
-        suffix_up = np.logical_and.accumulate(up_pos[n - 1 : 0 : -1])[::-1]
-        prefix_down = np.logical_and.accumulate(down_pos[1:n])
-        if (suffix_up | prefix_down).all():
-            return chain.ChainClass(
-                kind="absorbing",
-                absorbing_states=(0, n),
-                detail="boundary states trap and every interior state drains to a boundary",
-            )
-    zero_up = np.flatnonzero(~up_pos[:n]).tolist()
-    zero_down = (np.flatnonzero(~down_pos[1:]) + 1).tolist()
-    return chain.ChainClass(
-        kind="other",
-        detail=f"blocked up moves at k={zero_up}, blocked down moves at k={zero_down}",
-    )
-
-
-def reference_refuses_underflow(kernel, up, down):
-    return reference_positive_rule(kernel) and min(up.min(), down.min()) == 0.0
-
-
-def reference_log_profile(kernel):
-    up, down = kernel.up[:-1], kernel.down[1:]
-    tiny = np.finfo(float).tiny
-    if not reference_positive_rule(kernel) or min(up.min(), down.min()) >= tiny:
-        return np.concatenate(([0.0], np.cumsum(np.log(up) - np.log(down))))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        steps = np.log(up) - np.log(down)
-    j = np.flatnonzero((up < tiny) | (down < tiny))
-    n, population = kernel.n, kernel.population
-    a_p, a_s = population.anchored_primary, population.anchored_secondary
-    lower = j.astype(float)
-    upper = lower + 1.0
-    gain = chain._gain(kernel.params, utility_secondary(kernel.params), np.append(lower, upper) / n)
-    log_q, log_q_minus = kernel.rule.log_pair(gain)
-    weights = (n - lower) * (lower + a_p) / (upper * (n + a_s - upper))
-    steps[j] = np.log(weights) + log_q[: j.size] - log_q_minus[j.size :]
-    return np.concatenate(([0.0], np.cumsum(steps)))
+def fermi_record(n, a_p, a_s):
+    return NetworkParams(100.0, 30.0), PopulationConfig(n, a_p, a_s), Fermi(beta=1.0)
 
 
 @st.composite
@@ -483,13 +479,50 @@ def underflow_prone_kernels(draw):
     kernel = build_kernel(params, population, rule)
     form = draw(st.sampled_from(["built", "built", "without params", "by hand", "zeroed"]))
     if form == "without params":
-        return dataclasses.replace(kernel, params=None)
+        return kernel.up, kernel.down, None, population, rule
     up, down = kernel.up.copy(), kernel.down.copy()
     zeros = draw(st.lists(st.integers(0, n), max_size=3))
     up[zeros] = down[zeros] = 0.0
     if form == "by hand":
-        return TransitionKernel(up, down)
-    return dataclasses.replace(kernel, up=up, down=down) if form == "zeroed" else kernel
+        return up, down
+    return (up, down, *fields(kernel)[2:]) if form == "zeroed" else fields(kernel)
+
+
+@st.composite
+def flawed_kernels(draw):
+    """Random rate vectors with flaws, valid or not."""
+    up, down = draw(rate_vectors())
+    record = fermi_record(up.size - 1, draw(anchors), draw(anchors))
+    return (up, down, *record) if draw(st.booleans()) else (up, down)
+
+
+@st.composite
+def zero_pattern_kernels(draw):
+    """Valid rates with any zero pattern, up to 40 states or across the seam."""
+    n = draw(st.one_of(st.integers(2, 40), st.integers(4090, 4200)))
+    zeros, a_p, a_s = draw(st.floats(0.0, 1.0)), draw(anchors), draw(anchors)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    up, down = (0.5 * rng.random(n + 1) * (rng.random(n + 1) >= zeros) for _ in range(2))
+    up[n] = down[0] = 0.0
+    up[0] *= a_p > 0
+    down[n] *= a_s > 0
+    return (up, down, *fermi_record(n, a_p, a_s)) if draw(st.booleans()) else (up, down)
+
+
+def built(params, n, a_p, a_s, spec, default=Fermi(beta=1.0)):
+    rule = make_rule(spec, params, n) or default
+    with np.errstate(all="ignore"):
+        return fields(build_kernel(params, PopulationConfig(n, a_p, a_s), rule))
+
+
+@st.composite
+def built_kernels(draw):
+    """Kernels of the sweep path's economies, sizes and rules."""
+    args = draw(economies), draw(sizes), draw(anchors), draw(anchors), draw(rule_specs)
+    try:
+        return built(*args, draw(st.sampled_from([Fermi(beta=1.0), PairwiseProportional()])))
+    except ValueError:
+        assume(False)  # no kernel to classify
 
 
 def refusal(call, kernel):
@@ -503,19 +536,50 @@ def refusal(call, kernel):
     return False
 
 
-@settings(max_examples=300, deadline=None, database=None)
-@given(kernel=underflow_prone_kernels())
-def test_the_kernels_one_decision_matches_the_five_it_replaced(kernel):
+@settings(max_examples=1600, deadline=None, database=None)
+@given(
+    case=st.one_of(
+        underflow_prone_kernels(), flawed_kernels(), zero_pattern_kernels(), built_kernels()
+    )
+)
+@example((np.array([0.0, 0.5, 1e308, 0.0]), np.array([0.0, 0.5, 1e308, 0.0])))
+@example((np.array([0.0, 0.5, 0.0]), np.array([0.0, np.nextafter(0.5, 1.0), 0.0]), *fermi_record(2, 0, 0)))  # fmt: skip
+@example((np.array([0.0, math.nan, 0.0]), np.array([0.0, 0.5, -1.0])))
+@example((np.array([0.0, 0.5, 0.0]), np.array([0.0, math.nan, 0.0]), *fermi_record(2, 1, 1)))
+@example((np.array([0.0, 0.5, 0.1]), np.array([0.0, 0.5, 0.0]), *fermi_record(2, 1, 1)))
+@example((np.array([0.0, 0.5, -0.0]), np.array([-0.0, 0.5, 0.0]), *fermi_record(2, 1, 1)))
+@example(built(NetworkParams(100.0, 30.0), 5000, 0, 0, ("ratio", 2000.0)))
+@example(built(NetworkParams(100.0, 30.0), 5000, 1, 1, ("ratio", 2000.0)))
+@example(built(NetworkParams(100.0, 30.0), 4096, 1, 1, ("ratio", 1.0)))
+def test_the_kernels_one_decision_matches_the_five_it_replaced(case):
+    # The kernel's validation, class, smallest rate, log profile and
+    # refusals of a zero coupling, each against its reference.
+    up, down = case[:2]
+    same(outcome(TransitionKernel, *case), outcome(reference_kernel_post_init, up, down))
+    try:
+        kernel = TransitionKernel(*case)
+    except ValueError:
+        return
     structure = reference_classify(kernel)
     assert classify(kernel) == structure
+    assert bits(kernel._min_rate) == bits(reference_min_rate(kernel))
     up, down = kernel.up, kernel.down
     irreducible, absorbing = structure.kind == "irreducible", structure.kind == "absorbing"
     if irreducible:
-        assert chain._log_profile(kernel).tobytes() == reference_log_profile(kernel).tobytes()
+        with np.errstate(over="ignore"):  # beta * z of a wild economy's gain
+            profile = chain._log_profile(kernel), reference_log_profile(kernel)
+        assert profile[0].tobytes() == profile[1].tobytes()
     eigen = irreducible and reference_refuses_underflow(kernel, up[:-1], down[1:])
     assert refusal(stationary_eigen, kernel) == eigen
     table = absorbing and reference_refuses_underflow(kernel, up[1:-1], down[1:-1])
     assert refusal(absorption_table, kernel) == table
+
+
+def test_the_plain_irreducible_class_is_one_value():
+    vectors = [([0.2, 0.3, 0.0], [0.0, 0.1, 0.4]), ([0.1, 0.1, 0.0], [0.0, 0.1, 0.1])] * 2
+    classes = [classify(TransitionKernel(*map(np.array, pair))) for pair in vectors]
+    assert classes[0] == ChainClass(kind="irreducible", detail="all interior moves possible")
+    assert all(structure is classes[0] for structure in classes)
 
 
 # -- noise-free stationary law -----------------------------------------------------
@@ -623,6 +687,54 @@ def test_two_point_random_sanity():
     assert checked > 30
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(params=economies, n=sizes, a_p=anchors, a_s=anchors, spec=rule_specs)
+# k* = 4,096: up[k*-1] ends the first chunk and down[k*] starts the second.
+@example(calibrated_params(target=0.8), 5119, 0, 0, ("none", None))
+@example(calibrated_params(target=0.8), 5120, 1, 2, ("proportional", 2.0))
+def test_stationary_noise_free_keeps_its_bits(params, n, a_p, a_s, spec):
+    population = PopulationConfig(n, a_p, a_s)
+    rule = make_rule(spec, params, n)
+    same(
+        outcome(stationary_noise_free, params, population, rule),
+        outcome(reference_stationary_noise_free, params, population, rule),
+    )
+    # The same law from a built kernel, as long_run takes it.
+    try:
+        with np.errstate(all="ignore"):
+            kernel = build_kernel(params, population, rule or PairwiseProportional())
+    except ValueError:
+        return
+    if kernel._min_rate < math.inf or classify(kernel).kind != "other":
+        return
+    up, down = kernel.up, kernel.down
+    kept = outcome(reference_two_point, params, n, lambda lo, hi: (up[lo:hi], down[lo:hi]))
+    same(outcome(lambda: chain.long_run(kernel)[1]), kept)
+
+
+def out_of_range(value):
+    """A step rule whose q is ``value`` wherever |z| passes 1e-9: it passes its
+    spot check, which reads [-1e-9, 1e-9] only."""
+    return CustomRule(fn=lambda z: value if abs(z) > 1e-9 else 0.0, check_range=(-1e-9, 1e-9))
+
+
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        (out_of_range(50.0), "up entries must be probabilities in [0, 1]"),
+        (out_of_range(-0.5), "up entries must be probabilities in [0, 1]"),
+        (out_of_range(math.nan), "up entries must be probabilities in [0, 1]"),
+        (out_of_range(3.9), "rows must sum to 1: up + down exceeds 1 at some state"),
+    ],
+)
+def test_stationary_noise_free_refuses_a_bad_rule_with_the_message_it_had(rule, message):
+    params, population = calibrated_params(), PopulationConfig(50)
+    for call in (stationary_noise_free, reference_stationary_noise_free):
+        with pytest.raises(ValueError) as refused:
+            call(params, population, rule)
+        assert str(refused.value) == message
+
+
 # -- product form ------------------------------------------------------------------
 
 
@@ -689,23 +801,6 @@ def test_balance_solve_large_population():
     assert np.abs(stationary_product(kernel).psi - stationary_eigen(kernel).psi).max() < 1e-10
 
 
-def power_reference(kernel):
-    """Stationary law by power iteration of the tridiagonal operator from
-    the uniform vector, until the sup change drops below 1e-13."""
-    psi = np.full(kernel.n + 1, 1.0 / (kernel.n + 1))
-    up, down, stay = kernel.up, kernel.down, 1.0 - kernel.up - kernel.down
-    for _ in range(200_000):
-        nxt = psi * stay
-        nxt[1:] += psi[:-1] * up[:-1]
-        nxt[:-1] += psi[1:] * down[1:]
-        nxt /= nxt.sum()
-        delta = float(np.abs(nxt - psi).max())
-        psi = nxt
-        if delta < 1e-13:
-            return psi / psi.sum()
-    raise AssertionError("power iteration did not converge in 200,000 iterations")
-
-
 def test_power_iteration_agrees():
     params = calibrated_params()
     population = PopulationConfig(n=10, anchored_primary=1, anchored_secondary=1)
@@ -720,39 +815,6 @@ def test_power_iteration_agrees():
 # chain._solve_balance_block solves each block by cyclic reduction, whose
 # rounding differs from a banded LU's; scipy.linalg.solve_banded on a loop
 # assembly of the same rows is the oracle, to a bound rather than bit for bit.
-
-
-def loop_balance_block(kernel, lo, hi, anchor_above):
-    up, down = kernel.up, kernel.down
-    size = hi - lo + 1
-    ab = np.zeros((3, size))
-    rhs = np.zeros(size)
-    for s in range(lo, hi + 1):
-        r = s - lo
-        ab[1, r] = -(up[s] + down[s])
-        if r + 1 < size:
-            ab[0, r + 1] = down[s + 1]
-        if r - 1 >= 0:
-            ab[2, r - 1] = up[s - 1]
-    if anchor_above:
-        rhs[size - 1] = -down[hi + 1]
-    else:
-        rhs[0] = -up[lo - 1]
-    return solve_banded((1, 1), ab, rhs)
-
-
-def oracle_eigen(kernel):
-    """stationary_eigen's law with each block solved by loop_balance_block."""
-    n = kernel.n
-    anchor = int(np.argmax(chain._log_profile(kernel)))
-    psi = np.zeros(n + 1)
-    psi[anchor] = 1.0
-    if anchor > 0:
-        psi[:anchor] = loop_balance_block(kernel, 0, anchor - 1, anchor_above=True)
-    if anchor < n:
-        psi[anchor + 1 :] = loop_balance_block(kernel, anchor + 1, n, anchor_above=False)
-    psi = np.clip(psi, 0.0, None)
-    return psi / psi.sum()
 
 
 def peaked_kernel(rng, size, pin_above, step_scale):
@@ -1069,6 +1131,50 @@ def test_distribution_validation():
         StationaryDistribution(psi=np.full(4, 0.25), kind="guesswork")
 
 
+psi_flaws = st.sampled_from([
+    None, None, math.nan, 0.0, -0.0, -5e-324, 5e-324, -1e-13, -1e-6, math.inf, -math.inf, 1e308,
+    "huge", "unnormalised", "within 1e-9", "past 1e-9",
+])  # fmt: skip
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(
+    n=st.one_of(st.integers(1, 60), st.integers(1, 5000), st.integers(4090, 4200)),
+    held=st.floats(0.0, 1.0),
+    flaws=st.lists(st.tuples(psi_flaws, st.integers(0, 10**6)), max_size=3),
+    kind=st.sampled_from(["product_form", "product_form", "eigenvector", "bogus"]),
+    shape=st.sampled_from([None, None, None, "short", "matrix"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(4, 1.0, [("huge", 0), (math.inf, 4)], "product_form", None, 0)
+@example(4, 1.0, [("huge", 1)], "product_form", None, 0)
+@example(4, 1.0, [(-1e-13, 2)], "product_form", None, 0)
+@example(4, 1.0, [(-0.0, 2)], "eigenvector", None, 0)
+def test_law_keeps_its_validation(n, held, flaws, kind, shape, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.random(n + 1) * (rng.random(n + 1) < held)
+    psi[rng.integers(n + 1)] += 1.0
+    psi /= psi.sum()
+    for flaw, where in flaws:
+        k = where % (n + 1)
+        with np.errstate(all="ignore"):
+            if flaw == "huge":  # two entries whose sum overflows
+                psi[k] = psi[(k + 1) % (n + 1)] = 1.7e308
+            elif flaw == "unnormalised":
+                psi *= 1.5
+            elif flaw == "within 1e-9":
+                psi *= 1.0 + 5e-10
+            elif flaw == "past 1e-9":
+                psi *= 1.0 + 2e-9
+            elif flaw is not None:
+                psi[k] = flaw
+    if shape == "short":
+        psi = psi[:1]
+    elif shape == "matrix":
+        psi = np.stack([psi, psi])
+    same(outcome(StationaryDistribution, psi, kind), outcome(reference_law_post_init, psi, kind))
+
+
 # -- loop references for the sliced array code ------------------------------------------
 #
 # classify's drain scans and the absorption assembly are built with slices;
@@ -1233,35 +1339,6 @@ def test_sliced_banded_assembly_matches_the_loop():
 # build_kernel and expected_poa evaluate every state in one array pass;
 # the per-state loops they replaced are the reference, bit for bit.  The
 # loop takes q from the rule's scalar formula, not from the rule object.
-
-
-def loop_kernel(params, population, rule):
-    """The per-k kernel loop, plus the states whose payoff gap was snapped to a tie."""
-    n = population.n
-    a_p = population.anchored_primary
-    a_s = population.anchored_secondary
-    denom = n * (n - 1 + a_p + a_s)
-    pi_s = utility_secondary(params)
-    tie_snap = 32.0 * np.finfo(float).eps
-    up = np.zeros(n + 1)
-    down = np.zeros(n + 1)
-    snapped = []
-    for k in range(n + 1):
-        pi_p = utility_primary(params, k, n)
-        gain = pi_p - pi_s
-        if abs(gain) <= tie_snap * max(abs(pi_p), abs(pi_s)):
-            gain = 0.0
-            snapped.append(k)
-        up[k] = ((n - k) * (k + a_p)) / denom * scalar_q(rule, gain)
-        down[k] = (k * (n - k + a_s)) / denom * scalar_q(rule, -gain)
-    return up, down, 1.0 - up - down, snapped
-
-
-def loop_expected_poa(params, psi):
-    n = psi.size - 1
-    welfare = np.array([social_welfare(params, k / n) for k in range(n + 1)])
-    _, s_min = social_optimum(params)
-    return float(np.dot(welfare, psi)) / s_min
 
 
 TANH_RULE = CustomRule(fn=lambda z: 0.5 + 0.5 * math.tanh(40.0 * z))

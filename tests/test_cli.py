@@ -19,6 +19,8 @@ from netsel import model
 from netsel.cli import EXIT_ANALYSIS, EXIT_CONFIG, EXIT_OK, main
 from netsel.config import ConfigError, parse_config
 
+pytestmark = pytest.mark.usefixtures("isolated_cwd")
+
 BASE = """\
 [network]
 capacity = 100
@@ -34,15 +36,6 @@ anchored_secondary = 1
 type = fermi
 beta_ratio = 1.0
 """
-
-
-@pytest.fixture(autouse=True)
-def isolated_cwd(tmp_path, monkeypatch):
-    """Keep every test away from the repository directory and the real
-    environment's output override."""
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("NETSEL_OUT_DIR", raising=False)
-    return tmp_path
 
 
 def write_config(tmp_path, text, name="experiment.ini"):

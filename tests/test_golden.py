@@ -18,6 +18,8 @@ import pytest
 
 from netsel.cli import EXIT_OK, main
 
+pytestmark = pytest.mark.usefixtures("isolated_cwd")
+
 README_CONFIG = """\
 [network]
 capacity = 100
@@ -188,12 +190,6 @@ def assert_pinned(out, files, sha):
     """Each file first, so a moved output names itself; then the whole set."""
     assert {path.name: digest([path]) for path in out.iterdir()} == files
     assert digest(out.iterdir()) == sha
-
-
-@pytest.fixture(autouse=True)
-def isolated_cwd(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("NETSEL_OUT_DIR", raising=False)
 
 
 def test_reproduce_all_bytes_are_pinned(tmp_path):

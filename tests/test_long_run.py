@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netsel import chain
 from netsel.chain import (
+    _CHUNK,
     ChainStructureError,
     PopulationConfig,
     TransitionKernel,
@@ -19,17 +21,8 @@ from netsel.chain import (
     stationary_noise_free,
     stationary_product,
 )
-from netsel.model import NetworkParams, calibrate_price_gap
 from netsel.protocols import PairwiseProportional, fermi_from_ratio
-
-
-def outcome(fn, *args):
-    """The value of ``fn(*args)``, or the type of the ValueError it raised."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        return type(exc)
-
+from oracle import bits, calibrated_params, outcome
 
 games = st.fixed_dictionaries(
     {
@@ -46,52 +39,42 @@ games = st.fixed_dictionaries(
 @settings(max_examples=300, deadline=None, database=None)
 @given(games)
 def test_long_run_matches_the_direct_routes(game):
-    gap = calibrate_price_gap(100.0, game["arrival"], 1.0, game["target"])
-    params = NetworkParams(100.0, game["arrival"], 1.0, gap, 0.0)
+    params, n = calibrated_params(game["arrival"], game["target"]), game["n"]
     population = PopulationConfig(
-        n=game["n"],
+        n=n,
         anchored_primary=game["anchored_primary"],
         anchored_secondary=game["anchored_secondary"],
     )
     if game["ratio"] is None:
         rule = PairwiseProportional()
     else:
-        rule = fermi_from_ratio(params, game["n"], game["ratio"])
+        rule = fermi_from_ratio(params, n, game["ratio"])
     kernel = build_kernel(params, population, rule)
     structure = classify(kernel)
     if structure.kind == "irreducible":
-        direct = stationary_product(kernel)
+        direct = bits(stationary_product(kernel))  # the product form never refuses
     elif structure.kind == "absorbing":
         direct = None
     else:
-        direct = outcome(stationary_noise_free, params, population, rule)
-    result = outcome(long_run, kernel)
-    if isinstance(direct, type):
-        assert result is direct
+        direct = outcome(stationary_noise_free, params, population, rule)[0]
+    result = outcome(long_run, kernel)[0]
+    if structure.kind == "other" and isinstance(direct[0], type):  # the noise-free route raised
+        assert issubclass(direct[0], ValueError) and result[0] is direct[0]
         return
-    got_class, law = result
-    assert got_class == structure
-    if direct is None:
-        assert law is None
-    else:
-        assert law.kind == direct.kind
-        assert law.psi.tobytes() == direct.psi.tobytes()
+    assert result == (structure, direct)
     if structure.kind != "absorbing":
         return
-    table = outcome(absorption_table, kernel)
-    if isinstance(table, type):
-        assert outcome(absorption_analysis, kernel, 1) is table
+    table = outcome(absorption_table, kernel)[0]
+    if isinstance(table[0], type):
+        assert issubclass(table[0], ValueError)
+        assert outcome(absorption_analysis, kernel, 1)[0] == table
         return
-    assert table.shape == (population.n + 1, 3) and not table.flags.writeable
-    for k0, row in enumerate(table):
-        expected = np.array(dataclasses.astuple(absorption_analysis(kernel, k0)))
-        assert row.tobytes() == expected.tobytes()
+    rows = np.array([dataclasses.astuple(absorption_analysis(kernel, k0)) for k0 in range(n + 1)])
+    assert table == (rows.dtype.str, (n + 1, 3), rows.tobytes(), False)  # read-only
 
 
 def test_long_run_classifies_once(monkeypatch):
-    import netsel.chain as chain
-
-    params = NetworkParams(100.0, 30.0, 1.0, calibrate_price_gap(100.0, 30.0, 1.0, 0.68), 0.0)
+    params = calibrated_params()
     population = PopulationConfig(n=10, anchored_primary=1, anchored_secondary=1)
     kernel = build_kernel(params, population, fermi_from_ratio(params, 10, 1.0))
     calls, minima = [], []
@@ -107,6 +90,25 @@ def test_long_run_classifies_once(monkeypatch):
     chain.stationary_eigen(kernel)
     assert chain.stationary_product(kernel).psi.tobytes() == law.psi.tobytes()
     assert len(calls) == 1 and len(minima) == 1
+
+
+@pytest.mark.parametrize("n", [10, 5000])
+def test_long_run_does_not_recheck_a_noise_free_kernel(monkeypatch, n):
+    params, population = calibrated_params(), PopulationConfig(n, 1, 2)
+    kernel = build_kernel(params, population, PairwiseProportional())
+    calls = []
+
+    def spy(up, down, real=chain._check_rates):
+        calls.append(up.size)
+        return real(up, down)
+
+    monkeypatch.setattr(chain, "_check_rates", spy)
+    structure, law = long_run(kernel)
+    assert structure.kind == "other" and calls == []
+    # stationary_noise_free checks each chunk it builds, and gives the same law.
+    free = stationary_noise_free(params, population)
+    assert calls == [min(_CHUNK, n + 1 - lo) for lo in range(0, n + 1, _CHUNK)]
+    assert free.psi.tobytes() == law.psi.tobytes()
 
 
 def test_long_run_needs_params_for_a_one_way_kernel():

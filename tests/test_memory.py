@@ -20,7 +20,6 @@ from netsel import model
 from netsel.chain import (
     ChainStructureError,
     PopulationConfig,
-    _gain,
     _log_profile,
     build_kernel,
     detailed_balance_residual,
@@ -29,14 +28,11 @@ from netsel.chain import (
     stationary_product,
     total_variation,
 )
-from netsel.model import NetworkParams, calibrate_price_gap, expected_poa
+from netsel.model import expected_poa
 from netsel.protocols import CustomRule, PairwiseProportional, fermi_from_ratio
+from oracle import calibrated_params, reference_build_kernel, reference_log_profile
 
 N = 200_000
-
-
-def economy(arrival=30.0):
-    return NetworkParams(100.0, arrival, 1.0, calibrate_price_gap(100.0, arrival, 1.0, 0.68), 0.0)
 
 
 def peak_arrays(n, fn, *args):
@@ -54,7 +50,7 @@ def peak_arrays(n, fn, *args):
 
 @pytest.fixture(scope="module")
 def chain():
-    params = economy()
+    params = calibrated_params()
     population = PopulationConfig(N, 1, 1)
     rule = fermi_from_ratio(params, N, 1.0)
     return params, population, rule
@@ -88,7 +84,7 @@ def test_stationary_laws_and_poa_keep_their_arrays_few(chain):
 def test_the_log_domain_product_form_keeps_its_arrays_few():
     # At ratio 10^5 the Fermi q underflows to 0 at nearly every step, and
     # each such step takes the log-domain value.
-    params = economy()
+    params = calibrated_params()
     kernel = build_kernel(params, PopulationConfig(N, 1, 1), fermi_from_ratio(params, N, 1e5))
     assert kernel._structure.kind == "irreducible" and kernel._min_rate == 0.0
     _, peak = peak_arrays(N, stationary_product, kernel)
@@ -105,7 +101,7 @@ def test_large_n_outputs_keep_their_bits():
     n = 100_000
     digest = hashlib.sha256()
     for arrival in (30.0, 70.0):
-        params = economy(arrival)
+        params = calibrated_params(arrival)
         population = PopulationConfig(n, 1, 1)
         kernel = build_kernel(params, population, fermi_from_ratio(params, n, 1.0))
         laws = (
@@ -121,25 +117,10 @@ def test_large_n_outputs_keep_their_bits():
     assert digest.hexdigest() == LARGE_N_SHA256
 
 
-def one_pass_rates(params, population, rule):
-    """The rates of build_kernel as it made them before it worked in chunks:
-    one array pass over all n + 1 states."""
-    n = population.n
-    a_p, a_s = population.anchored_primary, population.anchored_secondary
-    denom = n * (n - 1 + a_p + a_s)
-    k = np.arange(n + 1.0)
-    pi_p = model.utility_primary_at_share(params, k / n)
-    pi_s = model.utility_secondary(params)
-    gain = pi_p - pi_s
-    gain[np.abs(gain) <= np.maximum(np.abs(pi_p), abs(pi_s)) * (32.0 * np.finfo(float).eps)] = 0.0
-    q_up, q_down = rule.pair(gain)
-    return (n - k) * (k + a_p) / denom * q_up, k * (n + a_s - k) / denom * q_down
-
-
 CHUNK = model._CHUNK
 RULES = {
     "proportional": PairwiseProportional(),
-    "fermi": fermi_from_ratio(economy(), 2 * CHUNK, 1.0),
+    "fermi": fermi_from_ratio(calibrated_params(), 2 * CHUNK, 1.0),
     "custom": CustomRule(lambda z: min(1.0, 40.0 * z) if z > 0.0 else 0.0),
 }
 
@@ -148,9 +129,9 @@ RULES = {
 @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 6023, 2 * CHUNK + 3])
 @pytest.mark.parametrize("rule", list(RULES.values()), ids=list(RULES))
 def test_chunked_rates_keep_the_one_pass_bits(n, rule):
-    params = economy()
+    params = calibrated_params()
     population = PopulationConfig(n, 1, 2)
-    up, down = one_pass_rates(params, population, rule)
+    up, down = reference_build_kernel(params, population, rule)
     kernel = build_kernel(params, population, rule)
     assert (kernel.up.tobytes(), kernel.down.tobytes()) == (up.tobytes(), down.tobytes())
     k = model.critical_state(params, n)
@@ -164,26 +145,6 @@ def test_chunked_rates_keep_the_one_pass_bits(n, rule):
     assert stationary_noise_free(params, population, rule).psi.tobytes() == psi.tobytes()
 
 
-def one_pass_log_profile(kernel):
-    """The log-domain branch of chain._log_profile as it was before it took
-    the underflowed steps in chunks: one array pass over all of them."""
-    up, down = kernel.up[:-1], kernel.down[1:]
-    tiny = np.finfo(float).tiny
-    with np.errstate(divide="ignore", invalid="ignore"):
-        steps = np.log(up) - np.log(down)
-    j = np.flatnonzero((up < tiny) | (down < tiny))  # from state j to j + 1
-    n, population = kernel.n, kernel.population
-    a_p, a_s = population.anchored_primary, population.anchored_secondary
-    lower = j.astype(float)
-    upper = lower + 1.0
-    gain = _gain(kernel.params, model.utility_secondary(kernel.params), np.append(lower, upper) / n)
-    log_q, log_q_minus = kernel.rule.log_pair(gain)
-    # The counting weights' common denominator cancels from the ratio.
-    weights = (n - lower) * (lower + a_p) / (upper * (n + a_s - upper))
-    steps[j] = np.log(weights) + log_q[: j.size] - log_q_minus[j.size :]
-    return np.concatenate(([0.0], np.cumsum(steps)))
-
-
 # At n = 2 * 10^4 the underflowed steps fill all five chunks at ratio 10^5,
 # and chunks 0-2 and 4 at ratio 2000 with anchors (1, 2).  At n = CHUNK + 1
 # the last step, from n - 1 to n, is the only one in its chunk.
@@ -192,15 +153,15 @@ def one_pass_log_profile(kernel):
     [(20_000, 1e5, (1, 1)), (20_000, 2000.0, (1, 2)), (CHUNK + 1, 1e5, (2, 1))],
 )
 def test_chunked_log_domain_steps_keep_the_one_pass_bits(n, ratio, anchors):
-    params = economy()
+    params = calibrated_params()
     kernel = build_kernel(params, PopulationConfig(n, *anchors), fermi_from_ratio(params, n, ratio))
     assert kernel._min_rate < np.finfo(float).tiny  # the log-domain branch
-    assert _log_profile(kernel).tobytes() == one_pass_log_profile(kernel).tobytes()
+    assert _log_profile(kernel).tobytes() == reference_log_profile(kernel).tobytes()
 
 
 @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
 def test_chunked_diagnostics_keep_the_one_pass_values(n):
-    params = economy()
+    params = calibrated_params()
     kernel = build_kernel(params, PopulationConfig(n, 1, 1), RULES["fermi"])
     rng = np.random.default_rng(n)
     q = rng.random(n + 1)
@@ -234,7 +195,7 @@ class EdgeLeak(PairwiseProportional):
 # above state n - 3, in the last.
 @pytest.mark.parametrize("state", [5, 2 * CHUNK])
 def test_noise_free_sees_a_move_away_in_any_chunk(state):
-    params, n = economy(), 2 * CHUNK + 3
+    params, n = calibrated_params(), 2 * CHUNK + 3
     cut = model.utility_primary(params, state, n) - model.utility_secondary(params)
     with pytest.raises(ChainStructureError, match="rule is not noise-free"):
         stationary_noise_free(params, PopulationConfig(n, 1, 2), EdgeLeak(cut=cut))

@@ -27,11 +27,7 @@ from netsel.model import (
     utility_primary_at_share,
     utility_secondary,
 )
-
-
-def calibrated_params(capacity=100.0, arrival=30.0, delay_weight=1.0, target=0.68):
-    gap = calibrate_price_gap(capacity, arrival, delay_weight, target)
-    return NetworkParams(capacity, arrival, delay_weight, gap, 0.0)
+from oracle import calibrated_params, economies, outcome, reference_expected_poa, same
 
 
 def random_params(rng):
@@ -446,23 +442,6 @@ def test_expected_poa_rejects_non_finite_mass(bad):
 CHUNK = model._CHUNK
 
 
-def chunked_dot_before_skipping(weights, values):
-    """model._chunked_dot as it was before it skipped chunks without mass."""
-    total = 0.0
-    for lo in range(0, weights.size, CHUNK):
-        hi = min(lo + CHUNK, weights.size)
-        total += float(np.dot(values(lo, hi), weights[lo:hi]))
-    return total
-
-
-def expected_poa_before_skipping(params, psi):
-    n = psi.size - 1
-    mean = chunked_dot_before_skipping(
-        psi, lambda lo, hi: social_welfare(params, np.arange(lo, hi) / n)
-    )
-    return mean / social_optimum(params)[1]
-
-
 @st.composite
 def sparse_laws(draw):
     """A law over 2 to 6 chunks of states: a few blocks of mass, with runs of
@@ -495,17 +474,44 @@ def sparse_laws(draw):
     return psi
 
 
+@st.composite
+def flawed_laws(draw):
+    """A law over 2 to 9,001 states with mass on a random share of them, so
+    that large-n laws leave whole chunks empty, and at most one flaw."""
+    n = draw(st.one_of(st.integers(1, 60), st.integers(1, 5000), st.integers(4090, 9000)))
+    held = draw(st.floats(0.0, 1.0))
+    flaws = [None, None, "negative", "slightly negative", "nan", "unnormalised"]
+    flaw = draw(st.sampled_from(flaws))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = rng.random(n + 1) * (rng.random(n + 1) < held)
+    psi[rng.integers(n + 1)] += 1.0
+    psi /= psi.sum()
+    if flaw == "negative":
+        psi[rng.integers(n + 1)] = -1e-6
+    elif flaw == "slightly negative":
+        psi[rng.integers(n + 1)] = -1e-13
+    elif flaw == "nan":
+        psi[rng.integers(n + 1)] = math.nan
+    elif flaw == "unnormalised":
+        psi *= 1.5
+    return psi
+
+
 # At n = 6,023 the critical pair {4095, 4096} of the noise-free law straddles
 # the first two chunks.
 STRADDLING_PAIR = stationary_noise_free(calibrated_params(), PopulationConfig(6023)).psi
 
 
-@example(arrival=30.0, target=0.68, psi=STRADDLING_PAIR)
-@settings(max_examples=200, deadline=None, database=None)
-@given(arrival=st.floats(1.0, 99.0), target=st.floats(0.05, 0.95), psi=sparse_laws())
-def test_expected_poa_keeps_its_bits_when_it_skips_chunks_without_mass(arrival, target, psi):
-    params = calibrated_params(arrival=arrival, target=target)
-    assert expected_poa(params, psi).hex() == expected_poa_before_skipping(params, psi).hex()
+@example(params=calibrated_params(), psi=STRADDLING_PAIR)
+@settings(max_examples=800, deadline=None, database=None)
+@given(
+    params=st.one_of(
+        economies, st.builds(calibrated_params, st.floats(1.0, 99.0), st.floats(0.05, 0.95))
+    ),
+    psi=st.one_of(flawed_laws(), sparse_laws()),
+)
+def test_expected_poa_keeps_its_bits_when_it_skips_chunks_without_mass(params, psi):
+    same(outcome(expected_poa, params, psi), outcome(reference_expected_poa, params, psi))
 
 
 def test_the_two_point_law_at_large_n_sums_one_chunk(monkeypatch):
@@ -521,7 +527,7 @@ def test_the_two_point_law_at_large_n_sums_one_chunk(monkeypatch):
     poa = expected_poa(params, law)
     assert [(round(s[0] * n), s.size) for s in shares] == [(16 * CHUNK, CHUNK)]  # k* = 68,000
     monkeypatch.undo()
-    assert poa == expected_poa_before_skipping(params, law.psi)
+    assert poa == reference_expected_poa(params, law.psi)
 
 
 def test_expected_poa_is_finite_where_only_chunks_without_mass_have_infinite_welfare():
@@ -536,7 +542,7 @@ def test_expected_poa_is_finite_where_only_chunks_without_mass_have_infinite_wel
     held = slice(7 * CHUNK, 8 * CHUNK)
     with np.errstate(over="ignore", invalid="ignore"):
         welfare = social_welfare(params, np.arange(n + 1) / n)
-        assert math.isnan(expected_poa_before_skipping(params, psi))
+        assert math.isnan(reference_expected_poa(params, psi))
     assert np.isinf(welfare[0]) and np.isinf(welfare[n]) and np.isfinite(welfare[held]).all()
     poa = expected_poa(params, psi)
     assert math.isfinite(poa)

@@ -19,7 +19,6 @@ from netsel.chain import (
     stationary_product,
     total_variation,
 )
-from netsel.model import NetworkParams, calibrate_price_gap
 from netsel.montecarlo import (
     INITIAL_UNIFORM,
     OccupancyHistogram,
@@ -28,12 +27,7 @@ from netsel.montecarlo import (
     run,
 )
 from netsel.protocols import PairwiseProportional, fermi_from_ratio
-from test_chain import dense_matrix
-
-
-def calibrated_params(target=0.68):
-    gap = calibrate_price_gap(100.0, 30.0, 1.0, target)
-    return NetworkParams(100.0, 30.0, 1.0, gap, 0.0)
+from oracle import calibrated_params, dense_matrix
 
 
 def fermi_kernel(n=10, anchors=1, ratio=1.0):
@@ -812,7 +806,7 @@ def test_absorption_sampling_rejects_foreign_starts():
         )
 
 
-def shared_stream_absorption(spec, kernel):
+def reference_absorption_frequency(spec, kernel):
     """The first shared-stream loop of :func:`absorption_frequency`, kept
     verbatim as the reference (its structure check is left to the engine):
     every event draws one uniform per still-active replica in replica order
@@ -894,7 +888,7 @@ def test_absorption_sampling_matches_the_shared_stream_loop(data):
     # (x* = 1) absorb every replica well within the long cap at n <= 60.
     n = data.draw(st.integers(3, 60), label="n")
     target, ratio = data.draw(st.sampled_from([(0.68, 0.0), (1.0, 1.0), (1.0, 10.0)]))
-    params = calibrated_params(target)
+    params = calibrated_params(target=target)
     kernel = build_kernel(params, PopulationConfig(n=n), fermi_from_ratio(params, n, ratio))
     spec = SimulationSpec(
         seed=data.draw(st.integers(0, 2**64 - 1), label="seed"),
@@ -906,7 +900,7 @@ def test_absorption_sampling_matches_the_shared_stream_loop(data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_BLOCK", block)
         got = warned(absorption_frequency, spec, kernel)
-    assert got == warned(shared_stream_absorption, spec, kernel)
+    assert got == warned(reference_absorption_frequency, spec, kernel)
 
 
 @given(

@@ -20,29 +20,7 @@ from netsel.protocols import (
     beta_reference,
     fermi_from_ratio,
 )
-
-
-def scalar_q(rule, z):
-    """The rule's formula on one Python float: the reference for ``pair``."""
-    if isinstance(rule, PairwiseProportional):
-        return 0.0 if z <= 0.0 else min(1.0, rule.scale * z)
-    if isinstance(rule, Fermi):
-        z = rule.beta * z
-        if z >= 0.0:
-            return 1.0 / (1.0 + math.exp(-z))
-        e = math.exp(z)
-        return e / (1.0 + e)
-    return float(rule.fn(z))
-
-
-def q_at(rule, z):
-    """q(z) at one payoff difference, read from ``pair``."""
-    return float(rule.pair(np.array([z], dtype=float))[0][0])
-
-
-def calibrated_params():
-    gap = calibrate_price_gap(100.0, 30.0, 1.0, 0.68)
-    return NetworkParams(100.0, 30.0, 1.0, gap, 0.0)
+from oracle import calibrated_params, outcome, q_at, reference_fermi_pair, same, scalar_q, step
 
 
 # -- pairwise proportional ------------------------------------------------------
@@ -176,10 +154,6 @@ def test_rule_arrays_match_the_scalar_rule_bitwise(rule):
     assert_pair_is_scalar_q_bitwise(rule, zs)
 
 
-def step(z):
-    return 1.0 if z > 0.0 else 0.0
-
-
 class Step(ImitationRule):
     """A third-party rule that defines a scalar map but not ``pair``, so it stays abstract."""
 
@@ -262,6 +236,25 @@ def test_fermi_from_ratio_rates_keep_libm_bits(ratio, n):
     params = calibrated_params()
     gains = _gain(params, utility_secondary(params), np.arange(n + 1) / n)
     assert_pair_is_scalar_q_bitwise(fermi_from_ratio(params, n, ratio), gains)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    beta=st.one_of(st.sampled_from([0.0, 1.0, 1e3]), st.floats(0.0, 1e6)),
+    specials=st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]), st.floats()),
+        max_size=16,
+    ),
+    size=st.one_of(st.integers(0, 40), st.integers(4090, 9000)),
+    scale=st.sampled_from([1e-300, 1e-8, 1.0, 30.0, 1e3, 1e300]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fermi_pair_keeps_its_bits(beta, specials, size, scale, seed):
+    rng = np.random.default_rng(seed)
+    zs = np.concatenate([specials, rng.normal(scale=scale, size=size)])
+    rng.shuffle(zs)
+    rule = Fermi(beta=beta)
+    same(outcome(rule.pair, zs), outcome(reference_fermi_pair, rule, zs))
 
 
 # -- payoff scale ------------------------------------------------------------------

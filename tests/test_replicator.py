@@ -10,35 +10,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from netsel.model import (
-    NetworkParams,
-    calibrate_price_gap,
-    equilibrium,
-    utility_primary_at_share,
-    utility_secondary,
-)
+from netsel.model import NetworkParams, calibrate_price_gap, equilibrium
 from netsel.protocols import Fermi, PairwiseProportional
 from netsel.replicator import integrate, replicator_rhs
+from oracle import calibrated_params, exact_flow, exact_time, imitation_flow
 
 # The closed form takes no step that could overflow or divide by zero.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
-
-def calibrated_params(target=0.68):
-    gap = calibrate_price_gap(100.0, 30.0, 1.0, target)
-    return NetworkParams(100.0, 30.0, 1.0, gap, 0.0)
-
-
-def imitation_flow(rule, params, share):
-    """Expected drift of the imitation process at one share value.
-
-    share * (1 - share) * (q(diff) - q(-diff)) with diff the primary payoff
-    advantage, from the rule's ``pair``: the rate of secondary users copying
-    primaries minus the reverse.
-    """
-    diff = utility_primary_at_share(params, share) - utility_secondary(params)
-    q_up, q_down = rule.pair(np.array([diff]))
-    return share * (1.0 - share) * float(q_up[0] - q_down[0])
 
 
 # -- vector fields -------------------------------------------------------------
@@ -349,31 +327,6 @@ def test_integrate_follows_solve_ivp(
     assert settled == got.converged
     assert end == pytest.approx(times[-1], rel=1e-4)
     assert np.abs(shares - got_shares).max() <= 1e-9
-
-
-def exact_flow(params, gain):
-    """The field at the working precision, from the float parameters taken
-    exactly, and its rest point B / A (where A > 0; else -1)."""
-    cap, lam, weight = (mp.mpf(v) for v in (params.capacity, params.arrival, params.delay_weight))
-    margin = weight / (cap - lam) - mp.mpf(params.price_primary) + mp.mpf(params.price_secondary)
-
-    def field(x):
-        x = mp.mpf(x)
-        return gain * x * (1 - x) * (margin - weight / (cap - lam * x))
-
-    return field, (cap * margin - weight) / (lam * margin) if margin > 0 else mp.mpf(-1)
-
-
-def exact_time(field, star, start, share):
-    """The integral of 1 / field from start to share, split where the distance
-    to the rest point falls by each factor of 16, so that every piece is smooth."""
-    start, share = mp.mpf(start), mp.mpf(share)
-    rest = star if 0 < star < 1 else mp.mpf(field(start) > 0)
-    points, gap = [start], abs(start - rest)
-    while gap / 16 > abs(share - rest):
-        gap /= 16
-        points.append(rest + mp.sign(start - rest) * gap)
-    return mp.quad(lambda x: 1 / field(x), points + [share])
 
 
 @st.composite
