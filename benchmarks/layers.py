@@ -76,10 +76,10 @@ to 2,000 replicas of 2*10^4 events, forcing each by setting
 ``replicator.integrate`` from share 0.2, as ``netsel replicator`` runs the
 README's config.  The launch rows time fresh interpreters as a user
 starts them, with the peak resident memory of each: ``import
-netsel.cli``, ``netsel reproduce --figure all``, ``simulate``,
-``replicator`` and ``stationary`` on the README's config (the last also
-without anchors), and one ``stationary_eigen`` at n = 10^5.  The memory
-rows are the tracemalloc peak of each large-n stage at n = 10^5 and
+netsel.cli``, ``netsel reproduce --figure all``, ``equilibrium``,
+``sweep``, ``simulate``, ``replicator`` and ``stationary`` on the README's
+config (the last also without anchors), and one ``stationary_eigen`` at
+n = 10^5.  The memory rows are the tracemalloc peak of each large-n stage at n = 10^5 and
 10^6, result included, in float64 vectors over the n + 1 states, and of
 ``stationary_product`` at n = 10^5 and ratio 10^5, where the Fermi q
 underflows at nearly every step and takes the log-domain value; the
@@ -146,7 +146,8 @@ ROUNDS = 4
 SPREAD_BOUND = 0.25
 MEMORY_SIZES = (10**5, 10**6)
 FAULT_PASSES = 15
-# The README's example config: what ``netsel simulate`` and ``netsel replicator`` run.
+# The README's example config: what ``netsel equilibrium``, ``simulate``,
+# ``replicator`` and ``sweep`` run.
 README_CONFIG = """\
 [network]
 capacity = 100
@@ -171,6 +172,10 @@ trajectory_decimation = 500
 
 [replicator]
 initial_share = 0.2
+
+[sweep]
+variable = lambda
+values = 30, 35
 """
 UNANCHORED_CONFIG = README_CONFIG.replace("anchored_primary = 1", "anchored_primary = 0").replace(
     "anchored_secondary = 1", "anchored_secondary = 0"
@@ -483,6 +488,10 @@ def launch_rows() -> dict[str, dict[str, float]]:
         unanchored.write_text(UNANCHORED_CONFIG, encoding="utf-8")
         launches = {
             "import_netsel_cli": ["-c", "import netsel.cli"],
+            "equilibrium_readme": [
+                "-m", "netsel.cli", "equilibrium", "--config", str(config), "--out", "eq"
+            ],
+            "sweep_readme": ["-m", "netsel.cli", "sweep", "--config", str(config), "--out", "sweep"],
             "reproduce_all": ["-m", "netsel.cli", "reproduce", "--figure", "all", "--out", "figs"],
             "simulate_readme": ["-m", "netsel.cli", "simulate", "--config", str(config), "--out", "sim"],
             "replicator_readme": [

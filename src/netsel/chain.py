@@ -24,12 +24,11 @@ from functools import cached_property
 import numpy as np
 
 from . import model
-from .model import _CHUNK, NetworkParams
+from .model import _CHUNK, NetworkParams, PopulationConfig, _is_int
 from .protocols import ImitationRule, PairwiseProportional
 
 __all__ = [
     "ChainStructureError",
-    "PopulationConfig",
     "TransitionKernel",
     "ChainClass",
     "StationaryDistribution",
@@ -56,33 +55,6 @@ _TINY = np.finfo(float).tiny
 
 class ChainStructureError(ValueError):
     """An analysis was asked of a kernel whose structure does not support it."""
-
-
-def _is_int(value) -> bool:
-    """True for a Python or numpy integer; bools are refused as counts."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-@dataclass(frozen=True)
-class PopulationConfig:
-    """Genuine population size plus per-operator anchored users.
-
-    n                   genuine (revising) users; at least 2
-    anchored_primary    operator-planted users pinned to the primary network
-    anchored_secondary  operator-planted users pinned to the secondary network
-    """
-
-    n: int
-    anchored_primary: int = 0
-    anchored_secondary: int = 0
-
-    def __post_init__(self) -> None:
-        if not _is_int(self.n) or self.n < 2:
-            raise ValueError(f"population needs at least 2 genuine users, got n={self.n!r}")
-        for name in ("anchored_primary", "anchored_secondary"):
-            v = getattr(self, name)
-            if not _is_int(v) or v < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
 
 
 def _frozen(values) -> np.ndarray:
@@ -339,20 +311,20 @@ def _classify(kernel: TransitionKernel) -> ChainClass:
     # Rates are never NaN, so positive interior minima mean every move is possible.
     if kernel._low[0] > 0.0 and kernel._low[1] > 0.0:
         return _IRREDUCIBLE
-    up, down = kernel.up, kernel.down
     n = kernel.n
-    up_pos, down_pos = up > 0.0, down > 0.0
     positive = kernel._min_rate < math.inf
     if positive:  # every interior weight is positive, and a boundary one only with an anchor
-        up_pos[1:n] = down_pos[1:n] = True
-        up_pos[0] = kernel.population.anchored_primary > 0
-        down_pos[n] = kernel.population.anchored_secondary > 0
-        if up_pos[0] and down_pos[n]:
+        up_0 = kernel.population.anchored_primary > 0
+        down_n = kernel.population.anchored_secondary > 0
+        if up_0 and down_n:
             return ChainClass(
                 kind="irreducible",
                 detail="all interior moves possible; some rates underflow to 0 in float",
             )
-    if not up_pos[0] and not down_pos[n]:
+    else:
+        up_pos, down_pos = kernel.up > 0.0, kernel.down > 0.0
+        up_0, down_n = up_pos[0], down_pos[n]
+    if not up_0 and not down_n:
         # State k reaches n iff every up move from k onwards is possible,
         # and reaches 0 iff every down move below it is: with every interior
         # move possible, each state reaches both.
@@ -365,8 +337,11 @@ def _classify(kernel: TransitionKernel) -> ChainClass:
                 absorbing_states=(0, n),
                 detail="boundary states trap and every interior state drains to a boundary",
             )
-    zero_up = np.flatnonzero(~up_pos[:n]).tolist()
-    zero_down = (np.flatnonzero(~down_pos[1:]) + 1).tolist()
+    if positive:  # one anchor: only the other side's boundary move is blocked
+        zero_up, zero_down = [] if up_0 else [0], [] if down_n else [n]
+    else:
+        zero_up = np.flatnonzero(~up_pos[:n]).tolist()
+        zero_down = (np.flatnonzero(~down_pos[1:]) + 1).tolist()
     return ChainClass(
         kind="other",
         detail=f"blocked up moves at k={zero_up}, blocked down moves at k={zero_down}",

@@ -22,13 +22,9 @@ import sys
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-import numpy as np
-
-from . import __version__, chain, model, montecarlo, replicator
-from .chain import PopulationConfig
+from . import __version__, chain, model, montecarlo, protocols, replicator
 from .config import ConfigError, ExperimentConfig, parse_config
-from .model import NetworkParams
-from .protocols import PairwiseProportional, beta_reference, fermi_from_ratio
+from .model import NetworkParams, PopulationConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -289,7 +285,6 @@ _FIG_CAPACITY = 100.0
 _FIG_ARRIVAL = 30.0
 _FIG_DELAY_WEIGHT = 1.0
 _FIG_TARGET_SHARE = 0.68
-_NOISE_FREE = PairwiseProportional()
 
 
 def _figure_params(arrival: float = _FIG_ARRIVAL) -> NetworkParams:
@@ -313,7 +308,8 @@ def _fig1a() -> list[tuple[str, Any]]:
     """Two-point noise-free law over 10 users, with the equilibrium marker."""
     params = _figure_params()
     population = PopulationConfig(n=10)
-    _, distribution = chain.long_run(chain.build_kernel(params, population, _NOISE_FREE))
+    rule = protocols.PairwiseProportional()
+    _, distribution = chain.long_run(chain.build_kernel(params, population, rule))
     rows = [(k, float(p)) for k, p in enumerate(distribution.psi)]
     meta = _figure_meta(
         population,
@@ -332,14 +328,14 @@ def _fig1b() -> list[tuple[str, Any]]:
     share stays at 0.68 and the critical state stays interior.
     """
     rows = []
-    for arrival in np.arange(5.0, 96.0, 5.0):
-        params = _figure_params(arrival=float(arrival))
+    for arrival in (float(a) for a in range(5, 96, 5)):
+        params = _figure_params(arrival=arrival)
         for n in (10, 100):
-            kernel = chain.build_kernel(params, PopulationConfig(n=n), _NOISE_FREE)
-            _, distribution = chain.long_run(kernel)
+            population, rule = PopulationConfig(n=n), protocols.PairwiseProportional()
+            _, distribution = chain.long_run(chain.build_kernel(params, population, rule))
             poa_e = model.expected_poa(params, distribution)
-            rows.append((float(arrival), f"poa_expected_n{n}", poa_e))
-        rows.append((float(arrival), "poa_nash", model.poa_at(params, _FIG_TARGET_SHARE)))
+            rows.append((arrival, f"poa_expected_n{n}", poa_e))
+        rows.append((arrival, "poa_nash", model.poa_at(params, _FIG_TARGET_SHARE)))
     meta = _figure_meta(
         figure="fig1b",
         rule="proportional (noise-free)",
@@ -355,7 +351,7 @@ def _fig2a() -> list[tuple[str, Any]]:
     params = _figure_params()
     population = PopulationConfig(n=10)
     ratio = 1.0
-    rule = fermi_from_ratio(params, population.n, ratio)
+    rule = protocols.fermi_from_ratio(params, population.n, ratio)
     kernel = chain.build_kernel(params, population, rule)
     meta = _figure_meta(
         population,
@@ -375,9 +371,8 @@ def _fig2a() -> list[tuple[str, Any]]:
 def _fig2b() -> list[tuple[str, Any]]:
     """Closed-form absorbing-case PoA as the arrival rate fills the channel."""
     rows = []
-    for arrival in np.arange(1.0, 100.0, 1.0):
-        params = _figure_params(arrival=float(arrival))
-        rows.append((float(arrival), "poa_absorbing", model.poa_absorbing(params)))
+    for arrival in (float(a) for a in range(1, 100)):
+        rows.append((arrival, "poa_absorbing", model.poa_absorbing(_figure_params(arrival))))
     meta = _figure_meta(figure="fig2b")
     return [("fig2b.csv", (("sweep_value", "metric", "value"), rows, meta))]
 
@@ -402,7 +397,7 @@ def _fig3a() -> list[tuple[str, Any]]:
     dist_rows = []
     summary_rows = []
     for ratio in ratios:
-        rule = fermi_from_ratio(params, population.n, ratio)
+        rule = protocols.fermi_from_ratio(params, population.n, ratio)
         _, distribution = chain.long_run(chain.build_kernel(params, population, rule))
         dist_rows += [(ratio, k, float(p)) for k, p in enumerate(distribution.psi)]
         summary_rows += _law_summary(ratio, params, distribution)
@@ -410,7 +405,7 @@ def _fig3a() -> list[tuple[str, Any]]:
         population,
         figure="fig3a",
         beta_ratios=list(ratios),
-        beta_reference=beta_reference(params, population.n),
+        beta_reference=protocols.beta_reference(params, population.n),
     )
     return [
         ("fig3a_distributions.csv", (("beta_ratio", "k", "psi"), dist_rows, meta)),
@@ -421,6 +416,7 @@ def _fig3a() -> list[tuple[str, Any]]:
 def _fig3b() -> list[tuple[str, Any]]:
     """Anchored stationary laws at ratio 1 for n = 10, 100, 1000, with a
     matched-moment Gaussian overlay per population size."""
+    import numpy as np  # here, as the scalar commands need no numpy
     sizes = (10, 100, 1000)
     ratio = 1.0
     dist_rows = []
@@ -428,7 +424,7 @@ def _fig3b() -> list[tuple[str, Any]]:
     for n in sizes:
         params = _figure_params()
         population = PopulationConfig(n=n, anchored_primary=1, anchored_secondary=1)
-        rule = fermi_from_ratio(params, n, ratio)
+        rule = protocols.fermi_from_ratio(params, n, ratio)
         _, distribution = chain.long_run(chain.build_kernel(params, population, rule))
         states = np.arange(n + 1)
         mean = model._chunked_dot(distribution.psi, lambda lo, hi: states[lo:hi])

@@ -15,13 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
-from . import model
-from .chain import PopulationConfig
-from .model import NetworkParams
-from .montecarlo import INITIAL_UNIFORM, SimulationSpec
-from .protocols import Fermi, ImitationRule, PairwiseProportional, fermi_from_ratio
+from . import model, montecarlo, protocols
+from .model import NetworkParams, PopulationConfig
 
 __all__ = ["ConfigError", "SweepSpec", "ExperimentConfig", "parse_config"]
 
@@ -218,7 +213,7 @@ class ExperimentConfig:
 
     # -- rule --------------------------------------------------------------
 
-    def rule(self, params: NetworkParams, n: int) -> ImitationRule:
+    def rule(self, params: NetworkParams, n: int) -> protocols.ImitationRule:
         """Build the imitation rule.
 
         Fermi intensities come either as ``beta_ratio`` (in units of the
@@ -231,7 +226,7 @@ class ExperimentConfig:
             if "beta_ratio" in sec or "beta_absolute" in sec:
                 raise ConfigError("[rule] proportional takes 'scale', not beta keys")
             try:
-                return PairwiseProportional(scale=sec.get("scale", 1.0))
+                return protocols.PairwiseProportional(scale=sec.get("scale", 1.0))
             except ValueError as exc:
                 raise ConfigError(f"[rule]: {exc}") from None
         if kind == "fermi":
@@ -245,8 +240,8 @@ class ExperimentConfig:
                 )
             try:
                 if ratio is not None:
-                    return fermi_from_ratio(params, n, ratio)
-                return Fermi(beta=absolute)
+                    return protocols.fermi_from_ratio(params, n, ratio)
+                return protocols.Fermi(beta=absolute)
             except ValueError as exc:
                 raise ConfigError(f"[rule]: {exc}") from None
         raise ConfigError(f"[rule] unknown type {kind!r}; use 'proportional' or 'fermi'")
@@ -284,9 +279,9 @@ class ExperimentConfig:
                     "[sweep] needs a finite step > 0, stop >= start and finitely many points: "
                     f"fewer than {_SWEEP_STEPS} steps from start to stop"
                 )
-            count = int(round((stop - start) / step)) + 1
-            grid = start + step * np.arange(count)
-            values = tuple(float(v) for v in grid if v <= stop + step * 1e-9)
+            # Point i is start + step * i: one float64 multiply and one add.
+            grid = (start + step * i for i in range(int(round((stop - start) / step)) + 1))
+            values = tuple(v for v in grid if v <= stop + step * 1e-9)
         if variable == "n":
             for v in values:
                 if not math.isfinite(v) or v != int(v) or int(v) < 2:
@@ -295,12 +290,12 @@ class ExperimentConfig:
 
     # -- simulation ----------------------------------------------------------
 
-    def simulation_spec(self, seed_override: int | None = None) -> SimulationSpec:
+    def simulation_spec(self, seed_override: int | None = None) -> montecarlo.SimulationSpec:
         sec = self._section("simulation")
         seed = seed_override if seed_override is not None else sec.get("seed", 0)
-        initial_raw = sec.get("initial_state", INITIAL_UNIFORM)
+        initial_raw = sec.get("initial_state", montecarlo.INITIAL_UNIFORM)
         initial: int | str
-        if initial_raw == INITIAL_UNIFORM:
+        if initial_raw == montecarlo.INITIAL_UNIFORM:
             initial = initial_raw
         else:
             try:
@@ -308,10 +303,10 @@ class ExperimentConfig:
             except ValueError:
                 raise ConfigError(
                     f"[simulation] initial_state must be an integer or "
-                    f"{INITIAL_UNIFORM!r}, got {initial_raw!r}"
+                    f"{montecarlo.INITIAL_UNIFORM!r}, got {initial_raw!r}"
                 ) from None
         try:
-            return SimulationSpec(
+            return montecarlo.SimulationSpec(
                 seed=seed,
                 steps=self._require("simulation", "steps"),
                 burn_in=sec.get("burn_in"),

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import StationaryDistribution, TransitionKernel, _is_int, _require
+from .chain import StationaryDistribution, TransitionKernel, _require
+from .model import _is_int
 
 __all__ = [
     "SimulationSpec",

@@ -5,6 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import netsel
 from netsel import chain, model, montecarlo, protocols, replicator
 from netsel.chain import PopulationConfig, build_kernel, stationary_product
@@ -25,6 +28,28 @@ def test_each_public_name_is_the_submodule_object():
     for module in SUBMODULES:
         for name in module.__all__:
             assert getattr(netsel, name) is getattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_a_star_import_binds_every_public_name_and_dir_lists_them():
+    namespace = {}
+    exec("from netsel import *", namespace)
+    for name in netsel.__all__:
+        assert namespace[name] is getattr(netsel, name), name
+    assert set(netsel.__all__) <= set(dir(netsel))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'netsel' has no attribute 'no_such_name'$"):
+        netsel.no_such_name
+
+
+def test_the_population_config_has_one_home_and_one_integer_check():
+    assert chain.PopulationConfig is model.PopulationConfig is netsel.PopulationConfig
+    assert "PopulationConfig" in model.__all__ and "PopulationConfig" not in chain.__all__
+    assert model.PopulationConfig(n=np.int64(5), anchored_primary=np.uint8(1)).n == 5
+    for bad in (dict(n=True), dict(n=5, anchored_secondary=False), dict(n=5.0)):
+        with pytest.raises(ValueError):
+            model.PopulationConfig(**bad)
 
 
 def test_the_single_event_step_is_not_public():

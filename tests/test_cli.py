@@ -10,6 +10,7 @@ import textwrap
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import netsel
 from netsel import model
 from netsel.cli import EXIT_ANALYSIS, EXIT_CONFIG, EXIT_OK, main
-from netsel.config import ConfigError, parse_config
+from netsel.config import ConfigError, ExperimentConfig, parse_config
 
 pytestmark = pytest.mark.usefixtures("isolated_cwd")
 
@@ -175,6 +176,19 @@ def test_sweep_grid_includes_both_endpoints(tmp_path):
     values = parse_config(path).sweep().values
     assert len(values) == 19
     assert values[0] == 5.0 and values[-1] == 95.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-1e6, 1e6), st.floats(1e-6, 1e3), st.floats(0.0, 1e4))
+def test_a_start_stop_step_grid_has_the_bits_of_numpys_arange(start, step, span):
+    # The grid is built in Python floats, each point one multiply and one add:
+    # the bits of start + step * np.arange(count), which it was built from before.
+    stop = start + span
+    assume((stop - start) / step < 10**4)
+    sweep = {"variable": "lambda", "start": start, "stop": stop, "step": step}
+    values = ExperimentConfig({"sweep": sweep}).sweep().values
+    grid = start + step * np.arange(int(round((stop - start) / step)) + 1)
+    assert [v.hex() for v in values] == [float(v).hex() for v in grid if v <= stop + step * 1e-9]
 
 
 def test_bad_initial_state_string_is_a_config_error(tmp_path, capsys):
@@ -907,3 +921,56 @@ def test_numpy_only_commands_never_load_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
     for name in ("histogram.csv", "absorption.csv", "fig2a_absorption.csv", "replicator.csv"):
         assert (tmp_path / "res" / name).exists(), name
+
+
+LOADED = """
+import json, sys, types
+from netsel.cli import main
+if sys.argv[1:]:
+    try:
+        assert main(sys.argv[1:]) == 0
+    except SystemExit as exc:  # --version prints and exits
+        assert exc.code == 0
+run = {name: type(sys.modules["netsel." + name]) is types.ModuleType for name in ("montecarlo", "replicator")}
+print(json.dumps({"numpy": "numpy" in sys.modules, "numpy.random": "numpy.random" in sys.modules, **run}))
+"""
+# What a step loads: numpy, numpy.random, and which of montecarlo and
+# replicator ran (a layer not yet used is registered but not executed).
+NOTHING = {"numpy": False, "numpy.random": False, "montecarlo": False, "replicator": False}
+ARRAYS = {**NOTHING, "numpy": True}
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        ([], NOTHING),
+        (["--version"], NOTHING),
+        (["equilibrium", "--config", "{config}"], NOTHING),
+        (["stationary", "--config", "{config}"], ARRAYS),
+        (["stationary", "--config", "{unanchored}"], ARRAYS),
+        (["sweep", "--config", "{config}"], ARRAYS),
+        (["reproduce", "--figure", "all"], ARRAYS),
+        (["simulate", "--config", "{config}"], {**ARRAYS, "numpy.random": True, "montecarlo": True}),
+        (["replicator", "--config", "{config}"], {**ARRAYS, "replicator": True}),
+    ],
+    ids=["import", "version", "equilibrium", "stationary", "absorbing", "sweep", "reproduce",
+         "simulate", "replicator"],
+)  # fmt: skip
+def test_each_command_loads_only_the_layers_it_uses(tmp_path, argv, loaded):
+    # A fresh interpreter per step: equilibrium and --version never pay for
+    # numpy, and only the commands that sample or integrate run those layers.
+    path = write_config(
+        tmp_path,
+        SIM + "\n[sweep]\nvariable = lambda\nvalues = 30, 35\n[replicator]\ninitial_share = 0.2\n",
+    )
+    unanchored = write_config(tmp_path, UNANCHORED, name="unanchored.ini")
+    argv = [arg.format(config=path, unanchored=unanchored) for arg in argv]
+    if argv[1:]:
+        argv += ["--out", str(tmp_path / "res"), "--quiet"]
+    src = str(Path(netsel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == loaded

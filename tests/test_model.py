@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -278,6 +279,19 @@ def test_welfare_reference_value():
 def test_welfare_domain():
     with pytest.raises(ValueError):
         social_welfare(calibrated_params(), 1.2)
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.2, math.nan])
+def test_welfare_refuses_a_share_outside_the_unit_interval_in_every_form(bad):
+    # A float (numpy's float64 included) is checked with plain comparisons,
+    # anything else with numpy's min and max: the same verdict and the same
+    # message, NaN included.
+    p = calibrated_params()
+    for share in (bad, np.float64(bad), np.float32(bad), np.array([0.5, bad])):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'share must lie in [0, 1], got {share}')}$"):
+            social_welfare(p, share)
+    for share in (-0.0, 0.0, 0.68, 1.0):
+        assert social_welfare(p, np.array([share]))[0] == social_welfare(p, share)
 
 
 def test_social_optimum_matches_grid_minimum():
