@@ -77,7 +77,9 @@ class TransitionKernel:
     holds them and their interior minima, which its validation measures and
     its classification reads, and derives the read-only ``move = up + down``
     on first use.  ``params``, ``population`` and ``rule`` record what it was
-    built from and stay None for hand-made kernels.  Kernels compare by identity.
+    built from and stay None for hand-made kernels.  A recorded population
+    must allow the boundary moves: up[0] > 0 needs a primary anchor to
+    imitate, and down[n] > 0 a secondary one.  Kernels compare by identity.
     """
 
     up: np.ndarray
@@ -94,6 +96,15 @@ class TransitionKernel:
         if not (min(low) >= 0.0 and up[-1] == 0.0 == down[0] and _rows_fit(up, down)):
             _check_rates(up, down)  # raises unless the rates are valid (a NaN fails _rows_fit)
             raise ValueError("structural zeros violated: need up[n] == 0 and down[0] == 0")
+        population = self.population
+        if population is not None and (
+            (up[0] > 0.0 and not population.anchored_primary)
+            or (down[-1] > 0.0 and not population.anchored_secondary)
+        ):
+            raise ValueError(
+                "rates contradict the population: up[0] > 0 needs a primary anchor "
+                "and down[n] > 0 a secondary one"
+            )
         for name, value in (("up", _readonly(up)), ("down", _readonly(down)), ("_low", low)):
             object.__setattr__(self, name, value)
 
@@ -549,16 +560,25 @@ def stationary_eigen(kernel: TransitionKernel) -> StationaryDistribution:
     and ``down`` and never forms a ratio up[k-1]/down[k] or its
     running product.  The log profile is the only thing shared: it selects
     the anchor and refuses a second mode past a deep valley (see
-    :func:`_pin`), but never sets a value.
+    :func:`_pin`), but never sets a value.  A solve that leaves the float
+    range, which the pin rules out wherever the kernel's rates are its
+    record's, raises ChainStructureError.
     """
     _require(kernel, "irreducible", "eigenvector route")
     _refuse_underflow(kernel, "eigenvector route")
     anchor, n = _pin(kernel), kernel.n
-    below = _solve_balance_block(kernel, 0, anchor - 1, anchor_above=True) if anchor else []
-    above = _solve_balance_block(kernel, anchor + 1, n, anchor_above=False) if anchor < n else []
-    psi = np.concatenate((below, [1.0], above))
-    np.clip(psi, 0.0, None, out=psi)
-    psi /= psi.sum()
+    with np.errstate(all="ignore"):  # a law that is not finite is refused below
+        below = _solve_balance_block(kernel, 0, anchor - 1, anchor_above=True) if anchor else []
+        above = _solve_balance_block(kernel, anchor + 1, n, anchor_above=False) if anchor < n else []
+        psi = np.concatenate((below, [1.0], above))
+        np.clip(psi, 0.0, None, out=psi)
+        total = psi.sum()
+    if not math.isfinite(total):
+        raise ChainStructureError(
+            f"eigenvector route: the balance solve pinned at k={anchor} left the float range; "
+            "the rates disagree with the log profile that the kernel's record gives"
+        )
+    psi /= total
     return StationaryDistribution(psi=_readonly(psi), kind="eigenvector")
 
 

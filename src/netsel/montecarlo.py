@@ -20,7 +20,9 @@ stream.  Which engine ran cannot be seen in the output.
 ``absorption_frequency`` keeps its own contract: one stream
 ``Philox(key=seed)`` shared by all replicas, one draw per still-active
 replica per event in replica order.  It steps them as one vector while
-at least _LOCKSTEP are active and the last few one by one in Python.
+at least _LOCKSTEP are active and the last few one by one in Python, and
+keeps no record per replica: three integer tallies of the absorbed (at
+0, at n, and their events) give its fractions and mean.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ _SPREAD, _MIN_REACH = 1.0, 8
 # Runs of at least this many replicas take the lockstep engine.  At n = 100
 # it took 1.88x the time of the walk with 32 replicas, 0.89x with 64, 0.87x
 # with 80, 0.74x with 96 and 0.20x with 2,000 (layers.py, the engine rows).
+# Below it, absorption_frequency steps its last replicas one by one: on
+# 10^4 replicas at n = 20, thresholds of 16, 32, 64, 96, 160 and 256 took
+# 168, 165, 170, 163, 169 and 192 ms.
 _LOCKSTEP = 96
 
 # Lockstep replicas advance in near-equal groups of at most this many,
@@ -407,9 +412,13 @@ def absorption_frequency(spec: SimulationSpec, kernel: TransitionKernel) -> Abso
     All replicas advance in lockstep from the single stream
     ``Philox(key=seed)``: each event consumes one uniform per still-active
     replica, in replica-index order, so results are bit-reproducible for a
-    given (spec, kernel).  While at least _LOCKSTEP replicas are active an
-    event is one vector step, and the active set is compacted only after
-    an event that absorbs one.  The last few step one by one in a Python
+    given (spec, kernel).  Only three integers are kept of the absorbed
+    replicas: how many ended at 0, how many at n, and the sum of their
+    absorption events; the result divides each by their count.  While at
+    least _LOCKSTEP replicas are active an event is one vector step on
+    their states less one, whose boundaries -1 and n - 1 are the only values
+    at or past n - 1 as unsigned integers: one ``max`` finds a hit, and one
+    mask drops the absorbed.  The last few step one by one in a Python
     loop, over draws taken _BLOCK at a time from the same stream: two
     calls on one stream give the bits of one call for both, so every
     replica reads the draw it would read one event at a time.
@@ -419,35 +428,30 @@ def absorption_frequency(spec: SimulationSpec, kernel: TransitionKernel) -> Abso
     absorption has no stationary phase to wait for.
     """
     _require(kernel, "absorbing", "absorption sampling")
-    n = kernel.n
-    total = int(spec.replicas)
+    n, total = kernel.n, int(spec.replicas)
     gen = np.random.Generator(np.random.Philox(key=spec.seed))
     if isinstance(spec.initial_state, str):
-        states = gen.integers(1, n, size=total).astype(np.int64)
+        k = gen.integers(1, n, size=total) - 1
     else:  # a given start draws nothing
-        states = np.full(total, _resolve_initial(spec, n, gen), dtype=np.int64)
-    absorbed_at = np.full(total, -1, dtype=np.int64)
-    steps_taken = np.zeros(total, dtype=np.int64)
-    at_boundary = (states == 0) | (states == n)
-    absorbed_at[at_boundary] = states[at_boundary]
-    active_idx = np.flatnonzero(~at_boundary)
-    k = states[active_idx]
-    up, move = kernel.up, kernel.move
-    t = 0
-    while active_idx.size >= _LOCKSTEP and t < spec.steps:
+        k = np.full(total, _resolve_initial(spec, n, gen) - 1, dtype=np.int64)
+    # State s + 1 is at k = s: up[1:] and move[1:] hold its rates.
+    up, move, last, buf = kernel.up[1:], kernel.move[1:], n - 1, np.empty(total)
+    at_0 = at_n = events = t = 0
+    while True:
+        if k.view(np.uint64).max() >= last:  # -1 or n - 1: absorbed at event t
+            kept = k[k.view(np.uint64) < last]
+            high, gone = int(np.count_nonzero(k == last)), k.size - kept.size
+            at_0, at_n, events = at_0 + gone - high, at_n + high, events + t * gone
+            k = kept
+        if k.size < _LOCKSTEP or t == spec.steps:
+            break
         t += 1
-        u = gen.random(k.size)
+        u = gen.random(out=buf[: k.size])
         step = (u < up[k]).view(np.int8)  # the in-place step of _lockstep
         step += step - (u < move[k]).view(np.int8)
         k += step
-        if k.min() == 0 or k.max() == n:
-            hit = (k == 0) | (k == n)
-            lost = active_idx[hit]
-            absorbed_at[lost], steps_taken[lost] = k[hit], t
-            keep = ~hit
-            active_idx, k = active_idx[keep], k[keep]
     # The last few step one by one, as _window resolves an odd draw.
-    ks, rows, up_at, move_at = k.tolist(), active_idx.tolist(), memoryview(up), memoryview(move)
+    ks, up_at, move_at = k.tolist(), memoryview(up), memoryview(move)
     draws, left = iter(()), 0
     while ks and t < spec.steps:
         t += 1
@@ -456,33 +460,19 @@ def absorption_frequency(spec: SimulationSpec, kernel: TransitionKernel) -> Abso
         # zip stops at the end of ks, so it takes one draw per replica.
         ks = [s + 1 if v < up_at[s] else s - 1 if v < move_at[s] else s for s, v in zip(ks, draws)]
         left -= len(ks)
-        if 0 in ks or n in ks:
-            for s, r in zip(ks, rows):
-                if s in (0, n):
-                    absorbed_at[r], steps_taken[r] = s, t
-            rows = [r for s, r in zip(ks, rows) if s not in (0, n)]
-            ks = [s for s in ks if s not in (0, n)]
-    unabsorbed = len(rows)
+        low, high = ks.count(-1), ks.count(last)
+        if low or high:
+            at_0, at_n, events = at_0 + low, at_n + high, events + t * (low + high)
+            ks = [s for s in ks if 0 <= s < last]
+    unabsorbed = len(ks)
     if unabsorbed > 0.01 * total:
         warnings.warn(
             f"{unabsorbed} of {total} replicas were still interior after {spec.steps} "
             "events; fractions cover absorbed replicas only",
             stacklevel=2,
         )
-    done = absorbed_at >= 0
-    n_done = int(done.sum())
-    if n_done == 0:
-        return AbsorptionFrequency(
-            fraction_at_0=float("nan"),
-            fraction_at_n=float("nan"),
-            mean_steps=float("nan"),
-            replicas=total,
-            unabsorbed=unabsorbed,
-        )
-    return AbsorptionFrequency(
-        fraction_at_0=float((absorbed_at == 0).sum() / n_done),
-        fraction_at_n=float((absorbed_at == n).sum() / n_done),
-        mean_steps=float(steps_taken[done].mean()),
-        replicas=total,
-        unabsorbed=unabsorbed,
-    )
+    done = total - unabsorbed
+    # Quotients of exact integers: those of a float sum of the events, too,
+    # while that sum stays below 2**53.
+    fractions = (at_0 / done, at_n / done, events / done) if done else (float("nan"),) * 3
+    return AbsorptionFrequency(*fractions, replicas=total, unabsorbed=unabsorbed)

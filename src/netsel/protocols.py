@@ -101,7 +101,8 @@ class Fermi(ImitationRule):
     def log_pair(self, payoff_diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(log q(z), log q(-z)): -log1p(e) where the sign makes q 1 / (1 + e),
         and -|beta * z| - log1p(e) where it makes q e / (1 + e)."""
-        z = self.beta * np.asarray(payoff_diffs, dtype=float)
+        with np.errstate(over="ignore"):  # an infinite beta * z gives log q = 0 or -inf
+            z = self.beta * np.asarray(payoff_diffs, dtype=float)
         high = -np.log1p(np.exp(-np.abs(z)))
         low = high - np.abs(z)
         return np.where(z >= 0.0, high, low), np.where(z <= 0.0, high, low)
@@ -110,7 +111,8 @@ class Fermi(ImitationRule):
         diffs = np.asarray(payoff_diffs, dtype=float)
         q_up, q_down = np.empty(diffs.size), np.empty(diffs.size)
         for lo in range(0, diffs.size, _CHUNK):
-            z = self.beta * diffs[lo : lo + _CHUNK]
+            with np.errstate(over="ignore"):  # an infinite beta * z gives q = 0 or 1
+                z = self.beta * diffs[lo : lo + _CHUNK]
             e = np.exp((-np.abs(z)).astype(complex)).real
             total = 1.0 + e
             high, low = 1.0 / total, np.divide(e, total, out=total)

@@ -397,14 +397,24 @@ def reference_check_rates(up, down):
             raise ValueError("rows must sum to 1: up + down exceeds 1 at some state")
 
 
-def reference_kernel_post_init(up, down):
-    """TransitionKernel.__post_init__ on (up, down): the vectors it would keep."""
+def reference_kernel_post_init(up, down, params=None, population=None, rule=None):
+    """TransitionKernel.__post_init__ on (up, down) and its record: the vectors
+    it would keep.  Valid rates that move off a boundary with no anchor on
+    that side to imitate contradict a recorded population."""
     up, down = _frozen(up), _frozen(down)
     if up.shape != down.shape or up.ndim != 1 or up.size < 3:
         raise ValueError("up/down must be equal-length vectors over k = 0..n with n >= 2")
     reference_check_rates(up, down)
     if up[-1] != 0.0 or down[0] != 0.0:
         raise ValueError("structural zeros violated: need up[n] == 0 and down[0] == 0")
+    if population is not None:
+        if (up[0] > 0.0 and population.anchored_primary == 0) or (
+            down[-1] > 0.0 and population.anchored_secondary == 0
+        ):
+            raise ValueError(
+                "rates contradict the population: up[0] > 0 needs a primary anchor "
+                "and down[n] > 0 a secondary one"
+            )
     return _readonly(up), _readonly(down)
 
 

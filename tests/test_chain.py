@@ -215,6 +215,15 @@ def test_kernel_validation_rejects_broken_rows():
         TransitionKernel(up=up, down=down)
 
 
+@pytest.mark.parametrize("a_p, a_s", [(0, 0), (0, 1), (1, 0)])
+def test_kernel_refuses_a_boundary_move_with_no_anchor_to_imitate(a_p, a_s):
+    up, down = np.array([0.1, 0.2, 0.0]), np.array([0.0, 0.2, 0.1])
+    with pytest.raises(ValueError, match="rates contradict the population"):
+        TransitionKernel(up, down, *fermi_record(2, a_p, a_s))
+    TransitionKernel(up, down, *fermi_record(2, 1, 1))
+    TransitionKernel(up, down)  # a hand-made kernel records no population
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(
     st.integers(2, 60),
@@ -551,11 +560,18 @@ def refusal(call, kernel):
 @example(built(NetworkParams(100.0, 30.0), 5000, 0, 0, ("ratio", 2000.0)))
 @example(built(NetworkParams(100.0, 30.0), 5000, 1, 1, ("ratio", 2000.0)))
 @example(built(NetworkParams(100.0, 30.0), 4096, 1, 1, ("ratio", 1.0)))
+# Rates that move off a boundary with no anchor there to imitate: the log
+# profile read the record and the rates apart, and the eigen route let a
+# non-finite law escape, until the kernel refused them.
+@example((np.array([5e-324, 0.13, 0.0]), np.array([0.0, 0.36, 0.27]), *fermi_record(2, 0, 0)))
+@example((np.array([5e-324, 0.13, 0.0]), np.array([0.0, 0.36, 0.27]), *fermi_record(2, 1, 0)))
+# A rate far below what the record's rule gives: the eigen route, pinned
+# where the record's profile peaks, now refuses the law it cannot hold.
+@example((np.array([5e-324, 0.13, 0.0]), np.array([0.0, 0.36, 0.27]), *fermi_record(2, 1, 1)))
 def test_the_kernels_one_decision_matches_the_five_it_replaced(case):
     # The kernel's validation, class, smallest rate, log profile and
     # refusals of a zero coupling, each against its reference.
-    up, down = case[:2]
-    same(outcome(TransitionKernel, *case), outcome(reference_kernel_post_init, up, down))
+    same(outcome(TransitionKernel, *case), outcome(reference_kernel_post_init, *case))
     try:
         kernel = TransitionKernel(*case)
     except ValueError:
@@ -566,8 +582,7 @@ def test_the_kernels_one_decision_matches_the_five_it_replaced(case):
     up, down = kernel.up, kernel.down
     irreducible, absorbing = structure.kind == "irreducible", structure.kind == "absorbing"
     if irreducible:
-        with np.errstate(over="ignore"):  # beta * z of a wild economy's gain
-            profile = chain._log_profile(kernel), reference_log_profile(kernel)
+        profile = chain._log_profile(kernel), reference_log_profile(kernel)
         assert profile[0].tobytes() == profile[1].tobytes()
     eigen = irreducible and reference_refuses_underflow(kernel, up[:-1], down[1:])
     assert refusal(stationary_eigen, kernel) == eigen

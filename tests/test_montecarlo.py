@@ -903,6 +903,26 @@ def test_absorption_sampling_matches_the_shared_stream_loop(data):
     assert got == warned(reference_absorption_frequency, spec, kernel)
 
 
+@pytest.mark.parametrize(
+    "n, ratio, seed, replicas",
+    [
+        # The simulation benchmark's absorption part: 10^4 uniform starts on
+        # the unanchored ratio-1 chain at n = 20, capped at 10^5 events.
+        (20, 1.0, 1, 10_000),
+        (20, 1.0, 5, 10_000),
+        # The fair coin at n = 3: the first vector event absorbs 42 replicas
+        # at 0 and 42 at n at once.
+        (3, 0.0, 1, 500),
+    ],
+)
+def test_absorption_sampling_matches_the_shared_stream_loop_at_full_width(n, ratio, seed, replicas):
+    kernel = fermi_kernel(n, anchors=0, ratio=ratio)
+    spec = SimulationSpec(seed=seed, steps=100_000, replicas=replicas)
+    assert warned(absorption_frequency, spec, kernel) == warned(
+        reference_absorption_frequency, spec, kernel
+    )
+
+
 @given(
     seed=st.integers(0, 2**64 - 1), a=st.integers(0, 10_000), b=st.integers(0, 10_000)
 )

@@ -3,6 +3,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netsel import protocols
-from netsel.chain import PopulationConfig, _gain, build_kernel
+from netsel.chain import PopulationConfig, _gain, build_kernel, long_run
 from netsel.model import NetworkParams, calibrate_price_gap, utility_primary, utility_secondary
 from netsel.protocols import (
     CustomRule,
@@ -83,6 +84,18 @@ def test_fermi_saturates_without_overflow():
     rule = Fermi(beta=1e3)
     assert q_at(rule, 1e6) == 1.0
     assert q_at(rule, -1e6) == 0.0
+
+
+def test_fermi_saturates_silently_where_beta_times_the_gain_overflows():
+    # beta * (pi_P - pi_S) is -inf at every state: q is exactly 0 and 1, and
+    # every genuine user ends on the secondary network.
+    params = NetworkParams(100.0, 30.0, 1.0, 1e308, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernel = build_kernel(params, PopulationConfig(10, 1, 1), Fermi(beta=1e4))
+        structure, law = long_run(kernel)
+    assert structure.kind == "irreducible"
+    assert law.psi.tobytes() == np.eye(11)[0].tobytes()
 
 
 def test_fermi_explicit_value():
